@@ -42,7 +42,7 @@ from .newton import (
     newton_step_vector,
     solve_tangent_system,
 )
-from .objectives import Brockett, ProcrustesTrace, Rayleigh, TiltedRayleigh, evaluate
+from .objectives import Brockett, ProcrustesTrace, Rayleigh, TiltedRayleigh
 from .rates import (
     DEFAULT_NOISE_FLOOR,
     DEFAULT_SCALES,
@@ -72,6 +72,7 @@ from .retractions import (
     inverse_retract,
     perturbation_direction,
     retract,
+    retract_many,
 )
 from .sampling import (
     make_sweep,

@@ -7,6 +7,15 @@ central differences give the first-order coefficients, a four-point stencil
 gives the second-order ones.  Away from critical points the Hessian obtained
 this way depends on the retraction family unless the family has order >= 2.
 
+Each stencil is evaluated as one batch: the probe directions form a
+(probes x ambient) array, :func:`retract_many` maps it to the manifold in one
+call, and the objective's optional ``values(p, points)`` method evaluates all
+rows in one call.  An objective with only ``value(p)`` is evaluated row by
+row.  The batched kernels round exactly as the single-probe path
+(``retract`` then ``value``) does, so every probe value, and with it every
+extracted derivative, is the same bit for bit.  On the Hessian diagonal the
+two mixed probes both sit at R_p(0); that value is read once.
+
 Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
 independent of the objective's magnitude: probing cJ at the same points as J
@@ -22,7 +31,7 @@ import numpy as np
 
 from .errors import ContractError, EvaluationError
 from .manifolds import ManifoldPoint, TangentBasis, TangentVector
-from .retractions import RetractionSpec, retract
+from .retractions import RetractionSpec, retract, retract_many
 
 _EPS = float(np.finfo(float).eps)
 GRADIENT_STEP_FACTOR = _EPS ** (1.0 / 3.0)  # ~6.1e-6
@@ -69,11 +78,35 @@ class SymmetricOperator:
         return self.basis.from_coordinates(self.matrix @ coeffs)
 
 
+def _check_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError("objective returned a non-finite value during a probe")
+
+
 def _probe(objective, spec: RetractionSpec, p: ManifoldPoint, coords: np.ndarray) -> float:
     value = objective.value(retract(spec, TangentVector(p, coords)))
-    if not np.isfinite(value):
-        raise EvaluationError("objective returned a non-finite value during a probe")
+    _check_finite(value)
     return value
+
+
+def _probe_many(objective, spec: RetractionSpec, p: ManifoldPoint, stencil: np.ndarray) -> np.ndarray:
+    """J(R_p(v)) for every row v of the stencil, through ``values`` when the
+    objective has it and through ``value`` row by row otherwise."""
+    points = retract_many(spec, p, stencil)
+    batched = getattr(objective, "values", None)
+    if batched is not None:
+        out = np.asarray(batched(p, points), dtype=float)
+        if out.shape != (len(points),):
+            raise ContractError("objective values() must return one value per point")
+    else:
+        manifold = p.manifold
+        out = np.array([objective.value(ManifoldPoint(manifold, row)) for row in points], dtype=float)
+    _check_finite(out)
+    return out
+
+
+def _frame(basis: TangentBasis) -> np.ndarray:
+    return np.array([vec.coords for vec in basis.vectors])
 
 
 def gradient_fd(
@@ -94,11 +127,12 @@ def gradient_fd(
     if basis is None:
         basis = manifold.tangent_basis(p)
     h = step_factor
-    ambient = np.zeros(manifold.ambient_dim)
-    for vec in basis.vectors:
-        plus = _probe(objective, spec, p, h * vec.coords)
-        minus = _probe(objective, spec, p, -h * vec.coords)
-        ambient += ((plus - minus) / (2.0 * h)) * vec.coords
+    frame = _frame(basis)
+    dim = len(frame)
+    values = _probe_many(objective, spec, p, np.concatenate([h * frame, -h * frame]))
+    coeffs = (values[:dim] - values[dim:]) / (2.0 * h)
+    # summed row after row from zero, as coeffs @ frame would not be
+    ambient = np.sum(coeffs[:, None] * frame, axis=0, initial=0.0)
     return GradientResult(vector=TangentVector(p, ambient), step=h)
 
 
@@ -112,23 +146,35 @@ def hessian_fd(
 
     H_ij = [J(R(h e_i + h e_j)) - J(R(h e_i - h e_j))
             - J(R(-h e_i + h e_j)) + J(R(-h e_i - h e_j))] / (4 h^2)
+
+    For i = j both middle probes are J(R_p(0)), read once, so a Hessian
+    costs 2 d^2 + 1 probes in dimension d.
     """
     manifold = p.manifold
     spec.validate_for(manifold)
     if basis is None:
         basis = manifold.tangent_basis(p)
     h = HESSIAN_STEP_FACTOR
-    dim = len(basis)
+    frame = _frame(basis)
+    dim = len(frame)
+    plus, minus = h * frame, -h * frame
+    rows, cols = np.triu_indices(dim, k=1)
+    pairs = len(rows)
+    stencil = np.concatenate([
+        plus[rows] + plus[cols],
+        plus[rows] - plus[cols],
+        minus[rows] + plus[cols],
+        minus[rows] - plus[cols],
+        plus + plus,
+        minus - plus,
+    ])
+    values = _probe_many(objective, spec, p, stencil)
+    pp, pm, mp, mm = values[: 4 * pairs].reshape(4, pairs)
+    centre = _probe(objective, spec, p, np.zeros(manifold.ambient_dim))
+    diag_pp, diag_mm = values[4 * pairs:].reshape(2, dim)
     out = np.empty((dim, dim))
-    for i in range(dim):
-        ei = basis.vectors[i].coords
-        for j in range(i, dim):
-            ej = basis.vectors[j].coords
-            pp = _probe(objective, spec, p, h * ei + h * ej)
-            pm = _probe(objective, spec, p, h * ei - h * ej)
-            mp = _probe(objective, spec, p, -h * ei + h * ej)
-            mm = _probe(objective, spec, p, -h * ei - h * ej)
-            out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    out[rows, cols] = out[cols, rows] = (pp - pm - mp + mm) / (4.0 * h * h)
+    out[np.diag_indices(dim)] = (diag_pp - centre - centre + diag_mm) / (4.0 * h * h)
     out = 0.5 * (out + out.T)
     return SymmetricOperator(base=p, basis=basis, matrix=out)
 

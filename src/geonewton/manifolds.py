@@ -32,6 +32,23 @@ def _as_vector(coords, dim: int) -> np.ndarray:
     return arr
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the matching row of ``b``.
+
+    Stacked (1 x n) @ (n x 1) products go through the same BLAS dot as
+    ``np.dot`` on two vectors, so entry i equals ``np.dot(a[i], b[i])`` bit
+    for bit; ``a @ b`` on the whole stack would use gemv or gemm, which round
+    differently.  ``b`` may be a single vector, shared by every row.
+    """
+    b = np.broadcast_to(b, a.shape)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal to ``np.linalg.norm`` of that row."""
+    return np.sqrt(row_dots(a, a))
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A point on an embedded manifold, held in ambient coordinates."""
@@ -142,6 +159,19 @@ class Manifold:
     def _check_tangent(self, p: ManifoldPoint, coords: np.ndarray) -> None:
         raise NotImplementedError
 
+    def _check_points(self, rows: np.ndarray) -> None:
+        """``_check_point`` applied to every row of a (k x ambient) array."""
+        raise NotImplementedError
+
+    def _check_tangents(self, p: ManifoldPoint, rows: np.ndarray) -> None:
+        """``_check_tangent`` applied to every row of a (k x ambient) array."""
+        raise NotImplementedError
+
+    def exp_many(self, p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
+        """``exp_map`` of every row (a tangent vector at p), as point rows;
+        row i equals ``exp_map(TangentVector(p, rows[i])).coords`` bit for bit."""
+        raise NotImplementedError
+
     def tangent_project(self, p: ManifoldPoint, w) -> TangentVector:
         raise NotImplementedError
 
@@ -184,6 +214,15 @@ class Sphere(Manifold):
         if abs(np.dot(p.coords, coords)) > POINT_TOL * max(1.0, float(np.linalg.norm(coords))):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
+    def _check_points(self, rows):
+        if np.any(np.abs(row_norms(rows) - 1.0) > POINT_TOL):
+            raise ContractError("sphere point is not unit length")
+
+    def _check_tangents(self, p, rows):
+        scale = np.maximum(1.0, row_norms(rows))
+        if np.any(np.abs(row_dots(rows, p.coords)) > POINT_TOL * scale):
+            raise ContractError("vector is not tangent to the sphere at its base point")
+
     def tangent_project(self, p, w):
         w = np.asarray(w, dtype=float)
         return TangentVector(p, w - np.dot(p.coords, w) * p.coords)
@@ -195,6 +234,11 @@ class Sphere(Manifold):
         out = np.cos(n) * p.coords + np.sinc(n / np.pi) * v.coords
         out = out / np.linalg.norm(out)
         return ManifoldPoint(self, out)
+
+    def exp_many(self, p, rows):
+        n = row_norms(rows)[:, None]
+        out = np.cos(n) * p.coords + np.sinc(n / np.pi) * rows
+        return out / row_norms(out)[:, None]
 
     def geodesic_distance(self, p, q):
         # atan2 of (rejection norm, dot) equals arccos of the clamped dot but
@@ -270,6 +314,17 @@ def rotation_exp(omega_hat: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * omega_hat + b * (omega_hat @ omega_hat)
 
 
+def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
+    """:func:`rotation_exp` of each matrix in a (k x 3 x 3) stack, bit for bit."""
+    omega = np.stack([omega_hats[:, 2, 1], omega_hats[:, 0, 2], omega_hats[:, 1, 0]], axis=1)
+    theta = row_norms(omega)[:, None, None]
+    a = np.sinc(theta / np.pi)
+    # float_power calls the C library pow like a float64 scalar's ** does;
+    # ** on an array squares by multiplication, which rounds differently
+    b = 0.5 * np.float_power(np.sinc(theta / (2.0 * np.pi)), 2)
+    return np.eye(3) + a * omega_hats + b * (omega_hats @ omega_hats)
+
+
 def rotation_angle(rot: np.ndarray) -> float:
     """Rotation angle in [0, pi], accurate near zero."""
     skew = 0.5 * (rot - rot.T)
@@ -327,6 +382,20 @@ class Rotations3(Manifold):
         if np.linalg.norm(body + body.T) > POINT_TOL * scale:
             raise ContractError("Q^T V is not skew-symmetric")
 
+    def _check_points(self, rows):
+        q = rows.reshape(-1, 3, 3)
+        gram = q.transpose(0, 2, 1) @ q - np.eye(3)
+        if np.any(row_norms(gram.reshape(-1, 9)) > POINT_TOL):
+            raise ContractError("matrix is not orthogonal")
+        if np.any(np.linalg.det(q) <= 0):
+            raise ContractError("matrix has non-positive determinant")
+
+    def _check_tangents(self, p, rows):
+        body = p.matrix.T @ rows.reshape(-1, 3, 3)
+        scale = np.maximum(1.0, row_norms(rows))
+        if np.any(row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9)) > POINT_TOL * scale):
+            raise ContractError("Q^T V is not skew-symmetric")
+
     def tangent_project(self, p, w):
         q = p.matrix
         body = q.T @ np.asarray(w, dtype=float).reshape(3, 3)
@@ -338,6 +407,12 @@ class Rotations3(Manifold):
         body = q.T @ v.matrix
         body = 0.5 * (body - body.T)
         return self.point_from_matrix(q @ rotation_exp(body))
+
+    def exp_many(self, p, rows):
+        q = p.matrix
+        body = q.T @ rows.reshape(-1, 3, 3)
+        body = 0.5 * (body - body.transpose(0, 2, 1))
+        return (q @ rotation_exp_many(body)).reshape(-1, 9)
 
     def geodesic_distance(self, p, q):
         rel = p.matrix.T @ q.matrix

@@ -22,7 +22,12 @@ term vanishes.
 
 Any object exposing ``value(p)`` (and optionally ``analytic_gradient(p)``)
 works with the finite-difference and Newton machinery; these four are simply
-the families with oracles.
+the families with oracles.  An objective may also expose ``values(p, points)``:
+given a base point p and a (k x ambient) array of points on p's manifold, it
+returns the k values as an array.  The finite-difference stencils call it
+once per stencil instead of ``value`` once per probe, and they rely on it
+returning exactly what ``value`` returns for each row.  The four families
+here implement it with the same kernels as ``value``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from .manifolds import (
     Sphere,
     TangentBasis,
     TangentVector,
+    row_dots,
 )
+
+
+def _quadratic_forms(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """x @ matrix @ x for every row x, rounded as for a single vector."""
+    return (points[:, None, :] @ matrix @ points[:, :, None])[:, 0, 0]
 
 
 class Rayleigh:
@@ -63,6 +74,10 @@ class Rayleigh:
         self._check_point(p)
         x = p.coords
         return float(x @ self.matrix @ x)
+
+    def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
+        self._check_point(p)
+        return _quadratic_forms(self.matrix, points)
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(x) = 2 (A x - (x^T A x) x); vanishes exactly at eigenvectors."""
@@ -106,6 +121,10 @@ class ProcrustesTrace:
     def value(self, p: ManifoldPoint) -> float:
         self._check_point(p)
         return -float(np.sum(self.matrix * p.matrix))
+
+    def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
+        self._check_point(p)
+        return -np.sum(self.matrix * points.reshape(-1, 3, 3), axis=(1, 2))
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """Tangent projection of the ambient gradient -A at Q."""
@@ -204,6 +223,10 @@ class TiltedRayleigh:
         x = p.coords
         return float(x @ self.matrix @ x + 2.0 * (self.tilt @ x))
 
+    def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
+        self._check_point(p)
+        return _quadratic_forms(self.matrix, points) + 2.0 * row_dots(points, self.tilt)
+
     def _multiplier_at(self, x: np.ndarray) -> float:
         return float(x @ self.matrix @ x + self.tilt @ x)
 
@@ -275,6 +298,12 @@ class Brockett:
         self._check_point(p)
         return float(np.diag(self._body(p.matrix)) @ self.weights)
 
+    def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
+        self._check_point(p)
+        q = points.reshape(-1, 3, 3)
+        bodies = q.transpose(0, 2, 1) @ self.matrix @ q
+        return row_dots(np.diagonal(bodies, axis1=1, axis2=2), self.weights)
+
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(Q) = Q [S, N] with S = Q^T M Q."""
         self._check_point(p)
@@ -303,8 +332,3 @@ class Brockett:
     def minimizer(self) -> ManifoldPoint:
         """The frame U of M, minimizer by the rearrangement inequality."""
         return self._minimizer
-
-
-def evaluate(objective, p: ManifoldPoint) -> float:
-    """Function-call form of objective evaluation."""
-    return objective.value(p)

@@ -10,6 +10,11 @@ Families
 
 Every family satisfies R_p(0) = p and first-order agreement with the
 exponential map.
+
+:func:`retract` maps one tangent vector; :func:`retract_many` maps every row
+of a (k x ambient) array of tangent vectors at one base point, with the same
+arithmetic, so its row i equals ``retract(spec, TangentVector(p, V[i]))``
+bit for bit.  Finite-difference stencils go through the batched form.
 """
 
 from __future__ import annotations
@@ -19,13 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InversionFailureError
+from .errors import ConfigurationError, ContractError, InversionFailureError
 from .manifolds import (
     Manifold,
     ManifoldPoint,
     Rotations3,
     Sphere,
     TangentVector,
+    row_dots,
+    row_norms,
 )
 
 EXPONENTIAL = "exp"
@@ -42,10 +49,6 @@ _DECLARED_ORDER = {
     PERTURBED: 1,
 }
 
-# The fixed-point inversion contracts at roughly 1 - c|v|; at |v| ~ 0.3 on the
-# order-1 family the measured factor is ~0.9, needing >200 sweeps for 1e-12.
-_INVERSE_MAX_ITER = 500
-_INVERSE_TOL = 1e-12
 _ROUNDTRIP_TOL = 1e-10
 
 
@@ -106,12 +109,45 @@ def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
     return Rotations3().point_from_matrix(q @ cay)
 
 
+def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
+    """Retract every row of ``vectors``, a (k x ambient) array of tangent
+    vectors at p, and return the k points as rows.
+
+    Each row is checked as :class:`TangentVector` and :class:`ManifoldPoint`
+    would check it, and u(p) is computed once for the whole array.
+    """
+    manifold = p.manifold
+    spec.validate_for(manifold)
+    rows = np.asarray(vectors, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != manifold.ambient_dim:
+        raise ContractError(
+            f"expected a (k, {manifold.ambient_dim}) array of tangent vectors, got shape {rows.shape}"
+        )
+    manifold._check_tangents(p, rows)
+
+    if spec.family == EXPONENTIAL:
+        out = manifold.exp_many(p, rows)
+    elif spec.family == CAYLEY:
+        q = p.matrix
+        body = q.T @ rows.reshape(-1, 3, 3)
+        body = 0.5 * (body - body.transpose(0, 2, 1))
+        eye = np.eye(3)
+        cay = np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)
+        out = (q @ cay).reshape(-1, 9)
+    else:
+        out = p.coords + rows
+        if spec.family == PERTURBED:
+            out = out + row_dots(rows, rows)[:, None] * perturbation_direction(p).coords
+        out = out / row_norms(out)[:, None]
+    manifold._check_points(out)
+    return out
+
+
 def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
     """Find v in T_pM with retract(spec, v) = q.
 
-    Closed forms exist for every family except ``perturbed``, which falls back
-    to the damped fixed-point iteration
-    v <- v + proj_p(q - R_p(v)); it contracts near v = 0 because dR_p(0) = id.
+    Every family has a closed form; each raises ``InversionFailureError`` when
+    q lies outside the range it inverts on.
     """
     manifold = p.manifold
     spec.validate_for(manifold)
@@ -139,21 +175,34 @@ def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) ->
         _verify_roundtrip(spec, v, q)
         return v
 
-    return _inverse_by_iteration(spec, p, q)
+    return _inverse_perturbed(spec, p, q)
 
 
-def _inverse_by_iteration(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-    manifold = p.manifold
-    v = manifold.tangent_project(p, q.coords - p.coords)
-    for _ in range(_INVERSE_MAX_ITER):
-        residual = manifold.tangent_project(p, q.coords - retract(spec, v).coords)
-        v = TangentVector(p, v.coords + residual.coords)
-        if residual.norm() <= _INVERSE_TOL:
-            _verify_roundtrip(spec, v, q)
-            return v
-    raise InversionFailureError(
-        f"fixed-point inversion did not converge in {_INVERSE_MAX_ITER} iterations"
-    )
+def _inverse_perturbed(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
+    """Closed-form inverse of q = (p + v + |v|^2 u) / N.
+
+    Since v and u are tangent, q.p = 1/N.  Writing v = a u + w with w
+    orthogonal to u, the rest of q gives w = N q_w and a + a^2 + |w|^2 = N q.u.
+    The root through a = 0 is a = 2c / (1 + sqrt(1 + 4c)) with
+    c = N q.u - |w|^2; there is none when 1 + 4c < 0, and q is then outside
+    the range of R_p.
+    """
+    cos_angle = float(np.dot(p.coords, q.coords))
+    if cos_angle <= 0.0:
+        raise InversionFailureError("target lies outside the range of the perturbed retraction")
+    scale = 1.0 / cos_angle
+    u = perturbation_direction(p).coords
+    tangent = p.manifold.tangent_project(p, q.coords).coords
+    along = float(np.dot(tangent, u))
+    w = scale * (tangent - along * u)
+    c = scale * along - float(np.dot(w, w))
+    disc = 1.0 + 4.0 * c
+    if disc < 0.0:
+        raise InversionFailureError("target lies outside the range of the perturbed retraction")
+    a = 2.0 * c / (1.0 + math.sqrt(disc))
+    v = TangentVector(p, a * u + w)
+    _verify_roundtrip(spec, v, q)
+    return v
 
 
 def _verify_roundtrip(spec: RetractionSpec, v: TangentVector, q: ManifoldPoint) -> None:
