@@ -105,10 +105,6 @@ def _probe_many(objective, spec: RetractionSpec, p: ManifoldPoint, stencil: np.n
     return out
 
 
-def _frame(basis: TangentBasis) -> np.ndarray:
-    return np.array([vec.coords for vec in basis.vectors])
-
-
 def gradient_fd(
     objective,
     spec: RetractionSpec,
@@ -127,13 +123,11 @@ def gradient_fd(
     if basis is None:
         basis = manifold.tangent_basis(p)
     h = step_factor
-    frame = _frame(basis)
+    frame = basis.frame
     dim = len(frame)
     values = _probe_many(objective, spec, p, np.concatenate([h * frame, -h * frame]))
     coeffs = (values[:dim] - values[dim:]) / (2.0 * h)
-    # summed row after row from zero, as coeffs @ frame would not be
-    ambient = np.sum(coeffs[:, None] * frame, axis=0, initial=0.0)
-    return GradientResult(vector=TangentVector(p, ambient), step=h)
+    return GradientResult(vector=basis.from_coordinates(coeffs), step=h)
 
 
 def hessian_fd(
@@ -155,7 +149,7 @@ def hessian_fd(
     if basis is None:
         basis = manifold.tangent_basis(p)
     h = HESSIAN_STEP_FACTOR
-    frame = _frame(basis)
+    frame = basis.frame
     dim = len(frame)
     plus, minus = h * frame, -h * frame
     rows, cols = np.triu_indices(dim, k=1)

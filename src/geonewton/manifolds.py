@@ -13,6 +13,7 @@ function of its inputs, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for bit; ``a @ b`` on the whole stack would use gemv or gemm, which round
     differently.  ``b`` may be a single vector, shared by every row.
     """
-    b = np.broadcast_to(b, a.shape)
+    if b.ndim == 1:
+        return (a[:, None, :] @ b[:, None])[:, 0, 0]
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -65,6 +67,20 @@ class ManifoldPoint:
     def matrix(self) -> np.ndarray:
         """Coordinates reshaped to 3x3 (rotations only)."""
         return self.coords.reshape(3, 3)
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Orthonormal tangent frame at this point, a read-only
+        (intrinsic x ambient) array whose rows are the basis vectors.
+
+        Built on first read and kept with the point, so a point pays for one
+        frame however many stencils, retractions and bases use it.  The frame
+        is a pure function of the coordinates: two threads racing on the
+        first read compute the same array.
+        """
+        frame = self.manifold._frame(self)
+        frame.setflags(write=False)
+        return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,37 +109,56 @@ class TangentVector:
 @dataclass(frozen=True, eq=False)
 class TangentBasis:
     """Orthonormal frame for T_pM; used to express gradients as coordinate
-    vectors and Hessians as symmetric matrices."""
+    vectors and Hessians as symmetric matrices.
+
+    ``frame`` is one read-only (d x ambient) array whose rows are the basis
+    vectors.  The constructor also takes a sequence of :class:`TangentVector`
+    at ``base`` in its place.
+    """
 
     base: ManifoldPoint
-    vectors: tuple[TangentVector, ...]
+    frame: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        gram = self.gram()
-        if not np.allclose(gram, np.eye(len(self.vectors)), atol=1e-10):
+        frame = self.frame
+        if not isinstance(frame, np.ndarray):  # a sequence of TangentVectors
+            frame = [v.coords for v in frame]
+        frame = np.array(frame, dtype=float)
+        frame.setflags(write=False)
+        manifold = self.base.manifold
+        if frame.ndim != 2 or frame.shape[1] != manifold.ambient_dim:
+            raise ContractError(
+                f"expected a (d, {manifold.ambient_dim}) frame, got shape {frame.shape}"
+            )
+        manifold._check_tangents(self.base, frame)
+        object.__setattr__(self, "frame", frame)
+        eye = np.eye(len(frame))
+        # np.allclose(self.gram(), eye, atol=1e-10) without its overhead
+        if not np.all(np.abs(self.gram() - eye) <= 1e-10 + 1e-5 * eye):
             raise ContractError("basis vectors are not orthonormal")
 
+    @cached_property
+    def vectors(self) -> tuple[TangentVector, ...]:
+        return tuple(TangentVector(self.base, row) for row in self.frame)
+
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.frame)
 
     def gram(self) -> np.ndarray:
-        mat = np.array([v.coords for v in self.vectors])
-        return mat @ mat.T
+        return self.frame @ self.frame.T
 
     def coordinates(self, v: TangentVector) -> np.ndarray:
         """Coefficients of v in this frame."""
         if v.base is not self.base and not np.array_equal(v.base.coords, self.base.coords):
             raise ContractError("tangent vector is based at a different point")
-        return np.array([float(np.dot(b.coords, v.coords)) for b in self.vectors])
+        return row_dots(self.frame, v.coords)
 
     def from_coordinates(self, coeffs) -> TangentVector:
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self.vectors),):
+        if coeffs.shape != (len(self.frame),):
             raise ContractError("coefficient vector has the wrong length")
-        ambient = np.zeros(self.base.manifold.ambient_dim)
-        for c, b in zip(coeffs, self.vectors):
-            ambient += c * b.coords
+        # summed row after row from zero, as coeffs @ frame would not be
+        ambient = np.sum(coeffs[:, None] * self.frame, axis=0, initial=0.0)
         return TangentVector(self.base, ambient)
 
 
@@ -185,6 +220,10 @@ class Manifold:
         raise NotImplementedError
 
     def tangent_basis(self, p: ManifoldPoint) -> TangentBasis:
+        raise NotImplementedError
+
+    def _frame(self, p: ManifoldPoint) -> np.ndarray:
+        """The (intrinsic x ambient) orthonormal frame behind ``p.frame``."""
         raise NotImplementedError
 
 
@@ -260,30 +299,42 @@ class Sphere(Manifold):
         return TangentVector(p, rej * (theta / s))
 
     def tangent_basis(self, p):
-        """Gram-Schmidt over the ambient standard basis, dropping the
-        near-degenerate candidate aligned with p. Deterministic in index order."""
+        return TangentBasis(p, p.frame)
 
-        def sweep(vec):
-            vec = vec - np.dot(p.coords, vec) * p.coords
+    def _frame(self, p):
+        """Modified Gram-Schmidt over the ambient standard basis, dropping the
+        near-degenerate candidate aligned with p. Deterministic in index order.
+
+        The first sweep is right-looking: p, then each accepted vector, is
+        projected out of all later candidates at once.  Every candidate still
+        meets p, b0, b1, ... in that order, through the same dot products, so
+        the frame is the one a candidate-by-candidate loop builds, bit for bit.
+        """
+        x = p.coords
+        cands = np.eye(self.ambient_dim)
+        cands -= row_dots(cands, x)[:, None] * x
+
+        def resweep(vec):
+            vec = vec - np.dot(x, vec) * x
             for b in vectors:
                 vec = vec - np.dot(b, vec) * b
             return vec
 
         vectors: list[np.ndarray] = []
-        for i in range(self.ambient_dim):
-            cand = np.zeros(self.ambient_dim)
-            cand[i] = 1.0
-            cand = sweep(cand)
+        for i, cand in enumerate(cands):
             norm = np.linalg.norm(cand)
             if norm < _BASIS_SKIP_TOL:
                 continue
             # normalizing a short candidate amplifies its residual normal
             # component, so orthogonalize once more after scaling
-            cand = sweep(cand / norm)
-            vectors.append(cand / np.linalg.norm(cand))
+            cand = resweep(cand / norm)
+            b = cand / np.linalg.norm(cand)
+            vectors.append(b)
             if len(vectors) == self.intrinsic_dim:
                 break
-        return TangentBasis(p, tuple(TangentVector(p, b) for b in vectors))
+            rest = cands[i + 1:]
+            rest -= row_dots(rest, b)[:, None] * b
+        return np.array(vectors)
 
 
 # Canonical so(3) generators, Frobenius norm sqrt(2) each.
@@ -423,11 +474,11 @@ class Rotations3(Manifold):
         return TangentVector(p, (p.matrix @ rotation_log(rel)).reshape(9))
 
     def tangent_basis(self, p):
+        return TangentBasis(p, p.frame)
+
+    def _frame(self, p):
         q = p.matrix
-        vecs = tuple(
-            TangentVector(p, (q @ gen).reshape(9) / np.sqrt(2.0)) for gen in SO3_GENERATORS
-        )
-        return TangentBasis(p, vecs)
+        return np.array([(q @ gen).reshape(9) / np.sqrt(2.0) for gen in SO3_GENERATORS])
 
 
 def rotation_about_z(angle: float) -> np.ndarray:

@@ -94,10 +94,11 @@ class Rayleigh:
         value = self.value(p)
         dim = len(basis)
         out = np.empty((dim, dim))
+        frame = basis.frame
         for i in range(dim):
-            bi = basis.vectors[i].coords
+            bi = frame[i]
             for j in range(i, dim):
-                bj = basis.vectors[j].coords
+                bj = frame[j]
                 out[i, j] = out[j, i] = 2.0 * (float(bi @ self.matrix @ bj) - value * (i == j))
         return out
 
@@ -241,7 +242,7 @@ class TiltedRayleigh:
         in the given orthonormal basis."""
         p = basis.base
         self._check_point(p)
-        frame = np.array([v.coords for v in basis.vectors])
+        frame = basis.frame
         out = 2.0 * (frame @ self.matrix @ frame.T
                      - self._multiplier_at(p.coords) * np.eye(len(basis)))
         return 0.5 * (out + out.T)
@@ -319,7 +320,7 @@ class Brockett:
         self._check_point(p)
         q = p.matrix
         s = self._body(q)
-        bodies = [q.T @ v.matrix for v in basis.vectors]
+        bodies = [q.T @ row.reshape(3, 3) for row in basis.frame]
         dim = len(bodies)
         out = np.empty((dim, dim))
         for i in range(dim):

@@ -15,6 +15,9 @@ exponential map.
 of a (k x ambient) array of tangent vectors at one base point, with the same
 arithmetic, so its row i equals ``retract(spec, TangentVector(p, V[i]))``
 bit for bit.  Finite-difference stencils go through the batched form.
+
+u(p) is read from the base point's cached frame (``ManifoldPoint.frame``),
+so retracting, inverting and probing at one point build that frame once.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class RetractionSpec:
 def perturbation_direction(p: ManifoldPoint) -> TangentVector:
     """The fixed unit tangent u(p) entering the order-1 family: the first
     tangent-basis vector at p."""
-    return p.manifold.tangent_basis(p).vectors[0]
+    return TangentVector(p, p.frame[0])
 
 
 def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
@@ -96,8 +99,7 @@ def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
         return ManifoldPoint(manifold, out / np.linalg.norm(out))
 
     if spec.family == PERTURBED:
-        u = perturbation_direction(p)
-        out = p.coords + v.coords + float(np.dot(v.coords, v.coords)) * u.coords
+        out = p.coords + v.coords + float(np.dot(v.coords, v.coords)) * p.frame[0]
         return ManifoldPoint(manifold, out / np.linalg.norm(out))
 
     # Cayley on SO(3)
@@ -114,7 +116,7 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
     vectors at p, and return the k points as rows.
 
     Each row is checked as :class:`TangentVector` and :class:`ManifoldPoint`
-    would check it, and u(p) is computed once for the whole array.
+    would check it.
     """
     manifold = p.manifold
     spec.validate_for(manifold)
@@ -137,7 +139,7 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
     else:
         out = p.coords + rows
         if spec.family == PERTURBED:
-            out = out + row_dots(rows, rows)[:, None] * perturbation_direction(p).coords
+            out = out + row_dots(rows, rows)[:, None] * p.frame[0]
         out = out / row_norms(out)[:, None]
     manifold._check_points(out)
     return out
@@ -191,7 +193,7 @@ def _inverse_perturbed(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint)
     if cos_angle <= 0.0:
         raise InversionFailureError("target lies outside the range of the perturbed retraction")
     scale = 1.0 / cos_angle
-    u = perturbation_direction(p).coords
+    u = p.frame[0]
     tangent = p.manifold.tangent_project(p, q.coords).coords
     along = float(np.dot(tangent, u))
     w = scale * (tangent - along * u)

@@ -13,6 +13,7 @@ import pytest
 
 import geonewton as gn
 from geonewton.calculus import GRADIENT_STEP_FACTOR, HESSIAN_STEP_FACTOR, REFINED_GRADIENT_STEP_FACTOR
+from geonewton.manifolds import row_dots
 
 SPHERE_SIZES = (2, 3, 10, 20, 50)
 SPHERE_FAMILIES = ("exp", "projection", "perturbed")
@@ -43,9 +44,6 @@ def _cases():
 
 
 CASES = list(_cases())
-# The per-probe loop rebuilds u(p) for every perturbed probe: about 50 s for a
-# sphere:50 Hessian.  Those two cases compare the gradient only, below.
-FD_CASES = [c for c in CASES if not c.id.startswith("sphere50-perturbed")]
 
 
 def _base_point(manifold, seed):
@@ -115,7 +113,7 @@ def test_retract_many_and_values_match_single_path(manifold, family, objective):
         assert np.array_equal(values, [objective.value(q) for q in singles])
 
 
-@pytest.mark.parametrize("manifold,family,objective", FD_CASES)
+@pytest.mark.parametrize("manifold,family,objective", CASES)
 def test_fd_derivatives_match_per_probe_loop(manifold, family, objective):
     spec = gn.RetractionSpec(family)
     p = _base_point(manifold, 7)
@@ -125,16 +123,6 @@ def test_fd_derivatives_match_per_probe_loop(manifold, family, objective):
         assert np.array_equal(grad.vector.coords, _scalar_gradient(objective, spec, p, basis, h))
     hess = gn.hessian_fd(objective, spec, p, basis=basis)
     assert np.array_equal(hess.matrix, _scalar_hessian(objective, spec, p, basis))
-
-
-@pytest.mark.parametrize("objective", _sphere_objectives(50), ids=lambda o: o.kind)
-def test_perturbed_sphere50_gradient_matches_per_probe_loop(objective):
-    spec = gn.RetractionSpec("perturbed")
-    p = _base_point(gn.Sphere(50), 7)
-    basis = p.manifold.tangent_basis(p)
-    grad = gn.gradient_fd(objective, spec, p, basis=basis)
-    h = GRADIENT_STEP_FACTOR
-    assert np.array_equal(grad.vector.coords, _scalar_gradient(objective, spec, p, basis, h))
 
 
 @pytest.mark.parametrize("family", SPHERE_FAMILIES)
@@ -236,3 +224,14 @@ def test_perturbed_inverse_reports_targets_outside_range():
         gn.inverse_retract(spec, p, q)
     with pytest.raises(gn.InversionFailureError, match="outside the range"):
         gn.inverse_retract(spec, p, manifold.point([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (2, 3), (12, 3), (7, 9), (40, 10), (49, 50), (300, 20)])
+def test_row_dots_equals_np_dot(rows, cols):
+    rng = gn.rng_for(rows * 100 + cols)
+    a = rng.standard_normal((rows, cols))
+    shared = rng.standard_normal(cols)
+    per_row = rng.standard_normal((rows, cols))
+    assert np.array_equal(row_dots(a, shared), [np.dot(r, shared) for r in a])
+    assert np.array_equal(row_dots(a, per_row), [np.dot(r, s) for r, s in zip(a, per_row)])
+    assert np.array_equal(row_dots(a[1:], shared), [np.dot(r, shared) for r in a[1:]])

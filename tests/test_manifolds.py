@@ -231,3 +231,110 @@ def test_basis_coordinates_round_trip(sphere3):
     coeffs = basis.coordinates(v)
     back = basis.from_coordinates(coeffs)
     assert np.allclose(back.coords, v.coords, atol=1e-13)
+
+
+# ---- the cached frame
+
+
+def _gram_schmidt_reference(p):
+    """Candidate-by-candidate modified Gram-Schmidt over the standard basis,
+    skipping the candidate aligned with p: the frame ``p.frame`` must equal."""
+    x = p.coords
+    n = len(x)
+
+    def sweep(vec):
+        vec = vec - np.dot(x, vec) * x
+        for b in vectors:
+            vec = vec - np.dot(b, vec) * b
+        return vec
+
+    vectors = []
+    for i in range(n):
+        cand = np.zeros(n)
+        cand[i] = 1.0
+        cand = sweep(cand)
+        norm = np.linalg.norm(cand)
+        if norm < 1e-8:
+            continue
+        cand = sweep(cand / norm)
+        vectors.append(cand / np.linalg.norm(cand))
+        if len(vectors) == n - 1:
+            break
+    return np.array(vectors)
+
+
+def _frame_points(n):
+    manifold = gn.Sphere(n)
+    rng = gn.rng_for(900 + n)
+    points = [gn.random_point(manifold, rng) for _ in range(10)]
+    for k in range(n):
+        for sign in (1.0, -1.0):
+            e = np.zeros(n)
+            e[k] = sign
+            points.append(manifold.point(e))
+    for _ in range(5):
+        x = np.zeros(n)
+        x[0] = 1.0
+        x = x + 1e-9 * rng.standard_normal(n)
+        points.append(manifold.point(x / np.linalg.norm(x)))
+    return points
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 20, 50])
+def test_sphere_frame_equals_reference_gram_schmidt(n):
+    for p in _frame_points(n):
+        assert np.array_equal(p.frame, _gram_schmidt_reference(p))
+        basis = p.manifold.tangent_basis(p)
+        assert np.array_equal(basis.frame, p.frame)
+        assert np.array_equal(gn.perturbation_direction(p).coords, basis.vectors[0].coords)
+
+
+def test_rotation_frame_rows_are_scaled_generators(rotations):
+    p = gn.random_point(rotations, gn.rng_for(11))
+    expected = [(p.matrix @ gen).reshape(9) / np.sqrt(2.0) for gen in SO3_GENERATORS]
+    assert np.array_equal(p.frame, np.array(expected))
+
+
+def test_frame_is_read_only_and_built_once(sphere3, rotations):
+    for manifold in (sphere3, gn.Sphere(10), rotations):
+        p = gn.random_point(manifold, gn.rng_for(12))
+        frame = p.frame
+        assert p.frame is frame
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError):
+            frame[0, 0] = 1.0
+        basis = manifold.tangent_basis(p)
+        assert not basis.frame.flags.writeable
+        assert basis.vectors is basis.vectors
+
+
+def test_basis_rejects_non_orthonormal_or_non_tangent(sphere3):
+    p = sphere3.point([0.0, 0.0, 1.0])
+    with pytest.raises(gn.ContractError, match="orthonormal"):
+        gn.TangentBasis(p, np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]) / [[1.0], [np.sqrt(2.0)]])
+    with pytest.raises(gn.ContractError, match="orthonormal"):
+        gn.TangentBasis(p, (sphere3.tangent(p, [2.0, 0.0, 0.0]),))
+    with pytest.raises(gn.ContractError, match="tangent"):
+        gn.TangentBasis(p, np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
+    with pytest.raises(gn.ContractError):
+        gn.TangentBasis(p, np.eye(2))
+    other = sphere3.point([1.0, 0.0, 0.0])
+    with pytest.raises(gn.ContractError, match="tangent"):
+        gn.TangentBasis(p, (sphere3.tangent(other, [0.0, 0.0, 1.0]),))
+
+
+@pytest.mark.parametrize("n", [3, 10, 50])
+def test_basis_coordinates_equal_vector_loops(n):
+    manifold = gn.Sphere(n)
+    rng = gn.rng_for(13 + n)
+    p = gn.random_point(manifold, rng)
+    basis = manifold.tangent_basis(p)
+    for _ in range(5):
+        v = gn.random_tangent(p, rng, unit=False)
+        loop = np.array([float(np.dot(b.coords, v.coords)) for b in basis.vectors])
+        assert np.array_equal(basis.coordinates(v), loop)
+        coeffs = rng.standard_normal(len(basis))
+        ambient = np.zeros(n)
+        for c, b in zip(coeffs, basis.vectors):
+            ambient += c * b.coords
+        assert np.array_equal(basis.from_coordinates(coeffs).coords, ambient)
