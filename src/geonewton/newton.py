@@ -2,10 +2,12 @@
 Hess s = -grad at the current point, retract, repeat.
 
 The method is deliberately pure -- no line search, no damping, no
-quasi-Newton reuse -- so its local behavior can be measured as-is.  The only
-safety device is a condition-number cap on the tangent Hessian: instead of a
-silent near-singular solve the step raises (or the driver records)
-``SingularHessian``.
+quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
+tests guard ``newton_run`` without changing any step it takes: a condition
+cap on the tangent Hessian (instead of a silent near-singular solve the step
+raises, or the run records, ``SingularHessian``), and a stall test that ends
+a run once its steps are below ``sqrt(eps)`` and the finite-difference
+gradient read has stopped improving (``STALLED``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .retractions import RetractionSpec, retract
 
 _RESIDUAL_TOL = 1e-10
 _REFINE_THRESHOLD = 1e-8
+# Stall gate.  Inside the quadratic basin a Newton step of length s lands
+# within about s**2 of the critical point, so once a step is at most
+# sqrt(eps) the next one could only move rounding-level digits; a gradient
+# read that then fails to improve twice running is at its FD noise floor.
+_STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
 def _measure_gradient(objective, spec, p, basis) -> GradientResult:
@@ -48,12 +55,16 @@ class NewtonStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
     SINGULAR_HESSIAN = "singular_hessian"
+    STALLED = "stalled"
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     retraction: RetractionSpec
-    tol: float = 1e-12  # gradient-norm stop; sits above the FD noise floor
+    # Gradient-norm stop, the only way to end CONVERGED.  It is absolute, so
+    # a run whose FD noise floor lies above it ends STALLED (IterationTrace
+    # lists every status).
+    tol: float = 1e-12
     max_iter: int = 50
     cond_cap: float = 1e12
 
@@ -69,7 +80,14 @@ class NewtonConfig:
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Full history of a Newton run: every iterate, its gradient norm, and the
-    tangent step lengths between consecutive iterates."""
+    tangent step lengths between consecutive iterates.
+
+    ``status`` says why the run ended: CONVERGED when the last gradient norm
+    is at most ``tol``; STALLED when the last step was at most ``sqrt(eps)``
+    and neither of the last two gradient norms went below the earlier
+    minimum (the read sits at its noise floor, above ``tol``); MAX_ITER when
+    the budget ran out; SINGULAR_HESSIAN when the conditioning guard
+    tripped.  Only CONVERGED means ``tol`` was met."""
 
     points: tuple[ManifoldPoint, ...]
     grad_norms: tuple[float, ...]
@@ -149,8 +167,9 @@ def newton_step(
 
 def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationTrace:
     """Iterate newton_step from p0 until the gradient norm drops below
-    config.tol, the iteration budget runs out, or the conditioning guard
-    trips.  Gradient and Hessian are recomputed fresh at every iterate."""
+    config.tol, the gradient read stalls at its noise floor, the iteration
+    budget runs out, or the conditioning guard trips.  Gradient and Hessian
+    are recomputed fresh at every iterate."""
     spec = config.retraction
     spec.validate_for(p0.manifold)
     points = [p0]
@@ -165,6 +184,13 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
         grad_norms.append(grad.vector.norm())
         if grad_norms[-1] <= config.tol:
             status = NewtonStatus.CONVERGED
+            break
+        if (
+            len(step_norms) >= 2
+            and step_norms[-1] <= _STALL_STEP
+            and min(grad_norms[-2:]) >= min(grad_norms[:-2])
+        ):
+            status = NewtonStatus.STALLED
             break
         if len(step_norms) == config.max_iter:
             status = NewtonStatus.MAX_ITER

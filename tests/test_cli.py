@@ -188,6 +188,34 @@ def test_newton_budget_exhaustion_exit_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("family", ["exp", "projection", "perturbed"])
+def test_newton_sphere50_stalls_exit_one(tmp_path, family):
+    # The gradient read plateaus above --tol within a few iterations; the run
+    # stops there instead of spending the rest of --max-iter on Hessians.
+    out = tmp_path / "n.json"
+    code = run(["newton", "--manifold", "sphere:50", "--retraction", family,
+                "--format", "json", "--output", str(out)], tmp_path)
+    assert code == 1
+    report = report_from_json(out.read_bytes())
+    assert report.summary["status"] == "stalled"
+    assert report.summary["iterations"] <= 8
+    assert report.summary["final_dist_to_pstar"] <= 1e-9
+
+
+def test_rate_of_stalled_trace_fits_its_rows(tmp_path):
+    trace = tmp_path / "t.json"
+    code = run(["newton", "--manifold", "sphere:10", "--retraction", "perturbed", "--seed", "4",
+                "--format", "json", "--output", str(trace)], tmp_path)
+    assert code == 1
+    source = report_from_json(trace.read_bytes())
+    assert source.summary["status"] == "stalled"
+    out = tmp_path / "rate.json"
+    assert run(["rate", str(trace), "--format", "json", "--output", str(out)], tmp_path) == 0
+    dists = [row[source.columns.index("dist_to_pstar")] for row in source.rows]
+    expected = gn.rate_from_errors(dists, gn.DEFAULT_NOISE_FLOOR).fitted_rate
+    assert report_from_json(out.read_bytes()).summary["fitted_rate"] == expected
+
+
 def test_newton_procrustes_cayley(tmp_path):
     out = tmp_path / "p.json"
     code = run(["newton", "--manifold", "so3", "--retraction", "cayley", "--seed", "2",

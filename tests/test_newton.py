@@ -160,6 +160,70 @@ def test_max_iter_status(sphere3, rayleigh_321):
     assert trace.iterations == 1
 
 
+# ---- stalling at the finite-difference floor
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_scaled_rayleigh_stalls_at_the_floor(sphere3, scale):
+    # The gradient read plateaus far above tol (1.9e-8 at 1e3, 2.9e-5 at 1e6)
+    # once the iterate is at the optimum; the run must say so and stop.
+    objective = gn.Rayleigh(scale * np.diag([3.0, 2.0, 1.0]))
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    config = gn.NewtonConfig(retraction=EXP)
+    trace = gn.newton_run(objective, config, p0)
+    assert trace.status == gn.NewtonStatus.STALLED
+    assert trace.iterations <= 8
+    assert trace.grad_norms[-1] > config.tol
+    assert sphere3.geodesic_distance(trace.final_point, sphere3.point([0, 0, 1])) <= 1e-9
+    # The stall test only ends the run: every kept iterate is exactly the
+    # pure Newton update of the one before it.
+    for before, after in zip(trace.points, trace.points[1:]):
+        assert np.array_equal(gn.newton_step(objective, EXP, before).coords, after.coords)
+
+
+def test_circle_perturbed_stalls_at_the_floor():
+    circle = gn.Sphere(2)
+    objective = gn.Rayleigh(np.diag([2.0, 1.0]))
+    p0 = circle.point(np.array([1.0, 0.1]) / np.linalg.norm([1.0, 0.1]))
+    trace = gn.newton_run(objective, gn.NewtonConfig(retraction=PERT), p0)
+    assert trace.status == gn.NewtonStatus.STALLED
+    assert trace.iterations <= 10
+    assert circle.geodesic_distance(trace.final_point, circle.point([1, 0])) <= 1e-9
+
+
+def test_single_bounce_does_not_stall():
+    # From this start the gradient read rises once (1.76e-10 -> 1.82e-10)
+    # after a step of 9.5e-11, then falls to 7.9e-13; one non-improving
+    # read alone must not end the run.
+    sphere10 = gn.Sphere(10)
+    objective = gn.seeded_instance(0, "rayleigh", 10)
+    p_star = gn.rayleigh_top_eigenvector(objective)
+    p0 = sphere10.exp_map(gn.random_tangent(p_star, gn.rng_for(0)).scaled(0.05))
+    trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
+    assert trace.grad_norms[3] > trace.grad_norms[2]
+    assert trace.status == gn.NewtonStatus.CONVERGED
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("spec", [EXP, PROJ, PERT], ids=lambda s: s.family)
+def test_no_stall_away_from_a_critical_point(n, spec):
+    # From uniformly random starts pure Newton may reach any eigenvector;
+    # a run that ends STALLED must end at one of them.
+    sphere = gn.Sphere(n)
+    for seed in range(10):
+        objective = gn.seeded_instance(seed, "rayleigh", n)
+        p0 = gn.random_point(sphere, gn.rng_for(seed))
+        trace = gn.newton_run(objective, gn.NewtonConfig(retraction=spec), p0)
+        if trace.status != gn.NewtonStatus.STALLED:
+            continue
+        _, vecs = np.linalg.eigh(objective.matrix)
+        dist = min(
+            sphere.geodesic_distance(trace.final_point, sphere.point(sign * v))
+            for v in vecs.T for sign in (1.0, -1.0)
+        )
+        assert dist <= 1e-8
+
+
 def test_one_step_contraction_cubic_under_exponential(sphere3):
     # With analytic derivatives (no finite differences anywhere) the one-step
     # error of the exponential-retraction Newton update scales as d0^3 for the
