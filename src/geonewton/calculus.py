@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EvaluationError
-from .manifolds import ManifoldPoint, TangentBasis, TangentVector
+from .manifolds import ManifoldPoint, TangentBasis, TangentVector, unchecked
 from .retractions import RetractionSpec, retract, retract_many
 
 _EPS = float(np.finfo(float).eps)
@@ -100,7 +100,7 @@ def _probe_many(objective, spec: RetractionSpec, p: ManifoldPoint, stencil: np.n
             raise ContractError("objective values() must return one value per point")
     else:
         manifold = p.manifold
-        out = np.array([objective.value(ManifoldPoint(manifold, row)) for row in points], dtype=float)
+        out = np.array([objective.value(unchecked(ManifoldPoint, manifold, row)) for row in points], dtype=float)
     _check_finite(out)
     return out
 

@@ -107,21 +107,8 @@ class ExperimentConfig:
             "output": self.output,
             "columns": list(columns),
         }
-        if self.command == "rate":
-            out["trace"] = self.trace_path
-        else:
-            out.update(
-                manifold=self.manifold,
-                retraction=self.retraction,
-                seed=self.seed,
-            )
-        if self.command in ("newton", "lemma1", "taylor"):
-            out["objective"] = self.objective
-        if self.command in ("order", "lemma1", "lemma2", "taylor"):
-            out["scales"] = list(self.scales)
-        if self.command == "newton":
-            out["tol"] = self.tol
-            out["max_iter"] = self.max_iter
+        for key in COMMANDS[self.command][1]:
+            out[key] = getattr(self, "trace_path" if key == "trace" else key)
         if extra:
             out.update(extra)
         return out
@@ -186,13 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> ExperimentConfig:
     ns = build_parser().parse_args(argv)
     cfg = ExperimentConfig(command=ns.command)
-    for name in ("manifold", "retraction", "objective", "seed", "tol", "fmt", "output"):
+    for name in ("manifold", "retraction", "objective", "seed", "tol", "max_iter", "fmt", "output"):
         if hasattr(ns, name):
             value = getattr(ns, name)
             if value is not None or name in ("objective", "output"):
                 setattr(cfg, name, value)
-    if getattr(ns, "max_iter", None) is not None:
-        cfg.max_iter = ns.max_iter
     if getattr(ns, "scales", None) is not None:
         cfg.scales = _parse_scales(ns.scales)
     if ns.command == "rate":
@@ -203,7 +188,7 @@ def parse_config(argv) -> ExperimentConfig:
         cfg.retraction_spec().validate_for(cfg.manifold_obj())
     if cfg.seed < 0:
         raise UsageError("seed must be a nonnegative integer")
-    if cfg.command in ("newton", "lemma1", "taylor"):
+    if "objective" in COMMANDS[cfg.command][1]:
         cfg.objective_obj()  # validates the pairing early
     return cfg
 
@@ -233,6 +218,11 @@ def _run_order(cfg: ExperimentConfig) -> tuple[Report, int]:
     return Report(config=config, rows=tuple(rows), summary=summary, version=__version__), 0
 
 
+def _optimum(objective):
+    """The analytic critical point the seeded experiments aim for."""
+    return objective.polar_factor() if isinstance(objective, ProcrustesTrace) else rayleigh_top_eigenvector(objective)
+
+
 def _noncritical_point(objective, manifold, rng):
     while True:
         p = random_point(manifold, rng)
@@ -247,9 +237,7 @@ def _run_sweep_command(cfg: ExperimentConfig) -> tuple[Report, int]:
 
     if cfg.command == "lemma1":
         objective = cfg.objective_obj()
-        anchor = (objective.polar_factor() if isinstance(objective, ProcrustesTrace)
-                  else rayleigh_top_eigenvector(objective))
-        sweep = ScaleSweep(directions=(random_tangent(anchor, rng),), scales=cfg.scales)
+        sweep = ScaleSweep(directions=(random_tangent(_optimum(objective), rng),), scales=cfg.scales)
         raw = critical_residual_rows(objective, spec, sweep)
         floor = sweep.noise_floor
     elif cfg.command == "lemma2":
@@ -282,8 +270,7 @@ def _run_newton(cfg: ExperimentConfig) -> tuple[Report, int]:
     spec = cfg.retraction_spec()
     objective = cfg.objective_obj()
     rng = rng_for(cfg.seed)
-    p_star = (objective.polar_factor() if isinstance(objective, ProcrustesTrace)
-              else rayleigh_top_eigenvector(objective))
+    p_star = _optimum(objective)
     p0 = manifold.exp_map(random_tangent(p_star, rng).scaled(NEWTON_START_DIST))
     trace = newton_run(objective, NewtonConfig(retraction=spec, tol=cfg.tol, max_iter=cfg.max_iter), p0)
 
@@ -350,18 +337,24 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[Report, int]:
     return report, 0
 
 
+_INSTANCE_KEYS = ("manifold", "retraction", "seed")
+# command: (runner, the config keys its report echoes after command, format,
+# output and columns); "objective" among them marks the commands that draw one
+COMMANDS = {
+    "order": (_run_order, _INSTANCE_KEYS + ("scales",)),
+    "newton": (_run_newton, _INSTANCE_KEYS + ("objective", "tol", "max_iter")),
+    "lemma1": (_run_sweep_command, _INSTANCE_KEYS + ("objective", "scales")),
+    "lemma2": (_run_sweep_command, _INSTANCE_KEYS + ("scales",)),
+    "taylor": (_run_sweep_command, _INSTANCE_KEYS + ("objective", "scales")),
+    "rate": (_run_rate, ("trace",)),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[Report, int]:
     """Execute one configured command and write its report to disk."""
-    if cfg.command == "order":
-        report, code = _run_order(cfg)
-    elif cfg.command in ("lemma1", "lemma2", "taylor"):
-        report, code = _run_sweep_command(cfg)
-    elif cfg.command == "newton":
-        report, code = _run_newton(cfg)
-    elif cfg.command == "rate":
-        report, code = _run_rate(cfg)
-    else:
+    if cfg.command not in COMMANDS:
         raise UsageError(f"unknown command {cfg.command!r}")
+    report, code = COMMANDS[cfg.command][0](cfg)
     with open(cfg.output, "wb") as fh:
         fh.write(report.to_bytes(cfg.fmt))
     return report, code
@@ -372,10 +365,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = parse_config(list(argv))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeonewtonError as exc:
+    except (UsageError, GeonewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

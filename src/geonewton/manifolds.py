@@ -8,6 +8,21 @@ the trace inner product trace(U^T V) on the reshaped matrices.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.
+
+Each map has one kernel, written for a stack of rows: ``exp_many`` for the
+exponential map, :func:`rotation_exp_many` for expm on so(3), and
+``_check_points`` / ``_check_tangents`` for the manifold checks.  The
+single-vector forms (``exp_map``, :func:`rotation_exp`, the constructors'
+checks) run the same kernel on one row.  Each row is computed on its own, so
+a row of a stack equals the one-row call bit for bit.  A check fails unless
+its error is at most its tolerance, so NaN and inf fail it.
+
+Values are checked once, where they enter: coordinates given to
+:class:`ManifoldPoint`, :class:`TangentVector` or :class:`TangentBasis`.  A
+value the library computes from checked values (the result of ``exp_map``,
+``TangentVector.scaled``, ``TangentBasis.from_coordinates``, the basis that
+``tangent_basis`` builds from the cached frame) is built with
+:func:`unchecked` and not checked again.
 """
 
 from __future__ import annotations
@@ -31,6 +46,18 @@ def _as_vector(coords, dim: int) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def unchecked(cls, *values):
+    """``cls(*values)`` for a value computed from checked values: the fields
+    are set as given, arrays made read-only, and the constructor's checks
+    skipped."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,7 +88,7 @@ class ManifoldPoint:
     def __post_init__(self):
         coords = _as_vector(self.coords, self.manifold.ambient_dim)
         object.__setattr__(self, "coords", coords)
-        self.manifold._check_point(coords)
+        self.manifold._check_points(coords)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -93,7 +120,7 @@ class TangentVector:
     def __post_init__(self):
         coords = _as_vector(self.coords, self.base.manifold.ambient_dim)
         object.__setattr__(self, "coords", coords)
-        self.base.manifold._check_tangent(self.base, coords)
+        self.base.manifold._check_tangents(self.base, coords)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -103,7 +130,7 @@ class TangentVector:
         return float(np.linalg.norm(self.coords))
 
     def scaled(self, t: float) -> "TangentVector":
-        return TangentVector(self.base, t * self.coords)
+        return unchecked(TangentVector, self.base, t * self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +186,7 @@ class TangentBasis:
             raise ContractError("coefficient vector has the wrong length")
         # summed row after row from zero, as coeffs @ frame would not be
         ambient = np.sum(coeffs[:, None] * self.frame, axis=0, initial=0.0)
-        return TangentVector(self.base, ambient)
+        return unchecked(TangentVector, self.base, ambient)
 
 
 class Manifold:
@@ -188,23 +215,18 @@ class Manifold:
 
     # subclass responsibilities -------------------------------------------------
 
-    def _check_point(self, coords: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _check_tangent(self, p: ManifoldPoint, coords: np.ndarray) -> None:
-        raise NotImplementedError
-
     def _check_points(self, rows: np.ndarray) -> None:
-        """``_check_point`` applied to every row of a (k x ambient) array."""
+        """Raise ``ContractError`` unless the ambient vector, or every row of a
+        (k x ambient) array, is a point of the manifold."""
         raise NotImplementedError
 
     def _check_tangents(self, p: ManifoldPoint, rows: np.ndarray) -> None:
-        """``_check_tangent`` applied to every row of a (k x ambient) array."""
+        """Raise ``ContractError`` unless the ambient vector, or every row of a
+        (k x ambient) array, is tangent at p."""
         raise NotImplementedError
 
     def exp_many(self, p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
-        """``exp_map`` of every row (a tangent vector at p), as point rows;
-        row i equals ``exp_map(TangentVector(p, rows[i])).coords`` bit for bit."""
+        """Exponential map of every row (a tangent vector at p), as point rows."""
         raise NotImplementedError
 
     def tangent_project(self, p: ManifoldPoint, w) -> TangentVector:
@@ -245,21 +267,15 @@ class Sphere(Manifold):
     def __hash__(self):
         return hash(("sphere", self.ambient_dim))
 
-    def _check_point(self, coords):
-        if abs(np.linalg.norm(coords) - 1.0) > POINT_TOL:
-            raise ContractError("sphere point is not unit length")
-
-    def _check_tangent(self, p, coords):
-        if abs(np.dot(p.coords, coords)) > POINT_TOL * max(1.0, float(np.linalg.norm(coords))):
-            raise ContractError("vector is not tangent to the sphere at its base point")
-
     def _check_points(self, rows):
-        if np.any(np.abs(row_norms(rows) - 1.0) > POINT_TOL):
+        rows = rows.reshape(-1, self.ambient_dim)
+        if not np.all(np.abs(row_norms(rows) - 1.0) <= POINT_TOL):
             raise ContractError("sphere point is not unit length")
 
     def _check_tangents(self, p, rows):
-        scale = np.maximum(1.0, row_norms(rows))
-        if np.any(np.abs(row_dots(rows, p.coords)) > POINT_TOL * scale):
+        rows = rows.reshape(-1, self.ambient_dim)
+        err = np.abs(row_dots(rows, p.coords)) / np.maximum(1.0, row_norms(rows))
+        if not np.all(err <= POINT_TOL):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
     def tangent_project(self, p, w):
@@ -267,14 +283,10 @@ class Sphere(Manifold):
         return TangentVector(p, w - np.dot(p.coords, w) * p.coords)
 
     def exp_map(self, v):
-        """Great-circle step: cos(|v|) p + sin(|v|) v/|v|, continuous at v = 0."""
-        p = v.base
-        n = v.norm()
-        out = np.cos(n) * p.coords + np.sinc(n / np.pi) * v.coords
-        out = out / np.linalg.norm(out)
-        return ManifoldPoint(self, out)
+        return unchecked(ManifoldPoint, self, self.exp_many(v.base, v.coords[None])[0])
 
     def exp_many(self, p, rows):
+        """Great-circle step: cos(|v|) p + sin(|v|) v/|v|, continuous at v = 0."""
         n = row_norms(rows)[:, None]
         out = np.cos(n) * p.coords + np.sinc(n / np.pi) * rows
         return out / row_norms(out)[:, None]
@@ -299,7 +311,7 @@ class Sphere(Manifold):
         return TangentVector(p, rej * (theta / s))
 
     def tangent_basis(self, p):
-        return TangentBasis(p, p.frame)
+        return unchecked(TangentBasis, p, p.frame)
 
     def _frame(self, p):
         """Modified Gram-Schmidt over the ambient standard basis, dropping the
@@ -358,20 +370,19 @@ def vee(mat) -> np.ndarray:
 
 
 def rotation_exp(omega_hat: np.ndarray) -> np.ndarray:
-    """Rodrigues form of expm on so(3), stable for all angles."""
-    theta = float(np.linalg.norm(vee(omega_hat)))
-    a = np.sinc(theta / np.pi)  # sin(theta)/theta
-    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta))/theta^2
-    return np.eye(3) + a * omega_hat + b * (omega_hat @ omega_hat)
+    """Matrix exponential of one skew-symmetric 3x3 matrix."""
+    return rotation_exp_many(np.asarray(omega_hat, dtype=float)[None])[0]
 
 
 def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
-    """:func:`rotation_exp` of each matrix in a (k x 3 x 3) stack, bit for bit."""
+    """Rodrigues form of expm on so(3) for each matrix in a (k x 3 x 3)
+    stack, stable for all angles."""
     omega = np.stack([omega_hats[:, 2, 1], omega_hats[:, 0, 2], omega_hats[:, 1, 0]], axis=1)
     theta = row_norms(omega)[:, None, None]
-    a = np.sinc(theta / np.pi)
-    # float_power calls the C library pow like a float64 scalar's ** does;
-    # ** on an array squares by multiplication, which rounds differently
+    a = np.sinc(theta / np.pi)  # sin(theta)/theta
+    # (1 - cos(theta))/theta^2.  float_power calls the C library pow, as **
+    # on a float64 scalar does; ** on an array squares by multiplication,
+    # which rounds differently
     b = 0.5 * np.float_power(np.sinc(theta / (2.0 * np.pi)), 2)
     return np.eye(3) + a * omega_hats + b * (omega_hats @ omega_hats)
 
@@ -420,31 +431,19 @@ class Rotations3(Manifold):
     def identity(self) -> ManifoldPoint:
         return self.point_from_matrix(np.eye(3))
 
-    def _check_point(self, coords):
-        q = coords.reshape(3, 3)
-        if np.linalg.norm(q.T @ q - np.eye(3)) > POINT_TOL:
-            raise ContractError("matrix is not orthogonal")
-        if np.linalg.det(q) <= 0:
-            raise ContractError("matrix has non-positive determinant")
-
-    def _check_tangent(self, p, coords):
-        body = p.matrix.T @ coords.reshape(3, 3)
-        scale = max(1.0, float(np.linalg.norm(coords)))
-        if np.linalg.norm(body + body.T) > POINT_TOL * scale:
-            raise ContractError("Q^T V is not skew-symmetric")
-
     def _check_points(self, rows):
         q = rows.reshape(-1, 3, 3)
         gram = q.transpose(0, 2, 1) @ q - np.eye(3)
-        if np.any(row_norms(gram.reshape(-1, 9)) > POINT_TOL):
+        if not np.all(row_norms(gram.reshape(-1, 9)) <= POINT_TOL):
             raise ContractError("matrix is not orthogonal")
         if np.any(np.linalg.det(q) <= 0):
             raise ContractError("matrix has non-positive determinant")
 
     def _check_tangents(self, p, rows):
+        rows = rows.reshape(-1, 9)
         body = p.matrix.T @ rows.reshape(-1, 3, 3)
-        scale = np.maximum(1.0, row_norms(rows))
-        if np.any(row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9)) > POINT_TOL * scale):
+        err = row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9)) / np.maximum(1.0, row_norms(rows))
+        if not np.all(err <= POINT_TOL):
             raise ContractError("Q^T V is not skew-symmetric")
 
     def tangent_project(self, p, w):
@@ -454,10 +453,7 @@ class Rotations3(Manifold):
         return TangentVector(p, (q @ skew).reshape(9))
 
     def exp_map(self, v):
-        q = v.base.matrix
-        body = q.T @ v.matrix
-        body = 0.5 * (body - body.T)
-        return self.point_from_matrix(q @ rotation_exp(body))
+        return unchecked(ManifoldPoint, self, self.exp_many(v.base, v.coords[None])[0])
 
     def exp_many(self, p, rows):
         q = p.matrix
@@ -474,7 +470,7 @@ class Rotations3(Manifold):
         return TangentVector(p, (p.matrix @ rotation_log(rel)).reshape(9))
 
     def tangent_basis(self, p):
-        return TangentBasis(p, p.frame)
+        return unchecked(TangentBasis, p, p.frame)
 
     def _frame(self, p):
         q = p.matrix

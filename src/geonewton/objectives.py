@@ -45,6 +45,20 @@ from .manifolds import (
 )
 
 
+def _check_sphere_point(objective, p: ManifoldPoint) -> None:
+    """Raise unless p lies on the sphere the objective's matrix is sized for."""
+    size = objective.matrix.shape[0]
+    if not isinstance(p.manifold, Sphere) or p.manifold.ambient_dim != size:
+        raise ConfigurationError(
+            f"{type(objective).__name__} objective of size {size} needs a matching sphere point"
+        )
+
+
+def _check_rotation_point(objective, p: ManifoldPoint) -> None:
+    if not isinstance(p.manifold, Rotations3):
+        raise ConfigurationError(f"{type(objective).__name__} objective needs a rotation point")
+
+
 def _quadratic_forms(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
     """x @ matrix @ x for every row x, rounded as for a single vector."""
     return (points[:, None, :] @ matrix @ points[:, :, None])[:, 0, 0]
@@ -64,24 +78,18 @@ class Rayleigh:
         self.matrix = a.copy()
         self.matrix.setflags(write=False)
 
-    def _check_point(self, p: ManifoldPoint) -> None:
-        if not isinstance(p.manifold, Sphere) or p.manifold.ambient_dim != self.matrix.shape[0]:
-            raise ConfigurationError(
-                f"Rayleigh objective of size {self.matrix.shape[0]} needs a matching sphere point"
-            )
-
     def value(self, p: ManifoldPoint) -> float:
-        self._check_point(p)
+        _check_sphere_point(self, p)
         x = p.coords
         return float(x @ self.matrix @ x)
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
-        self._check_point(p)
+        _check_sphere_point(self, p)
         return _quadratic_forms(self.matrix, points)
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(x) = 2 (A x - (x^T A x) x); vanishes exactly at eigenvectors."""
-        self._check_point(p)
+        _check_sphere_point(self, p)
         x = p.coords
         ax = self.matrix @ x
         return TangentVector(p, 2.0 * (ax - float(x @ ax) * x))
@@ -90,7 +98,7 @@ class Rayleigh:
         """Hessian 2(P A P - (x^T A x) P) restricted to T_xM, expressed in the
         given orthonormal basis."""
         p = basis.base
-        self._check_point(p)
+        _check_sphere_point(self, p)
         value = self.value(p)
         dim = len(basis)
         out = np.empty((dim, dim))
@@ -115,21 +123,17 @@ class ProcrustesTrace:
         self.matrix = a.copy()
         self.matrix.setflags(write=False)
 
-    def _check_point(self, p: ManifoldPoint) -> None:
-        if not isinstance(p.manifold, Rotations3):
-            raise ConfigurationError("ProcrustesTrace objective needs a rotation point")
-
     def value(self, p: ManifoldPoint) -> float:
-        self._check_point(p)
+        _check_rotation_point(self, p)
         return -float(np.sum(self.matrix * p.matrix))
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
-        self._check_point(p)
+        _check_rotation_point(self, p)
         return -np.sum(self.matrix * points.reshape(-1, 3, 3), axis=(1, 2))
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """Tangent projection of the ambient gradient -A at Q."""
-        self._check_point(p)
+        _check_rotation_point(self, p)
         q = p.matrix
         body = q.T @ self.matrix
         skew = 0.5 * (body - body.T)
@@ -213,19 +217,13 @@ class TiltedRayleigh:
             )
         return float(eigs[0] - t), x
 
-    def _check_point(self, p: ManifoldPoint) -> None:
-        if not isinstance(p.manifold, Sphere) or p.manifold.ambient_dim != self.matrix.shape[0]:
-            raise ConfigurationError(
-                f"TiltedRayleigh objective of size {self.matrix.shape[0]} needs a matching sphere point"
-            )
-
     def value(self, p: ManifoldPoint) -> float:
-        self._check_point(p)
+        _check_sphere_point(self, p)
         x = p.coords
         return float(x @ self.matrix @ x + 2.0 * (self.tilt @ x))
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
-        self._check_point(p)
+        _check_sphere_point(self, p)
         return _quadratic_forms(self.matrix, points) + 2.0 * row_dots(points, self.tilt)
 
     def _multiplier_at(self, x: np.ndarray) -> float:
@@ -233,7 +231,7 @@ class TiltedRayleigh:
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(x) = 2 (A x + b - (x^T A x + b^T x) x)."""
-        self._check_point(p)
+        _check_sphere_point(self, p)
         x = p.coords
         return TangentVector(p, 2.0 * (self.matrix @ x + self.tilt - self._multiplier_at(x) * x))
 
@@ -241,7 +239,7 @@ class TiltedRayleigh:
         """Hessian 2(P A P - (x^T A x + b^T x) P) restricted to T_xM, expressed
         in the given orthonormal basis."""
         p = basis.base
-        self._check_point(p)
+        _check_sphere_point(self, p)
         frame = basis.frame
         out = 2.0 * (frame @ self.matrix @ frame.T
                      - self._multiplier_at(p.coords) * np.eye(len(basis)))
@@ -287,27 +285,23 @@ class Brockett:
         self.weights = n.copy()
         self.weights.setflags(write=False)
 
-    def _check_point(self, p: ManifoldPoint) -> None:
-        if not isinstance(p.manifold, Rotations3):
-            raise ConfigurationError("Brockett objective needs a rotation point")
-
     def _body(self, q: np.ndarray) -> np.ndarray:
         """S = Q^T M Q, the cost matrix seen from Q."""
         return q.T @ self.matrix @ q
 
     def value(self, p: ManifoldPoint) -> float:
-        self._check_point(p)
+        _check_rotation_point(self, p)
         return float(np.diag(self._body(p.matrix)) @ self.weights)
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
-        self._check_point(p)
+        _check_rotation_point(self, p)
         q = points.reshape(-1, 3, 3)
         bodies = q.transpose(0, 2, 1) @ self.matrix @ q
         return row_dots(np.diagonal(bodies, axis1=1, axis2=2), self.weights)
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(Q) = Q [S, N] with S = Q^T M Q."""
-        self._check_point(p)
+        _check_rotation_point(self, p)
         q = p.matrix
         sn = self._body(q) * self.weights
         return TangentVector(p, (q @ (sn - sn.T)).reshape(9))
@@ -317,7 +311,7 @@ class Brockett:
         basis vectors are Q W_i with W_i skew.  It is the second-order
         coefficient of trace(expm(-W) S expm(W) N)."""
         p = basis.base
-        self._check_point(p)
+        _check_rotation_point(self, p)
         q = p.matrix
         s = self._body(q)
         bodies = [q.T @ row.reshape(3, 3) for row in basis.frame]

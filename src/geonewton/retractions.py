@@ -11,10 +11,17 @@ Families
 Every family satisfies R_p(0) = p and first-order agreement with the
 exponential map.
 
-:func:`retract` maps one tangent vector; :func:`retract_many` maps every row
-of a (k x ambient) array of tangent vectors at one base point, with the same
-arithmetic, so its row i equals ``retract(spec, TangentVector(p, V[i]))``
-bit for bit.  Finite-difference stencils go through the batched form.
+Each family is one kernel that maps a (k x ambient) array of tangent vectors
+at one base point to k point rows, computing each row on its own.  One table
+gives each family's declared order, kernel and the manifold it is defined
+on.  :func:`retract_many` checks its rows and runs the kernel;
+:func:`retract` runs it on the one row of a :class:`TangentVector`, which was
+checked when it was built, so its row of :func:`retract_many` and its
+:func:`retract` agree bit for bit.  Neither checks the points it returns (see
+``manifolds`` for where values are checked): each kernel returns a point to
+rounding, except that the Cayley kernel's orthogonality error grows like
+eps |v| and passes ``POINT_TOL`` beyond |v| of about 1e4.
+Finite-difference stencils go through the batched form.
 
 u(p) is read from the base point's cached frame (``ManifoldPoint.frame``),
 so retracting, inverting and probing at one point build that frame once.
@@ -36,6 +43,7 @@ from .manifolds import (
     TangentVector,
     row_dots,
     row_norms,
+    unchecked,
 )
 
 EXPONENTIAL = "exp"
@@ -43,16 +51,36 @@ PROJECTION = "projection"
 CAYLEY = "cayley"
 PERTURBED = "perturbed"
 
-FAMILIES = (EXPONENTIAL, PROJECTION, CAYLEY, PERTURBED)
+_ROUNDTRIP_TOL = 1e-10
 
-_DECLARED_ORDER = {
-    EXPONENTIAL: math.inf,
-    PROJECTION: 2,
-    CAYLEY: 2,
-    PERTURBED: 1,
+
+def _projection_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
+    out = p.coords + rows
+    return out / row_norms(out)[:, None]
+
+
+def _perturbed_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
+    out = p.coords + rows + row_dots(rows, rows)[:, None] * p.frame[0]
+    return out / row_norms(out)[:, None]
+
+
+def _cayley_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
+    q = p.matrix
+    body = q.T @ rows.reshape(-1, 3, 3)
+    body = 0.5 * (body - body.transpose(0, 2, 1))
+    eye = np.eye(3)
+    return (q @ np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)).reshape(-1, 9)
+
+
+# family: (declared order, kernel, the manifold class it is defined on)
+_TABLE = {
+    EXPONENTIAL: (math.inf, lambda p, rows: p.manifold.exp_many(p, rows), Manifold),
+    PROJECTION: (2, _projection_rows, Sphere),
+    CAYLEY: (2, _cayley_rows, Rotations3),
+    PERTURBED: (1, _perturbed_rows, Sphere),
 }
 
-_ROUNDTRIP_TOL = 1e-10
+FAMILIES = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -63,17 +91,12 @@ class RetractionSpec:
     declared_order: float = field(init=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _TABLE:
             raise ConfigurationError(f"unknown retraction family {self.family!r}")
-        object.__setattr__(self, "declared_order", _DECLARED_ORDER[self.family])
+        object.__setattr__(self, "declared_order", _TABLE[self.family][0])
 
     def validate_for(self, manifold: Manifold) -> None:
-        ok = (
-            self.family == EXPONENTIAL
-            or (self.family in (PROJECTION, PERTURBED) and isinstance(manifold, Sphere))
-            or (self.family == CAYLEY and isinstance(manifold, Rotations3))
-        )
-        if not ok:
+        if not isinstance(manifold, _TABLE[self.family][2]):
             raise ConfigurationError(
                 f"retraction {self.family!r} is not defined on {manifold!r}"
             )
@@ -88,35 +111,15 @@ def perturbation_direction(p: ManifoldPoint) -> TangentVector:
 def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
     """Map a tangent vector back to the manifold with the chosen family."""
     p = v.base
-    manifold = p.manifold
-    spec.validate_for(manifold)
-
-    if spec.family == EXPONENTIAL:
-        return manifold.exp_map(v)
-
-    if spec.family == PROJECTION:
-        out = p.coords + v.coords
-        return ManifoldPoint(manifold, out / np.linalg.norm(out))
-
-    if spec.family == PERTURBED:
-        out = p.coords + v.coords + float(np.dot(v.coords, v.coords)) * p.frame[0]
-        return ManifoldPoint(manifold, out / np.linalg.norm(out))
-
-    # Cayley on SO(3)
-    q = p.matrix
-    body = q.T @ v.matrix
-    body = 0.5 * (body - body.T)
-    eye = np.eye(3)
-    cay = np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)
-    return Rotations3().point_from_matrix(q @ cay)
+    spec.validate_for(p.manifold)
+    return unchecked(ManifoldPoint, p.manifold, _TABLE[spec.family][1](p, v.coords[None])[0])
 
 
 def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
     """Retract every row of ``vectors``, a (k x ambient) array of tangent
     vectors at p, and return the k points as rows.
 
-    Each row is checked as :class:`TangentVector` and :class:`ManifoldPoint`
-    would check it.
+    Each row is checked as :class:`TangentVector` would check it.
     """
     manifold = p.manifold
     spec.validate_for(manifold)
@@ -126,23 +129,7 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
             f"expected a (k, {manifold.ambient_dim}) array of tangent vectors, got shape {rows.shape}"
         )
     manifold._check_tangents(p, rows)
-
-    if spec.family == EXPONENTIAL:
-        out = manifold.exp_many(p, rows)
-    elif spec.family == CAYLEY:
-        q = p.matrix
-        body = q.T @ rows.reshape(-1, 3, 3)
-        body = 0.5 * (body - body.transpose(0, 2, 1))
-        eye = np.eye(3)
-        cay = np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)
-        out = (q @ cay).reshape(-1, 9)
-    else:
-        out = p.coords + rows
-        if spec.family == PERTURBED:
-            out = out + row_dots(rows, rows)[:, None] * p.frame[0]
-        out = out / row_norms(out)[:, None]
-    manifold._check_points(out)
-    return out
+    return _TABLE[spec.family][1](p, rows)
 
 
 def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:

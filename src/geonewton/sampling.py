@@ -88,11 +88,7 @@ def seeded_instance(seed: int, kind: str, n: int = 3):
                 return Rayleigh(a)
             attempt += 1
     if kind == "procrustes":
-        rng = rng_for(seed)
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.0, np.pi)
-        rot = rotation_exp(hat(angle * axis))
+        rot = random_point(Rotations3(), rng_for(seed)).matrix
         return ProcrustesTrace(rot @ np.diag(PROCRUSTES_SINGULAR_VALUES))
     raise ConfigurationError(f"unknown objective kind {kind!r}")
 

@@ -1,11 +1,12 @@
-"""The batched finite-difference stencils must reproduce the single-probe
-path exactly.
+"""The batched retraction kernels and finite-difference stencils must
+reproduce scalar arithmetic exactly.
 
 Tolerance-based accuracy tests do not notice a last-ulp change in a probe
 value, but the noise-floor-limited sweeps (lemma1 on even pullbacks) move
 visibly when it happens.  Every comparison here is therefore exact
-(``np.array_equal`` or ``==``) against a per-probe loop kept in this file:
-retract one tangent vector, evaluate ``value`` at the point.
+(``np.array_equal`` or ``==``) against references kept in this file: each
+family's closed form on one vector, and a per-probe loop that retracts one
+tangent vector by that closed form and evaluates ``value`` at the point.
 """
 
 import numpy as np
@@ -59,8 +60,37 @@ def _tangent_rows(p, seed, count=12):
     return np.array(rows)
 
 
+def _rodrigues(body):
+    """expm of one skew-symmetric 3x3 matrix, Rodrigues form."""
+    theta = float(np.linalg.norm(gn.vee(body)))
+    a = np.sinc(theta / np.pi)
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    return np.eye(3) + a * body + b * (body @ body)
+
+
+def _closed_form(family, p, v):
+    """R_p(v) for one tangent vector v, in scalar numpy arithmetic."""
+    if family == "projection":
+        out = p.coords + v
+        return out / np.linalg.norm(out)
+    if family == "perturbed":
+        out = p.coords + v + float(np.dot(v, v)) * gn.perturbation_direction(p).coords
+        return out / np.linalg.norm(out)
+    if isinstance(p.manifold, gn.Sphere):  # exp: great circle
+        n = float(np.linalg.norm(v))
+        out = np.cos(n) * p.coords + np.sinc(n / np.pi) * v
+        return out / np.linalg.norm(out)
+    q = p.matrix
+    body = q.T @ v.reshape(3, 3)
+    body = 0.5 * (body - body.T)
+    if family == "cayley":
+        eye = np.eye(3)
+        return (q @ np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)).reshape(9)
+    return (q @ _rodrigues(body)).reshape(9)
+
+
 def _scalar_probe(objective, spec, p, coords):
-    return objective.value(gn.retract(spec, gn.TangentVector(p, coords)))
+    return objective.value(p.manifold.point(_closed_form(spec.family, p, coords)))
 
 
 def _scalar_gradient(objective, spec, p, basis, h):
@@ -107,10 +137,21 @@ def test_retract_many_and_values_match_single_path(manifold, family, objective):
         p = _base_point(manifold, seed)
         rows = _tangent_rows(p, seed + 100)
         points = gn.retract_many(spec, p, rows)
+        assert np.array_equal(points, [_closed_form(family, p, row) for row in rows])
         singles = [gn.retract(spec, gn.TangentVector(p, row)) for row in rows]
         assert np.array_equal(points, np.array([q.coords for q in singles]))
+        if family == "exp":
+            assert np.array_equal(points, [manifold.exp_map(gn.TangentVector(p, row)).coords for row in rows])
         values = objective.values(p, points)
         assert np.array_equal(values, [objective.value(q) for q in singles])
+
+
+def test_rotation_exp_is_rodrigues():
+    rng = gn.rng_for(11)
+    for angle in (0.0, 1e-9, 1e-3, 1.0, 3.0, np.pi - 1e-7):
+        axis = rng.standard_normal(3)
+        body = gn.hat(angle * axis / np.linalg.norm(axis))
+        assert np.array_equal(gn.rotation_exp(body), _rodrigues(body))
 
 
 @pytest.mark.parametrize("manifold,family,objective", CASES)
@@ -189,10 +230,11 @@ def test_retract_many_rejects_non_tangent_row(manifold, family):
     spec = gn.RetractionSpec(family)
     p = _base_point(manifold, 6)
     rows = _tangent_rows(p, 60, count=4)
-    bad = rows.copy()
-    bad[2] = bad[2] + 1e-3 * p.coords
-    with pytest.raises(gn.ContractError):
-        gn.retract_many(spec, p, bad)
+    for fill in (1e-3 * p.coords, np.nan, np.inf):
+        bad = rows.copy()
+        bad[2] = bad[2] + fill
+        with pytest.raises(gn.ContractError):
+            gn.retract_many(spec, p, bad)
     with pytest.raises(gn.ContractError):
         gn.retract_many(spec, p, rows[0])
     with pytest.raises(gn.ConfigurationError):

@@ -8,20 +8,26 @@ from geonewton.manifolds import SO3_GENERATORS
 # ---- point and tangent invariants
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def test_sphere_point_must_be_unit(sphere3):
-    with pytest.raises(gn.ContractError):
-        sphere3.point([1.0, 1.0, 0.0])
+    for coords in ([1.0, 1.0, 0.0], [NAN] * 3, [NAN, 0.0, 0.0], [INF, 0.0, 0.0]):
+        with pytest.raises(gn.ContractError):
+            sphere3.point(coords)
 
 
 def test_sphere_tangent_must_be_orthogonal(sphere3):
     p = sphere3.point([1.0, 0.0, 0.0])
-    with pytest.raises(gn.ContractError):
-        sphere3.tangent(p, [0.1, 1.0, 0.0])
+    for coords in ([0.1, 1.0, 0.0], [NAN, 0.0, 0.0], [0.0, NAN, 0.0], [INF, 0.0, 0.0], [0.0, INF, 0.0]):
+        with pytest.raises(gn.ContractError):
+            sphere3.tangent(p, coords)
 
 
 def test_rotation_point_must_be_orthogonal(rotations):
-    with pytest.raises(gn.ContractError):
-        rotations.point_from_matrix(np.eye(3) * 1.1)
+    for matrix in (np.eye(3) * 1.1, np.full((3, 3), NAN), np.diag([1.0, 1.0, NAN]), np.diag([INF, 1.0, 1.0])):
+        with pytest.raises(gn.ContractError):
+            rotations.point_from_matrix(matrix)
 
 
 def test_rotation_point_must_have_positive_det(rotations):
@@ -30,8 +36,9 @@ def test_rotation_point_must_have_positive_det(rotations):
 
 
 def test_rotation_tangent_must_be_skew(rotations):
-    with pytest.raises(gn.ContractError):
-        rotations.tangent(rotations.identity(), np.eye(3).reshape(9))
+    for matrix in (np.eye(3), gn.hat([NAN, 0.0, 0.0]), gn.hat([INF, 0.0, 0.0]), gn.hat([1.0, 0.0, INF])):
+        with pytest.raises(gn.ContractError):
+            rotations.tangent(rotations.identity(), matrix.reshape(9))
 
 
 # ---- inner product
