@@ -188,7 +188,7 @@ def parse_config(argv) -> ExperimentConfig:
         cfg.retraction_spec().validate_for(cfg.manifold_obj())
     if cfg.seed < 0:
         raise UsageError("seed must be a nonnegative integer")
-    if "objective" in COMMANDS[cfg.command][1]:
+    if hasattr(ns, "objective"):  # the commands that draw an objective take --objective
         cfg.objective_obj()  # validates the pairing early
     return cfg
 
@@ -239,25 +239,22 @@ def _run_sweep_command(cfg: ExperimentConfig) -> tuple[Report, int]:
         objective = cfg.objective_obj()
         sweep = ScaleSweep(directions=(random_tangent(_optimum(objective), rng),), scales=cfg.scales)
         raw = critical_residual_rows(objective, spec, sweep)
-        floor = sweep.noise_floor
     elif cfg.command == "lemma2":
         p = random_point(manifold, rng)
         v_dir = random_tangent(p, rng)
         w_dir = random_tangent(p, rng)
         raw = distance_deviation_rows(spec, v_dir, w_dir, cfg.scales)
-        floor = DEFAULT_NOISE_FLOOR
     else:  # taylor
         objective = cfg.objective_obj()
         p = _noncritical_point(objective, manifold, rng)
         sweep = ScaleSweep(directions=(random_tangent(p, rng),), scales=cfg.scales)
         raw = taylor_remainder_rows(objective, spec, sweep)
-        floor = sweep.noise_floor
 
     rows = tuple((x, y) for _, x, y in raw)
-    est = fit_rows(raw, floor)
+    est = fit_rows(raw, DEFAULT_NOISE_FLOOR)
     columns = ("scale", "measured_value")
     report = Report(
-        config=cfg.echo(columns, {"noise_floor": floor}),
+        config=cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR}),
         rows=rows,
         summary=_slope_summary(est),
         version=__version__,
@@ -309,37 +306,33 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[Report, int]:
     try:
         rate = rate_from_errors(errors, DEFAULT_NOISE_FLOOR)
     except InsufficientDataError:
-        report = Report(
-            config=cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR}),
-            rows=(),
-            summary={"error": "insufficient usable error pairs"},
-            version=__version__,
+        rows, summary, code = (), {"error": "insufficient usable error pairs"}, 1
+    else:
+        usable = [
+            (a, b) for a, b in zip(errors, errors[1:])
+            if a > DEFAULT_NOISE_FLOOR and b > DEFAULT_NOISE_FLOOR
+        ]
+        rows = tuple(
+            (k, a, b, rate.pair_slopes[k]) for k, (a, b) in enumerate(usable)
         )
-        return report, 1
-    usable = [
-        (a, b) for a, b in zip(errors, errors[1:])
-        if a > DEFAULT_NOISE_FLOOR and b > DEFAULT_NOISE_FLOOR
-    ]
-    rows = tuple(
-        (k, a, b, rate.pair_slopes[k]) for k, (a, b) in enumerate(usable)
-    )
-    summary = {
-        "fitted_rate": rate.fitted_rate,
-        "fitted_constant": rate.fitted_constant,
-        "pairs_used": rate.pairs_used,
-    }
+        summary = {
+            "fitted_rate": rate.fitted_rate,
+            "fitted_constant": rate.fitted_constant,
+            "pairs_used": rate.pairs_used,
+        }
+        code = 0
     report = Report(
         config=cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR}),
         rows=rows,
         summary=summary,
         version=__version__,
     )
-    return report, 0
+    return report, code
 
 
 _INSTANCE_KEYS = ("manifold", "retraction", "seed")
 # command: (runner, the config keys its report echoes after command, format,
-# output and columns); "objective" among them marks the commands that draw one
+# output and columns)
 COMMANDS = {
     "order": (_run_order, _INSTANCE_KEYS + ("scales",)),
     "newton": (_run_newton, _INSTANCE_KEYS + ("objective", "tol", "max_iter")),

@@ -14,15 +14,16 @@ exponential map, :func:`rotation_exp_many` for expm on so(3), and
 ``_check_points`` / ``_check_tangents`` for the manifold checks.  The
 single-vector forms (``exp_map``, :func:`rotation_exp`, the constructors'
 checks) run the same kernel on one row.  Each row is computed on its own, so
-a row of a stack equals the one-row call bit for bit.  A check fails unless
-its error is at most its tolerance, so NaN and inf fail it.
+a row of a stack equals the one-row call bit for bit.  A check rejects NaN
+and inf entries first, then fails unless its error is at most its tolerance.
 
 Values are checked once, where they enter: coordinates given to
 :class:`ManifoldPoint`, :class:`TangentVector` or :class:`TangentBasis`.  A
 value the library computes from checked values (the result of ``exp_map``,
 ``TangentVector.scaled``, ``TangentBasis.from_coordinates``, the basis that
 ``tangent_basis`` builds from the cached frame) is built with
-:func:`unchecked` and not checked again.
+:func:`unchecked` and not checked again; an exp kernel whose |v| overflows
+raises ``ContractError`` instead of returning a point.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, equal to ``np.linalg.norm`` of that row."""
     return np.sqrt(row_dots(a, a))
+
+
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm.  A norm that is not finite (the row came
+    from a tangent vector too long to map) raises ``ContractError``."""
+    norms = row_norms(a)[:, None]
+    if not np.all(norms < np.inf):
+        raise ContractError("tangent vector too long to map to the manifold")
+    return a / norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +220,6 @@ class Manifold:
             raise ContractError("inner product requires tangent vectors at the same base point")
         return float(np.dot(u.coords, v.coords))
 
-    def norm(self, v: TangentVector) -> float:
-        return v.norm()
-
     # subclass responsibilities -------------------------------------------------
 
     def _check_points(self, rows: np.ndarray) -> None:
@@ -274,8 +281,8 @@ class Sphere(Manifold):
 
     def _check_tangents(self, p, rows):
         rows = rows.reshape(-1, self.ambient_dim)
-        err = np.abs(row_dots(rows, p.coords)) / np.maximum(1.0, row_norms(rows))
-        if not np.all(err <= POINT_TOL):
+        if not (np.isfinite(rows).all()
+                and np.all(np.abs(row_dots(rows, p.coords)) <= POINT_TOL * np.maximum(1.0, row_norms(rows)))):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
     def tangent_project(self, p, w):
@@ -288,8 +295,7 @@ class Sphere(Manifold):
     def exp_many(self, p, rows):
         """Great-circle step: cos(|v|) p + sin(|v|) v/|v|, continuous at v = 0."""
         n = row_norms(rows)[:, None]
-        out = np.cos(n) * p.coords + np.sinc(n / np.pi) * rows
-        return out / row_norms(out)[:, None]
+        return unit_rows(np.cos(n) * p.coords + np.sinc(n / np.pi) * rows)
 
     def geodesic_distance(self, p, q):
         # atan2 of (rejection norm, dot) equals arccos of the clamped dot but
@@ -379,6 +385,8 @@ def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
     stack, stable for all angles."""
     omega = np.stack([omega_hats[:, 2, 1], omega_hats[:, 0, 2], omega_hats[:, 1, 0]], axis=1)
     theta = row_norms(omega)[:, None, None]
+    if not np.all(theta < np.inf):
+        raise ContractError("rotation angle is not finite")
     a = np.sinc(theta / np.pi)  # sin(theta)/theta
     # (1 - cos(theta))/theta^2.  float_power calls the C library pow, as **
     # on a float64 scalar does; ** on an array squares by multiplication,
@@ -433,6 +441,8 @@ class Rotations3(Manifold):
 
     def _check_points(self, rows):
         q = rows.reshape(-1, 3, 3)
+        if not np.isfinite(q).all():
+            raise ContractError("matrix is not orthogonal")
         gram = q.transpose(0, 2, 1) @ q - np.eye(3)
         if not np.all(row_norms(gram.reshape(-1, 9)) <= POINT_TOL):
             raise ContractError("matrix is not orthogonal")
@@ -441,9 +451,11 @@ class Rotations3(Manifold):
 
     def _check_tangents(self, p, rows):
         rows = rows.reshape(-1, 9)
+        if not np.isfinite(rows).all():
+            raise ContractError("Q^T V is not skew-symmetric")
         body = p.matrix.T @ rows.reshape(-1, 3, 3)
-        err = row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9)) / np.maximum(1.0, row_norms(rows))
-        if not np.all(err <= POINT_TOL):
+        sym = row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9))
+        if not np.all(sym <= POINT_TOL * np.maximum(1.0, row_norms(rows))):
             raise ContractError("Q^T V is not skew-symmetric")
 
     def tangent_project(self, p, w):

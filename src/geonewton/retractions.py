@@ -17,11 +17,13 @@ gives each family's declared order, kernel and the manifold it is defined
 on.  :func:`retract_many` checks its rows and runs the kernel;
 :func:`retract` runs it on the one row of a :class:`TangentVector`, which was
 checked when it was built, so its row of :func:`retract_many` and its
-:func:`retract` agree bit for bit.  Neither checks the points it returns (see
-``manifolds`` for where values are checked): each kernel returns a point to
-rounding, except that the Cayley kernel's orthogonality error grows like
-eps |v| and passes ``POINT_TOL`` beyond |v| of about 1e4.
-Finite-difference stencils go through the batched form.
+:func:`retract` agree bit for bit.  Each kernel returns points or raises
+``ContractError``.  The projection, perturbed and exponential kernels end in a
+division by the row norm, so they return unit rows unless that norm
+overflows, which raises.  The Cayley kernel's orthogonality error grows like
+eps |v| and passes ``POINT_TOL`` beyond |v| of about 1e4, so it checks its
+output with the manifold's point check.  Finite-difference stencils go
+through the batched form.
 
 u(p) is read from the base point's cached frame (``ManifoldPoint.frame``),
 so retracting, inverting and probing at one point build that frame once.
@@ -42,8 +44,8 @@ from .manifolds import (
     Sphere,
     TangentVector,
     row_dots,
-    row_norms,
     unchecked,
+    unit_rows,
 )
 
 EXPONENTIAL = "exp"
@@ -55,13 +57,11 @@ _ROUNDTRIP_TOL = 1e-10
 
 
 def _projection_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
-    out = p.coords + rows
-    return out / row_norms(out)[:, None]
+    return unit_rows(p.coords + rows)
 
 
 def _perturbed_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
-    out = p.coords + rows + row_dots(rows, rows)[:, None] * p.frame[0]
-    return out / row_norms(out)[:, None]
+    return unit_rows(p.coords + rows + row_dots(rows, rows)[:, None] * p.frame[0])
 
 
 def _cayley_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
@@ -69,7 +69,9 @@ def _cayley_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
     body = q.T @ rows.reshape(-1, 3, 3)
     body = 0.5 * (body - body.transpose(0, 2, 1))
     eye = np.eye(3)
-    return (q @ np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)).reshape(-1, 9)
+    out = (q @ np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)).reshape(-1, 9)
+    p.manifold._check_points(out)  # orthogonal only to about eps |v|
+    return out
 
 
 # family: (declared order, kernel, the manifold class it is defined on)
@@ -132,42 +134,25 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
     return _TABLE[spec.family][1](p, rows)
 
 
-def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-    """Find v in T_pM with retract(spec, v) = q.
-
-    Every family has a closed form; each raises ``InversionFailureError`` when
-    q lies outside the range it inverts on.
-    """
-    manifold = p.manifold
-    spec.validate_for(manifold)
-
-    if spec.family == EXPONENTIAL:
-        return manifold.log_map(p, q)
-
-    if spec.family == PROJECTION:
-        c = float(np.dot(p.coords, q.coords))
-        if c <= 1e-12:
-            raise InversionFailureError("target lies outside the invertible hemisphere")
-        v = TangentVector(p, q.coords / c - p.coords)
-        _verify_roundtrip(spec, v, q)
-        return v
-
-    if spec.family == CAYLEY:
-        rel = p.matrix.T @ q.matrix
-        eye = np.eye(3)
-        try:
-            body = 2.0 * np.linalg.solve(eye + rel, rel - eye)
-        except np.linalg.LinAlgError as exc:
-            raise InversionFailureError("Cayley inverse undefined (angle at pi)") from exc
-        body = 0.5 * (body - body.T)
-        v = TangentVector(p, (p.matrix @ body).reshape(9))
-        _verify_roundtrip(spec, v, q)
-        return v
-
-    return _inverse_perturbed(spec, p, q)
+def _inverse_projection(p: ManifoldPoint, q: ManifoldPoint) -> np.ndarray:
+    c = float(np.dot(p.coords, q.coords))
+    if c <= 1e-12:
+        raise InversionFailureError("target lies outside the invertible hemisphere")
+    return q.coords / c - p.coords
 
 
-def _inverse_perturbed(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
+def _inverse_cayley(p: ManifoldPoint, q: ManifoldPoint) -> np.ndarray:
+    rel = p.matrix.T @ q.matrix
+    eye = np.eye(3)
+    try:
+        body = 2.0 * np.linalg.solve(eye + rel, rel - eye)
+    except np.linalg.LinAlgError as exc:
+        raise InversionFailureError("Cayley inverse undefined (angle at pi)") from exc
+    body = 0.5 * (body - body.T)
+    return (p.matrix @ body).reshape(9)
+
+
+def _inverse_perturbed(p: ManifoldPoint, q: ManifoldPoint) -> np.ndarray:
     """Closed-form inverse of q = (p + v + |v|^2 u) / N.
 
     Since v and u are tangent, q.p = 1/N.  Writing v = a u + w with w
@@ -189,12 +174,25 @@ def _inverse_perturbed(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint)
     if disc < 0.0:
         raise InversionFailureError("target lies outside the range of the perturbed retraction")
     a = 2.0 * c / (1.0 + math.sqrt(disc))
-    v = TangentVector(p, a * u + w)
-    _verify_roundtrip(spec, v, q)
-    return v
+    return a * u + w
 
 
-def _verify_roundtrip(spec: RetractionSpec, v: TangentVector, q: ManifoldPoint) -> None:
+_INVERSES = {PROJECTION: _inverse_projection, CAYLEY: _inverse_cayley, PERTURBED: _inverse_perturbed}
+
+
+def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
+    """Find v in T_pM with retract(spec, v) = q.
+
+    Every family has a closed form; each raises ``InversionFailureError`` when
+    q lies outside the range it inverts on.  The exponential map's inverse is
+    the manifold's ``log_map``; the other inverses are checked by a round
+    trip through ``retract``.
+    """
+    spec.validate_for(p.manifold)
+    if spec.family == EXPONENTIAL:
+        return p.manifold.log_map(p, q)
+    v = TangentVector(p, _INVERSES[spec.family](p, q))
     gap = float(np.linalg.norm(retract(spec, v).coords - q.coords))
     if gap > _ROUNDTRIP_TOL:
         raise InversionFailureError(f"inverse retraction round trip off by {gap:.3e}")
+    return v

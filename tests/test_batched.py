@@ -226,6 +226,7 @@ def test_values_of_wrong_length_is_contract_error():
 @pytest.mark.parametrize(
     "manifold,family", [(gn.Sphere(6), f) for f in SPHERE_FAMILIES] + [(gn.Rotations3(), f) for f in SO3_FAMILIES]
 )
+@pytest.mark.filterwarnings("error")
 def test_retract_many_rejects_non_tangent_row(manifold, family):
     spec = gn.RetractionSpec(family)
     p = _base_point(manifold, 6)

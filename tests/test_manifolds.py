@@ -11,12 +11,14 @@ from geonewton.manifolds import SO3_GENERATORS
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.filterwarnings("error")  # a rejected NaN or inf raises without a warning
 def test_sphere_point_must_be_unit(sphere3):
     for coords in ([1.0, 1.0, 0.0], [NAN] * 3, [NAN, 0.0, 0.0], [INF, 0.0, 0.0]):
         with pytest.raises(gn.ContractError):
             sphere3.point(coords)
 
 
+@pytest.mark.filterwarnings("error")  # a rejected NaN or inf raises without a warning
 def test_sphere_tangent_must_be_orthogonal(sphere3):
     p = sphere3.point([1.0, 0.0, 0.0])
     for coords in ([0.1, 1.0, 0.0], [NAN, 0.0, 0.0], [0.0, NAN, 0.0], [INF, 0.0, 0.0], [0.0, INF, 0.0]):
@@ -24,6 +26,7 @@ def test_sphere_tangent_must_be_orthogonal(sphere3):
             sphere3.tangent(p, coords)
 
 
+@pytest.mark.filterwarnings("error")  # a rejected NaN or inf raises without a warning
 def test_rotation_point_must_be_orthogonal(rotations):
     for matrix in (np.eye(3) * 1.1, np.full((3, 3), NAN), np.diag([1.0, 1.0, NAN]), np.diag([INF, 1.0, 1.0])):
         with pytest.raises(gn.ContractError):
@@ -35,6 +38,7 @@ def test_rotation_point_must_have_positive_det(rotations):
         rotations.point_from_matrix(np.diag([1.0, 1.0, -1.0]))
 
 
+@pytest.mark.filterwarnings("error")  # a rejected NaN or inf raises without a warning
 def test_rotation_tangent_must_be_skew(rotations):
     for matrix in (np.eye(3), gn.hat([NAN, 0.0, 0.0]), gn.hat([INF, 0.0, 0.0]), gn.hat([1.0, 0.0, INF])):
         with pytest.raises(gn.ContractError):

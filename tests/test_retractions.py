@@ -52,6 +52,35 @@ def test_zero_vector_fixed_point(sphere3, rotations):
             assert np.allclose(out.coords, p.coords, atol=1e-14)
 
 
+
+@pytest.mark.filterwarnings("error")
+def test_long_cayley_tangent_raises(rotations):
+    # The Cayley image drifts off SO(3) by about eps |v|: at |v| = 1e6 it is
+    # past POINT_TOL, so the kernel's point check must reject it.
+    spec = gn.RetractionSpec("cayley")
+    p = rotations.identity()
+    v = rotations.tangent(p, (1e6 * (SO3_GENERATORS[0] + 2.0 * SO3_GENERATORS[1] + 3.0 * SO3_GENERATORS[2])).reshape(9))
+    with pytest.raises(gn.ContractError):
+        gn.retract(spec, v)
+    with pytest.raises(gn.ContractError):
+        gn.retract_many(spec, p, np.stack([0.5 * v.coords, v.coords]))
+
+
+@pytest.mark.parametrize("family,length", [("exp", 1e160), ("projection", 1e160), ("perturbed", 1e80)])
+def test_overflowing_sphere_tangent_raises(sphere3, rotations, family, length):
+    # the kernel's row norm overflows; the image would be a zero or NaN row
+    p = sphere3.point([1.0, 0.0, 0.0])
+    spec = gn.RetractionSpec(family)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(gn.ContractError):
+            gn.retract(spec, sphere3.tangent(p, [0.0, 0.6 * length, 0.8 * length]))
+        with pytest.raises(gn.ContractError):
+            gn.retract_many(spec, p, np.array([[0.0, 0.1, 0.0], [0.0, length, 0.0]]))
+        if family == "exp":
+            with pytest.raises(gn.ContractError):
+                rotations.exp_map(rotations.tangent(rotations.identity(), (length * SO3_GENERATORS[0]).reshape(9)))
+
+
 def test_cayley_closed_form_angle(rotations):
     eye = rotations.identity()
     theta = 0.2
