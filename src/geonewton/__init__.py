@@ -3,7 +3,6 @@ verifiers for retraction order, gradient/Hessian extraction, and the
 quadratic convergence rate."""
 
 from .calculus import (
-    GradientResult,
     SymmetricOperator,
     gradient_fd,
     hessian_fd,
@@ -39,7 +38,6 @@ from .newton import (
     NewtonStatus,
     newton_run,
     newton_step,
-    newton_step_vector,
     solve_tangent_system,
 )
 from .objectives import Brockett, ProcrustesTrace, Rayleigh, TiltedRayleigh

@@ -4,7 +4,8 @@ Hessian.
 The gradient and Hessian at p are read off the second-order expansion of the
 pulled-back objective t -> J(R_p(t e_i)) in an orthonormal tangent basis:
 central differences give the first-order coefficients, a four-point stencil
-gives the second-order ones.  Away from critical points the Hessian obtained
+gives the second-order ones, returned as a :class:`TangentVector` at p and a
+:class:`SymmetricOperator`.  Away from critical points the Hessian obtained
 this way depends on the retraction family unless the family has order >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
@@ -41,14 +42,6 @@ HESSIAN_STEP_FACTOR = _EPS ** 0.25  # ~1.2e-4
 # for resolution and is what the Newton driver switches to near critical points,
 # where the cubic term of the pullback vanishes and truncation is harmless.
 REFINED_GRADIENT_STEP_FACTOR = _EPS ** 0.2  # ~7.4e-4
-
-
-@dataclass(frozen=True, eq=False)
-class GradientResult:
-    """Finite-difference gradient with the step size that produced it."""
-
-    vector: TangentVector
-    step: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +104,8 @@ def gradient_fd(
     p: ManifoldPoint,
     basis: TangentBasis | None = None,
     step_factor: float = GRADIENT_STEP_FACTOR,
-) -> GradientResult:
-    """Central-difference gradient of J o R_p at 0.
+) -> TangentVector:
+    """Central-difference gradient of J o R_p at 0, with step ``step_factor``.
 
     Component i is [J(R_p(h e_i)) - J(R_p(-h e_i))] / (2h) over the basis
     vectors; the result is assembled as an ambient tangent vector and is
@@ -127,7 +120,7 @@ def gradient_fd(
     dim = len(frame)
     values = _probe_many(objective, spec, p, np.concatenate([h * frame, -h * frame]))
     coeffs = (values[:dim] - values[dim:]) / (2.0 * h)
-    return GradientResult(vector=basis.from_coordinates(coeffs), step=h)
+    return basis.from_coordinates(coeffs)
 
 
 def hessian_fd(
@@ -178,7 +171,7 @@ def taylor_remainder(
     spec: RetractionSpec,
     p: ManifoldPoint,
     v: TangentVector,
-    gradient: GradientResult | None = None,
+    gradient: TangentVector | None = None,
     hessian: SymmetricOperator | None = None,
 ) -> float:
     """|J(R_p(v)) - J(p) - <v, grad> - 1/2 <v, Hess v>|.
@@ -192,6 +185,6 @@ def taylor_remainder(
         hessian = hessian_fd(objective, spec, p)
     value = _probe(objective, spec, p, v.coords)
     base_value = objective.value(p)
-    linear = float(np.dot(v.coords, gradient.vector.coords))
+    linear = float(np.dot(v.coords, gradient.coords))
     quadratic = 0.5 * float(np.dot(v.coords, hessian.apply(v).coords))
     return abs(value - base_value - linear - quadratic)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 from . import __version__
@@ -193,16 +193,6 @@ def parse_config(argv) -> ExperimentConfig:
     return cfg
 
 
-def _slope_summary(est) -> dict:
-    return {
-        "slope": est.slope,
-        "intercept": est.intercept,
-        "r_squared": est.r_squared,
-        "points_used": est.points_used,
-        "saturated": est.saturated,
-    }
-
-
 def _run_order(cfg: ExperimentConfig) -> tuple[Report, int]:
     manifold = cfg.manifold_obj()
     rng = rng_for(cfg.seed)
@@ -210,8 +200,8 @@ def _run_order(cfg: ExperimentConfig) -> tuple[Report, int]:
     directions = tuple(random_tangent(p, rng) for _ in range(ORDER_DIRECTIONS))
     sweep = ScaleSweep(directions=directions, scales=cfg.scales)
     rows = retraction_order_rows(cfg.retraction_spec(), sweep)
-    est = fit_rows(rows, sweep.noise_floor)
-    summary = _slope_summary(est)
+    est = fit_rows(rows)
+    summary = asdict(est)
     summary["estimated_order"] = est.slope - 1.0 if not est.saturated else None
     columns = ("direction_id", "scale", "distance")
     config = cfg.echo(columns, {"n_directions": ORDER_DIRECTIONS})
@@ -251,12 +241,12 @@ def _run_sweep_command(cfg: ExperimentConfig) -> tuple[Report, int]:
         raw = taylor_remainder_rows(objective, spec, sweep)
 
     rows = tuple((x, y) for _, x, y in raw)
-    est = fit_rows(raw, DEFAULT_NOISE_FLOOR)
+    est = fit_rows(raw)
     columns = ("scale", "measured_value")
     report = Report(
         config=cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR}),
         rows=rows,
-        summary=_slope_summary(est),
+        summary=asdict(est),
         version=__version__,
     )
     return report, 0
@@ -304,17 +294,11 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[Report, int]:
     errors = [row[dist_col] for row in source.rows]
     columns = ("pair_index", "err_from", "err_to", "pair_slope")
     try:
-        rate = rate_from_errors(errors, DEFAULT_NOISE_FLOOR)
+        rate = rate_from_errors(errors)
     except InsufficientDataError:
         rows, summary, code = (), {"error": "insufficient usable error pairs"}, 1
     else:
-        usable = [
-            (a, b) for a, b in zip(errors, errors[1:])
-            if a > DEFAULT_NOISE_FLOOR and b > DEFAULT_NOISE_FLOOR
-        ]
-        rows = tuple(
-            (k, a, b, rate.pair_slopes[k]) for k, (a, b) in enumerate(usable)
-        )
+        rows = tuple((k, a, b, slope) for k, ((a, b), slope) in enumerate(zip(rate.pairs, rate.pair_slopes)))
         summary = {
             "fitted_rate": rate.fitted_rate,
             "fitted_constant": rate.fitted_constant,

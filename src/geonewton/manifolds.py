@@ -88,6 +88,10 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     return a / norms
 
 
+# No numpy warning where a tangent too long to map overflows; the code rejects it.
+silent_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A point on an embedded manifold, held in ambient coordinates."""
@@ -127,6 +131,7 @@ class TangentVector:
     base: ManifoldPoint
     coords: np.ndarray
 
+    @silent_overflow
     def __post_init__(self):
         coords = _as_vector(self.coords, self.base.manifold.ambient_dim)
         object.__setattr__(self, "coords", coords)
@@ -281,14 +286,16 @@ class Sphere(Manifold):
 
     def _check_tangents(self, p, rows):
         rows = rows.reshape(-1, self.ambient_dim)
+        dots = np.abs(row_dots(rows, p.coords))  # the norms are read only if a dot passes POINT_TOL
         if not (np.isfinite(rows).all()
-                and np.all(np.abs(row_dots(rows, p.coords)) <= POINT_TOL * np.maximum(1.0, row_norms(rows)))):
+                and (np.all(dots <= POINT_TOL) or np.all(dots <= POINT_TOL * np.maximum(1.0, row_norms(rows))))):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
     def tangent_project(self, p, w):
         w = np.asarray(w, dtype=float)
         return TangentVector(p, w - np.dot(p.coords, w) * p.coords)
 
+    @silent_overflow
     def exp_map(self, v):
         return unchecked(ManifoldPoint, self, self.exp_many(v.base, v.coords[None])[0])
 
@@ -455,7 +462,7 @@ class Rotations3(Manifold):
             raise ContractError("Q^T V is not skew-symmetric")
         body = p.matrix.T @ rows.reshape(-1, 3, 3)
         sym = row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9))
-        if not np.all(sym <= POINT_TOL * np.maximum(1.0, row_norms(rows))):
+        if not (np.all(sym <= POINT_TOL) or np.all(sym <= POINT_TOL * np.maximum(1.0, row_norms(rows)))):
             raise ContractError("Q^T V is not skew-symmetric")
 
     def tangent_project(self, p, w):
@@ -464,6 +471,7 @@ class Rotations3(Manifold):
         skew = 0.5 * (body - body.T)
         return TangentVector(p, (q @ skew).reshape(9))
 
+    @silent_overflow
     def exp_map(self, v):
         return unchecked(ManifoldPoint, self, self.exp_many(v.base, v.coords[None])[0])
 

@@ -1,5 +1,6 @@
 """The geometric Newton iteration: solve the tangent-space system
-Hess s = -grad at the current point, retract, repeat.
+Hess s = -grad at the current point, retract, repeat.  ``newton_step`` and
+each ``newton_run`` iteration read the gradient alike and share one update.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    GradientResult,
     REFINED_GRADIENT_STEP_FACTOR,
     SymmetricOperator,
     gradient_fd,
@@ -37,16 +37,16 @@ _REFINE_THRESHOLD = 1e-8
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
-def _measure_gradient(objective, spec, p, basis) -> GradientResult:
+def _measure_gradient(objective, spec, p, basis) -> TangentVector:
     # Near critical points the default-step read is quantization-limited at
     # ~ulp(J)/(2h); a wider-step read resolves finer gradients there.  Keep
     # whichever measurement is smaller.
     grad = gradient_fd(objective, spec, p, basis=basis)
-    if grad.vector.norm() < _REFINE_THRESHOLD:
+    if grad.norm() < _REFINE_THRESHOLD:
         refined = gradient_fd(
             objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR
         )
-        if refined.vector.norm() < grad.vector.norm():
+        if refined.norm() < grad.norm():
             return refined
     return grad
 
@@ -123,36 +123,26 @@ def solve_tangent_system(
     exceeds ``cond_cap`` (the invertibility assumption fails numerically) or
     when the solve leaves a residual above 1e-10 * (1 + |grad|).
     """
-    base = operator.base
-    if gradient.base is not base and not np.array_equal(gradient.base.coords, base.coords):
-        raise ContractError("gradient is based at a different point than the operator")
+    rhs = -operator.basis.coordinates(gradient)  # raises if gradient is based elsewhere
     matrix = operator.matrix
     cond = float(np.linalg.cond(matrix))
     if not np.isfinite(cond) or cond > cond_cap:
         raise SingularHessianError(f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}")
-    rhs = -operator.basis.coordinates(gradient)
     try:
         coeffs = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError("tangent-space solve failed") from exc
-    residual = float(np.linalg.norm(matrix @ coeffs + operator.basis.coordinates(gradient)))
+    residual = float(np.linalg.norm(matrix @ coeffs - rhs))
     if residual > _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs))):
         raise SingularHessianError(f"solve residual {residual:.3e} too large")
     return operator.basis.from_coordinates(coeffs)
 
 
-def newton_step_vector(
-    objective,
-    spec: RetractionSpec,
-    p: ManifoldPoint,
-    cond_cap: float = 1e12,
-) -> TangentVector:
-    """The Newton direction -Hess^{-1} grad at p, both extracted by finite
-    differences under the same retraction."""
-    basis = p.manifold.tangent_basis(p)
-    grad = _measure_gradient(objective, spec, p, basis)
+def _update(objective, spec, p, basis, grad, cond_cap) -> tuple[ManifoldPoint, TangentVector]:
+    """FD Hessian at p, solve Hess s = -grad for the step s, return (R_p(s), s)."""
     hess = hessian_fd(objective, spec, p, basis=basis)
-    return solve_tangent_system(hess, grad.vector, cond_cap=cond_cap)
+    step = solve_tangent_system(hess, grad, cond_cap=cond_cap)
+    return retract(spec, step), step
 
 
 def newton_step(
@@ -162,7 +152,9 @@ def newton_step(
     cond_cap: float = 1e12,
 ) -> ManifoldPoint:
     """One pure Newton update: retract the Newton direction, nothing else."""
-    return retract(spec, newton_step_vector(objective, spec, p, cond_cap=cond_cap))
+    basis = p.manifold.tangent_basis(p)
+    grad = _measure_gradient(objective, spec, p, basis)
+    return _update(objective, spec, p, basis, grad, cond_cap)[0]
 
 
 def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationTrace:
@@ -181,7 +173,7 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     for _ in range(config.max_iter + 1):
         basis = current.manifold.tangent_basis(current)
         grad = _measure_gradient(objective, spec, current, basis)
-        grad_norms.append(grad.vector.norm())
+        grad_norms.append(grad.norm())
         if grad_norms[-1] <= config.tol:
             status = NewtonStatus.CONVERGED
             break
@@ -196,12 +188,10 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
             status = NewtonStatus.MAX_ITER
             break
         try:
-            hess = hessian_fd(objective, spec, current, basis=basis)
-            step = solve_tangent_system(hess, grad.vector, cond_cap=config.cond_cap)
+            current, step = _update(objective, spec, current, basis, grad, config.cond_cap)
         except SingularHessianError:
             status = NewtonStatus.SINGULAR_HESSIAN
             break
-        current = retract(spec, step)
         points.append(current)
         step_norms.append(step.norm())
 

@@ -27,7 +27,7 @@ given a base point p and a (k x ambient) array of points on p's manifold, it
 returns the k values as an array.  The finite-difference stencils call it
 once per stencil instead of ``value`` once per probe, and they rely on it
 returning exactly what ``value`` returns for each row.  The four families
-here implement it with the same kernels as ``value``.
+here have one kernel each, ``values``; ``value`` evaluates its one row.
 """
 
 from __future__ import annotations
@@ -59,6 +59,17 @@ def _check_rotation_point(objective, p: ManifoldPoint) -> None:
         raise ConfigurationError(f"{type(objective).__name__} objective needs a rotation point")
 
 
+def _symmetric_matrix(objective, matrix) -> np.ndarray:
+    """A read-only copy of the objective's square symmetric matrix."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ContractError(f"{type(objective).__name__} matrix must be square")
+    if np.linalg.norm(a - a.T) > 1e-12:
+        raise ContractError(f"{type(objective).__name__} matrix must be symmetric")
+    a.setflags(write=False)
+    return a
+
+
 def _quadratic_forms(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
     """x @ matrix @ x for every row x, rounded as for a single vector."""
     return (points[:, None, :] @ matrix @ points[:, :, None])[:, 0, 0]
@@ -70,18 +81,10 @@ class Rayleigh:
     kind = "rayleigh"
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ContractError("Rayleigh matrix must be square")
-        if np.linalg.norm(a - a.T) > 1e-12:
-            raise ContractError("Rayleigh matrix must be symmetric")
-        self.matrix = a.copy()
-        self.matrix.setflags(write=False)
+        self.matrix = _symmetric_matrix(self, matrix)
 
     def value(self, p: ManifoldPoint) -> float:
-        _check_sphere_point(self, p)
-        x = p.coords
-        return float(x @ self.matrix @ x)
+        return float(self.values(p, p.coords[None])[0])
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
         _check_sphere_point(self, p)
@@ -97,18 +100,10 @@ class Rayleigh:
     def analytic_hessian_matrix(self, basis: TangentBasis) -> np.ndarray:
         """Hessian 2(P A P - (x^T A x) P) restricted to T_xM, expressed in the
         given orthonormal basis."""
-        p = basis.base
-        _check_sphere_point(self, p)
-        value = self.value(p)
-        dim = len(basis)
-        out = np.empty((dim, dim))
+        value = self.value(basis.base)  # checks the point before the products
         frame = basis.frame
-        for i in range(dim):
-            bi = frame[i]
-            for j in range(i, dim):
-                bj = frame[j]
-                out[i, j] = out[j, i] = 2.0 * (float(bi @ self.matrix @ bj) - value * (i == j))
-        return out
+        out = 2.0 * (frame @ self.matrix @ frame.T - value * np.eye(len(basis)))
+        return 0.5 * (out + out.T)
 
 
 class ProcrustesTrace:
@@ -124,8 +119,7 @@ class ProcrustesTrace:
         self.matrix.setflags(write=False)
 
     def value(self, p: ManifoldPoint) -> float:
-        _check_rotation_point(self, p)
-        return -float(np.sum(self.matrix * p.matrix))
+        return float(self.values(p, p.coords[None])[0])
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
         _check_rotation_point(self, p)
@@ -167,16 +161,10 @@ class TiltedRayleigh:
     kind = "tilted"
 
     def __init__(self, matrix, tilt):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ContractError("TiltedRayleigh matrix must be square")
-        if np.linalg.norm(a - a.T) > 1e-12:
-            raise ContractError("TiltedRayleigh matrix must be symmetric")
+        self.matrix = a = _symmetric_matrix(self, matrix)
         b = np.asarray(tilt, dtype=float)
         if b.shape != (a.shape[0],):
             raise ContractError("TiltedRayleigh tilt must match the matrix size")
-        self.matrix = a.copy()
-        self.matrix.setflags(write=False)
         self.tilt = b.copy()
         self.tilt.setflags(write=False)
         self.multiplier, x = self._solve_secular()
@@ -218,9 +206,7 @@ class TiltedRayleigh:
         return float(eigs[0] - t), x
 
     def value(self, p: ManifoldPoint) -> float:
-        _check_sphere_point(self, p)
-        x = p.coords
-        return float(x @ self.matrix @ x + 2.0 * (self.tilt @ x))
+        return float(self.values(p, p.coords[None])[0])
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
         _check_sphere_point(self, p)
@@ -290,8 +276,7 @@ class Brockett:
         return q.T @ self.matrix @ q
 
     def value(self, p: ManifoldPoint) -> float:
-        _check_rotation_point(self, p)
-        return float(np.diag(self._body(p.matrix)) @ self.weights)
+        return float(self.values(p, p.coords[None])[0])
 
     def values(self, p: ManifoldPoint, points: np.ndarray) -> np.ndarray:
         _check_rotation_point(self, p)

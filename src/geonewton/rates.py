@@ -9,7 +9,7 @@ retraction legitimately measures zero everywhere).
 
 Row-producing variants are exposed alongside each slope estimator so reports
 can emit the raw measurements and refitting the emitted rows reproduces the
-summary exactly.
+summary exactly.  A trace's rate is the same fit through its error pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class ScaleSweep:
 
     directions: tuple[TangentVector, ...]
     scales: tuple[float, ...] = DEFAULT_SCALES
-    noise_floor: float = DEFAULT_NOISE_FLOOR
 
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(self.directions))
@@ -74,8 +73,9 @@ class SlopeEstimate:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-step contraction data for an iteration trace."""
+    """The error pairs (e_k, e_k+1) a trace's rate fit used, with the slopes."""
 
+    pairs: tuple[tuple[float, float], ...]
     pair_slopes: tuple[float, ...]
     fitted_rate: float
     fitted_constant: float
@@ -148,7 +148,7 @@ def retraction_order_rows(spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
 def estimate_retraction_order(spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
     """Slope of the retraction-vs-exponential distance; a family of order k
     shows slope k + 1.  The exponential family itself saturates."""
-    return fit_rows(retraction_order_rows(spec, sweep), sweep.noise_floor)
+    return fit_rows(retraction_order_rows(spec, sweep))
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
             basis = p.manifold.tangent_basis(p)
             grad = gradient_fd(objective, spec, p, basis=basis)
             hess = hessian_fd(objective, spec, p, basis=basis)
-            residual = grad.vector.coords + hess.apply(v).coords
+            residual = grad.coords + hess.apply(v).coords
             rows.append((direction_id, v.norm(), float(np.linalg.norm(residual))))
     return rows
 
@@ -181,7 +181,7 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
 def critical_residual_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
     """Expected slope 2: the residual shrinks quadratically in |v| for any
     retraction of order >= 1."""
-    return fit_rows(critical_residual_rows(objective, spec, sweep), sweep.noise_floor)
+    return fit_rows(critical_residual_rows(objective, spec, sweep))
 
 
 # --------------------------------------------------------------------------
@@ -212,11 +212,10 @@ def distance_deviation_slope(
     v_dir: TangentVector,
     w_dir: TangentVector,
     scales=DEFAULT_SCALES,
-    noise_floor: float = DEFAULT_NOISE_FLOOR,
 ) -> SlopeEstimate:
     """Expected slope >= 2: retracted distances match tangent distances to
     second order."""
-    return fit_rows(distance_deviation_rows(spec, v_dir, w_dir, scales), noise_floor)
+    return fit_rows(distance_deviation_rows(spec, v_dir, w_dir, scales))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +239,7 @@ def taylor_remainder_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) ->
 def taylor_remainder_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
     """Expected slope 3 away from critical points; may saturate at critical
     points where the remainder collapses."""
-    return fit_rows(taylor_remainder_rows(objective, spec, sweep), sweep.noise_floor)
+    return fit_rows(taylor_remainder_rows(objective, spec, sweep))
 
 
 # --------------------------------------------------------------------------
@@ -258,15 +257,12 @@ def rate_from_errors(errors, floor: float = DEFAULT_NOISE_FLOOR) -> RateReport:
     ]
     if len(pairs) < 2:
         raise InsufficientDataError("need at least two usable error pairs to fit a rate")
-    lx = np.log([a for a, _ in pairs])
-    ly = np.log([b for _, b in pairs])
-    design = np.column_stack([lx, np.ones_like(lx)])
-    (rate, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
-    pair_slopes = tuple(float(np.log(b) / np.log(a)) for a, b in pairs)
+    fit = fit_loglog([a for a, _ in pairs], [b for _, b in pairs], floor)
     return RateReport(
-        pair_slopes=pair_slopes,
-        fitted_rate=float(rate),
-        fitted_constant=float(np.exp(intercept)),
+        pairs=tuple(pairs),
+        pair_slopes=tuple(float(np.log(b) / np.log(a)) for a, b in pairs),
+        fitted_rate=fit.slope,
+        fitted_constant=float(np.exp(fit.intercept)),
         pairs_used=len(pairs),
     )
 

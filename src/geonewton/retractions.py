@@ -18,12 +18,11 @@ on.  :func:`retract_many` checks its rows and runs the kernel;
 :func:`retract` runs it on the one row of a :class:`TangentVector`, which was
 checked when it was built, so its row of :func:`retract_many` and its
 :func:`retract` agree bit for bit.  Each kernel returns points or raises
-``ContractError``.  The projection, perturbed and exponential kernels end in a
-division by the row norm, so they return unit rows unless that norm
-overflows, which raises.  The Cayley kernel's orthogonality error grows like
-eps |v| and passes ``POINT_TOL`` beyond |v| of about 1e4, so it checks its
-output with the manifold's point check.  Finite-difference stencils go
-through the batched form.
+``ContractError``, with no numpy warning.  The projection, perturbed and
+exponential kernels end in a division by the row norm, so they return unit
+rows unless that norm overflows, which raises.  The Cayley kernel's error
+grows like eps |v|, so it checks its output with the point check; a solve
+singular to working precision raises too.  Stencils use the batched form.
 
 u(p) is read from the base point's cached frame (``ManifoldPoint.frame``),
 so retracting, inverting and probing at one point build that frame once.
@@ -44,6 +43,7 @@ from .manifolds import (
     Sphere,
     TangentVector,
     row_dots,
+    silent_overflow,
     unchecked,
     unit_rows,
 )
@@ -69,7 +69,10 @@ def _cayley_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
     body = q.T @ rows.reshape(-1, 3, 3)
     body = 0.5 * (body - body.transpose(0, 2, 1))
     eye = np.eye(3)
-    out = (q @ np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)).reshape(-1, 9)
+    try:
+        out = (q @ np.linalg.solve(eye - 0.5 * body, eye + 0.5 * body)).reshape(-1, 9)
+    except np.linalg.LinAlgError as exc:  # I - W/2 is singular to working precision
+        raise ContractError("tangent vector too long to map to the manifold") from exc
     p.manifold._check_points(out)  # orthogonal only to about eps |v|
     return out
 
@@ -110,6 +113,7 @@ def perturbation_direction(p: ManifoldPoint) -> TangentVector:
     return TangentVector(p, p.frame[0])
 
 
+@silent_overflow
 def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
     """Map a tangent vector back to the manifold with the chosen family."""
     p = v.base
@@ -117,6 +121,7 @@ def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
     return unchecked(ManifoldPoint, p.manifold, _TABLE[spec.family][1](p, v.coords[None])[0])
 
 
+@silent_overflow
 def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
     """Retract every row of ``vectors``, a (k x ambient) array of tangent
     vectors at p, and return the k points as rows.

@@ -21,7 +21,7 @@ from .manifolds import (
     rotation_exp,
 )
 from .objectives import ProcrustesTrace, Rayleigh
-from .rates import DEFAULT_NOISE_FLOOR, DEFAULT_SCALES, ScaleSweep
+from .rates import DEFAULT_SCALES, ScaleSweep
 
 EIGENGAP_MIN = 1e-3
 PROCRUSTES_SINGULAR_VALUES = (2.0, 1.5, 1.0)
@@ -55,12 +55,11 @@ def make_sweep(
     n_directions: int,
     seed: int,
     scales=DEFAULT_SCALES,
-    noise_floor: float = DEFAULT_NOISE_FLOOR,
 ) -> ScaleSweep:
     """Sweep with seeded unit directions at p."""
     rng = rng_for(seed)
     dirs = tuple(random_tangent(p, rng) for _ in range(n_directions))
-    return ScaleSweep(directions=dirs, scales=tuple(scales), noise_floor=noise_floor)
+    return ScaleSweep(directions=dirs, scales=tuple(scales))
 
 
 def _rayleigh_candidate(seed: int, n: int) -> np.ndarray:

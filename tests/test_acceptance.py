@@ -71,7 +71,7 @@ def test_c2_derivative_extraction():
         exact_grad = objective.analytic_gradient(p)
         exact_hess = objective.analytic_hessian_matrix(basis)
         for spec in (EXP, PROJ):
-            fd_grad = gn.gradient_fd(objective, spec, p, basis=basis).vector
+            fd_grad = gn.gradient_fd(objective, spec, p, basis=basis)
             assert np.linalg.norm(fd_grad.coords - exact_grad.coords) <= 1e-6 * (
                 1.0 + exact_grad.norm()
             )

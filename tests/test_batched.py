@@ -5,8 +5,9 @@ Tolerance-based accuracy tests do not notice a last-ulp change in a probe
 value, but the noise-floor-limited sweeps (lemma1 on even pullbacks) move
 visibly when it happens.  Every comparison here is therefore exact
 (``np.array_equal`` or ``==``) against references kept in this file: each
-family's closed form on one vector, and a per-probe loop that retracts one
-tangent vector by that closed form and evaluates ``value`` at the point.
+retraction's and each objective's closed form on one vector, and a per-probe
+loop that retracts one tangent vector and evaluates the objective by those
+closed forms.
 """
 
 import numpy as np
@@ -89,8 +90,21 @@ def _closed_form(family, p, v):
     return (q @ _rodrigues(body)).reshape(9)
 
 
+def _closed_value(objective, x):
+    """J at one point x (ambient coordinates), in scalar numpy arithmetic."""
+    a = objective.matrix
+    if objective.kind == "rayleigh":
+        return float(x @ a @ x)
+    if objective.kind == "procrustes":
+        return -float(np.sum(a * x.reshape(3, 3)))
+    if objective.kind == "tilted":
+        return float(x @ a @ x + 2.0 * (objective.tilt @ x))
+    q = x.reshape(3, 3)  # brockett
+    return float(np.diag(q.T @ a @ q) @ objective.weights)
+
+
 def _scalar_probe(objective, spec, p, coords):
-    return objective.value(p.manifold.point(_closed_form(spec.family, p, coords)))
+    return _closed_value(objective, _closed_form(spec.family, p, coords))
 
 
 def _scalar_gradient(objective, spec, p, basis, h):
@@ -142,8 +156,9 @@ def test_retract_many_and_values_match_single_path(manifold, family, objective):
         assert np.array_equal(points, np.array([q.coords for q in singles]))
         if family == "exp":
             assert np.array_equal(points, [manifold.exp_map(gn.TangentVector(p, row)).coords for row in rows])
-        values = objective.values(p, points)
-        assert np.array_equal(values, [objective.value(q) for q in singles])
+        expected = [_closed_value(objective, q.coords) for q in singles]
+        assert np.array_equal(objective.values(p, points), expected)
+        assert [objective.value(q) for q in singles] == expected
 
 
 def test_rotation_exp_is_rodrigues():
@@ -161,7 +176,7 @@ def test_fd_derivatives_match_per_probe_loop(manifold, family, objective):
     basis = manifold.tangent_basis(p)
     for h in (GRADIENT_STEP_FACTOR, REFINED_GRADIENT_STEP_FACTOR):
         grad = gn.gradient_fd(objective, spec, p, basis=basis, step_factor=h)
-        assert np.array_equal(grad.vector.coords, _scalar_gradient(objective, spec, p, basis, h))
+        assert np.array_equal(grad.coords, _scalar_gradient(objective, spec, p, basis, h))
     hess = gn.hessian_fd(objective, spec, p, basis=basis)
     assert np.array_equal(hess.matrix, _scalar_hessian(objective, spec, p, basis))
 
@@ -178,7 +193,7 @@ def test_value_only_objective_uses_row_fallback(family):
 
     grad = gn.gradient_fd(objective, spec, p, basis=basis)
     assert objective.calls == 2 * dim
-    assert np.array_equal(grad.vector.coords, gn.gradient_fd(inner, spec, p, basis=basis).vector.coords)
+    assert np.array_equal(grad.coords, gn.gradient_fd(inner, spec, p, basis=basis).coords)
 
     objective.calls = 0
     hess = gn.hessian_fd(objective, spec, p, basis=basis)

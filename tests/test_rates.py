@@ -206,6 +206,16 @@ def test_rate_exact_quadratic_sequence():
         assert s == pytest.approx(2.0, abs=1e-12)
 
 
+def test_rate_pairs_are_the_fitted_pairs():
+    # a pair counts only when both errors lie above the floor, and the rate
+    # is the log-log fit through exactly the pairs the report carries
+    report = gn.rate_from_errors([1e-1, 1e-2, 1e-4, 1e-14, 1e-3, 1e-6], floor=1e-13)
+    assert report.pairs == ((1e-1, 1e-2), (1e-2, 1e-4), (1e-3, 1e-6))
+    assert report.pairs_used == len(report.pair_slopes) == 3
+    fit = gn.fit_loglog([a for a, _ in report.pairs], [b for _, b in report.pairs])
+    assert report.fitted_rate == fit.slope
+
+
 def test_rate_insufficient_data():
     with pytest.raises(gn.InsufficientDataError):
         gn.rate_from_errors([1e-1, 1e-2])
