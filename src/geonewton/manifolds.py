@@ -24,6 +24,9 @@ value the library computes from checked values (the result of ``exp_map``,
 ``tangent_basis`` builds from the cached frame) is built with
 :func:`unchecked` and not checked again; an exp kernel whose |v| overflows
 raises ``ContractError`` instead of returning a point.
+
+The sphere's tangent frame is Gram-Schmidt of the standard basis against p in
+closed form, from the tail norms |x[k:]| (``Sphere._frame``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import ContractError, CutLocusError
 
 POINT_TOL = 1e-12  # ~100x double-precision epsilon
-_BASIS_SKIP_TOL = 1e-8  # Gram-Schmidt candidates shorter than this are dropped
+_BASIS_SKIP_TOL = 1e-8  # sphere frame: e_k goes last if |x[k+1:]| <= this * |x[k:]|
 _CUT_LOCUS_MARGIN = 1e-6
 
 
@@ -281,7 +284,9 @@ class Sphere(Manifold):
 
     def _check_points(self, rows):
         rows = rows.reshape(-1, self.ambient_dim)
-        if not np.all(np.abs(row_norms(rows) - 1.0) <= POINT_TOL):
+        # an entry above 1 + POINT_TOL (or NaN) fails before its square can overflow
+        if not (np.abs(rows).max(initial=0.0) <= 1.0 + POINT_TOL
+                and np.all(np.abs(row_norms(rows) - 1.0) <= POINT_TOL)):
             raise ContractError("sphere point is not unit length")
 
     def _check_tangents(self, p, rows):
@@ -327,39 +332,26 @@ class Sphere(Manifold):
         return unchecked(TangentBasis, p, p.frame)
 
     def _frame(self, p):
-        """Modified Gram-Schmidt over the ambient standard basis, dropping the
-        near-degenerate candidate aligned with p. Deterministic in index order.
-
-        The first sweep is right-looking: p, then each accepted vector, is
-        projected out of all later candidates at once.  Every candidate still
-        meets p, b0, b1, ... in that order, through the same dot products, so
-        the frame is the one a candidate-by-candidate loop builds, bit for bit.
+        """Row k is the unit part of e_k orthogonal to p, e_0, ..., e_{k-1}: with
+        s_k = |x[k:]|, zero before column k, s_{k+1}/s_k at column k and
+        -(x_k/s_k)(x_j/s_{k+1}) at column j > k.  The first e_k with s_{k+1} at
+        most _BASIS_SKIP_TOL * s_k (nearly in that span) goes last, unused.
+        ``hypot`` forms s_k and each factor is at most 1, so nothing is squared.
         """
         x = p.coords
-        cands = np.eye(self.ambient_dim)
-        cands -= row_dots(cands, x)[:, None] * x
-
-        def resweep(vec):
-            vec = vec - np.dot(x, vec) * x
-            for b in vectors:
-                vec = vec - np.dot(b, vec) * b
-            return vec
-
-        vectors: list[np.ndarray] = []
-        for i, cand in enumerate(cands):
-            norm = np.linalg.norm(cand)
-            if norm < _BASIS_SKIP_TOL:
-                continue
-            # normalizing a short candidate amplifies its residual normal
-            # component, so orthogonalize once more after scaling
-            cand = resweep(cand / norm)
-            b = cand / np.linalg.norm(cand)
-            vectors.append(b)
-            if len(vectors) == self.intrinsic_dim:
-                break
-            rest = cands[i + 1:]
-            rest -= row_dots(rest, b)[:, None] * b
-        return np.array(vectors)
+        n = self.ambient_dim
+        tails = np.hypot.accumulate(np.abs(x[::-1]))[::-1]
+        short = np.flatnonzero(tails[1:] <= _BASIS_SKIP_TOL * tails[:-1])
+        if short.size:
+            order = np.append(np.delete(np.arange(n), short[0]), short[0])
+            x = x[order]
+            tails = np.hypot.accumulate(np.abs(x[::-1]))[::-1]
+        upper = np.where(np.arange(n) > np.arange(n - 1)[:, None], x, 0.0) / tails[1:, None]
+        frame = upper * (-x[:-1] / tails[:-1])[:, None]
+        np.fill_diagonal(frame, tails[1:] / tails[:-1])
+        if short.size:
+            frame[:, order] = frame.copy()
+        return frame
 
 
 # Canonical so(3) generators, Frobenius norm sqrt(2) each.
@@ -382,6 +374,7 @@ def vee(mat) -> np.ndarray:
     return np.array([mat[2, 1], mat[0, 2], mat[1, 0]])
 
 
+@silent_overflow
 def rotation_exp(omega_hat: np.ndarray) -> np.ndarray:
     """Matrix exponential of one skew-symmetric 3x3 matrix."""
     return rotation_exp_many(np.asarray(omega_hat, dtype=float)[None])[0]
@@ -448,7 +441,8 @@ class Rotations3(Manifold):
 
     def _check_points(self, rows):
         q = rows.reshape(-1, 3, 3)
-        if not np.isfinite(q).all():
+        # an entry above 1 + POINT_TOL (or NaN) fails before its square can overflow
+        if not np.abs(q).max(initial=0.0) <= 1.0 + POINT_TOL:
             raise ContractError("matrix is not orthogonal")
         gram = q.transpose(0, 2, 1) @ q - np.eye(3)
         if not np.all(row_norms(gram.reshape(-1, 9)) <= POINT_TOL):

@@ -45,6 +45,16 @@ def test_rotation_tangent_must_be_skew(rotations):
             rotations.tangent(rotations.identity(), matrix.reshape(9))
 
 
+@pytest.mark.filterwarnings("error")  # rejected before a square can overflow
+def test_overflowing_entries_raise_without_a_warning(sphere3, rotations):
+    with pytest.raises(gn.ContractError):
+        sphere3.point([1e200, 0.0, 0.0])
+    with pytest.raises(gn.ContractError):
+        rotations.point_from_matrix(1e200 * np.eye(3))
+    with pytest.raises(gn.ContractError):
+        gn.rotation_exp(gn.hat([1e160, 0.0, 0.0]))
+
+
 # ---- inner product
 
 
@@ -249,7 +259,8 @@ def test_basis_coordinates_round_trip(sphere3):
 
 def _gram_schmidt_reference(p):
     """Candidate-by-candidate modified Gram-Schmidt over the standard basis,
-    skipping the candidate aligned with p: the frame ``p.frame`` must equal."""
+    skipping the candidate aligned with p: the frame ``p.frame`` must match
+    to rounding."""
     x = p.coords
     n = len(x)
 
@@ -288,16 +299,68 @@ def _frame_points(n):
         x[0] = 1.0
         x = x + 1e-9 * rng.standard_normal(n)
         points.append(manifold.point(x / np.linalg.norm(x)))
+    # |x[k+1:]| just above 1e-8 |x[k:]| (candidate k kept) and just below it
+    # (candidate k moved to the end), at the first and at the last candidate
+    for ratio in (1.01e-8, 0.99e-8):
+        for k in (0, n - 2):
+            x = np.full(n, 0.3)
+            x[k] = 1.0
+            x[k + 1:] = ratio / np.sqrt(n - 1 - k)
+            points.append(manifold.point(x / np.linalg.norm(x)))
+    # entries whose squares underflow, before and after the large one
+    for k in (0, n // 2, n - 1):
+        x = np.full(n, 1e-170)
+        x[k] = 1.0
+        points.append(manifold.point(x))
     return points
 
 
+def _assert_orthonormal_tangent_frame(p, frame):
+    n = len(p.coords)
+    assert frame.shape == (n - 1, n)
+    assert np.max(np.abs(frame @ frame.T - np.eye(n - 1))) <= 1e-14
+    assert np.max(np.abs(frame @ p.coords)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [2, 3, 10, 20, 50])
 def test_sphere_frame_equals_reference_gram_schmidt(n):
     for p in _frame_points(n):
-        assert np.array_equal(p.frame, _gram_schmidt_reference(p))
+        reference = _gram_schmidt_reference(p)
+        assert p.frame.shape == reference.shape
+        assert np.max(np.abs(p.frame - reference)) <= 1e-14
+        _assert_orthonormal_tangent_frame(p, p.frame)
         basis = p.manifold.tangent_basis(p)
         assert np.array_equal(basis.frame, p.frame)
         assert np.array_equal(gn.perturbation_direction(p).coords, basis.vectors[0].coords)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sphere_frame_with_subnormal_tail():
+    # |x[k:]| falls by 1e-7 per entry, so the last entries are subnormal or
+    # zero and 1e-8 |x[k:]| underflows; the first zero tail is skipped
+    x = 10.0 ** (-7.0 * np.arange(50))
+    p = gn.Sphere(50).point(x / np.linalg.norm(x))
+    _assert_orthonormal_tangent_frame(p, p.frame)
+    assert np.max(np.abs(p.frame - _gram_schmidt_reference(p))) <= 1e-14
+
+
+def test_sphere_frame_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.floats(-1e3, 1e3, allow_nan=False)
+    vectors = st.integers(2, 50).flatmap(lambda n: st.lists(entries, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(vectors)
+    def check(entries):
+        norm = np.linalg.norm(entries)
+        hypothesis.assume(norm > 0.0)
+        p = gn.Sphere(len(entries)).point(np.array(entries) / norm)
+        _assert_orthonormal_tangent_frame(p, p.frame)
+        assert np.max(np.abs(p.frame - _gram_schmidt_reference(p))) <= 1e-14
+
+    check()
 
 
 def test_rotation_frame_rows_are_scaled_generators(rotations):

@@ -3,7 +3,7 @@ import pytest
 
 import geonewton as gn
 from geonewton.calculus import REFINED_GRADIENT_STEP_FACTOR
-from geonewton.newton import _REFINE_THRESHOLD
+from geonewton.newton import _REFINE_THRESHOLD, _STALL_STEP
 
 
 EXP = gn.RetractionSpec("exp")
@@ -210,16 +210,25 @@ def test_circle_perturbed_stalls_at_the_floor():
 
 
 def test_single_bounce_does_not_stall():
-    # From this start the gradient read rises once (1.76e-10 -> 1.82e-10)
-    # after a step of 9.5e-11, then falls to 7.9e-13; one non-improving
-    # read alone must not end the run.
+    # Once the steps are at most sqrt(eps) the gradient read may rise once
+    # on finite-difference noise; a rise right after a new minimum must not
+    # end the run.  Which starts bounce depends on rounding, so scan seeded
+    # starts near the optimum and require at least one bounced run that then
+    # converges.
     sphere10 = gn.Sphere(10)
-    objective = gn.seeded_instance(0, "rayleigh", 10)
-    p_star = gn.rayleigh_top_eigenvector(objective)
-    p0 = sphere10.exp_map(gn.random_tangent(p_star, gn.rng_for(0)).scaled(0.05))
-    trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
-    assert trace.grad_norms[3] > trace.grad_norms[2]
-    assert trace.status == gn.NewtonStatus.CONVERGED
+    converged_after_bounce = 0
+    for seed in range(40):
+        objective = gn.seeded_instance(seed, "rayleigh", 10)
+        p_star = gn.rayleigh_top_eigenvector(objective)
+        p0 = sphere10.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
+        trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
+        grads, steps = trace.grad_norms, trace.step_norms
+        for i in range(2, len(grads)):
+            if steps[i - 1] <= _STALL_STEP and grads[i] > grads[i - 1] and grads[i - 1] < min(grads[: i - 1]):
+                assert len(grads) > i + 1  # the run went on after the rise
+                converged_after_bounce += trace.status == gn.NewtonStatus.CONVERGED
+                break
+    assert converged_after_bounce >= 1
 
 
 @pytest.mark.parametrize("n", [3, 10])
