@@ -9,13 +9,14 @@ gives the second-order ones, returned as a :class:`TangentVector` at p and a
 this way depends on the retraction family unless the family has order >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
-(probes x ambient) array, :func:`retract_many` maps it to the manifold in one
-call, and the objective's optional ``values(p, points)`` method evaluates all
-rows in one call.  An objective with only ``value(p)`` is evaluated row by
-row.  The batched kernels round exactly as the single-probe path
-(``retract`` then ``value``) does, so every probe value, and with it every
-extracted derivative, is the same bit for bit.  On the Hessian diagonal the
-two mixed probes both sit at R_p(0); that value is read once.
+(probes x ambient) array that :func:`retract_many` maps to the manifold and
+the objective's optional ``values(p, points)`` evaluates, one call each (an
+objective with only ``value(p)`` is evaluated row by row).  The batched
+kernels round as the single-probe path (``retract`` then ``value``) does, so
+every probe value and every extracted derivative is the same bit for bit.
+Each Hessian probe is the sum of two rows of [hE; -hE] (E the frame) from an
+index plan cached per dimension.  The two mixed probes of a diagonal entry
+both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1 probes.
 
 Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
@@ -26,6 +27,7 @@ relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +74,8 @@ class SymmetricOperator:
 
 
 def _check_finite(values) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise EvaluationError("objective returned a non-finite value during a probe")
-
-
-def _probe(objective, spec: RetractionSpec, p: ManifoldPoint, coords: np.ndarray) -> float:
-    value = objective.value(retract(spec, TangentVector(p, coords)))
-    _check_finite(value)
-    return value
 
 
 def _probe_many(objective, spec: RetractionSpec, p: ManifoldPoint, stencil: np.ndarray) -> np.ndarray:
@@ -118,9 +114,24 @@ def gradient_fd(
     h = step_factor
     frame = basis.frame
     dim = len(frame)
-    values = _probe_many(objective, spec, p, np.concatenate([h * frame, -h * frame]))
+    values = _probe_many(objective, spec, p, h * np.concatenate([frame, -frame]))
     coeffs = (values[:dim] - values[dim:]) / (2.0 * h)
     return basis.from_coordinates(coeffs)
+
+
+@functools.cache
+def _stencil_plan(dim: int) -> tuple[np.ndarray, ...]:
+    """Read-only index plan of the Hessian stencil in dimension ``dim``:
+    ``first`` and ``second`` pick each probe's two rows of [hE; -hE], and
+    ``upper`` and ``lower`` are the flat positions of H_ij and H_ji, i < j."""
+    rows, cols = np.triu_indices(dim, k=1)
+    diag = np.arange(dim)
+    first = np.concatenate([rows, rows, rows + dim, rows + dim, diag, diag + dim])
+    second = np.concatenate([cols, cols + dim, cols, cols + dim, diag, diag + dim])
+    plan = (first, second, rows * dim + cols, cols * dim + rows)
+    for index in plan:
+        index.setflags(write=False)
+    return plan
 
 
 def hessian_fd(
@@ -135,7 +146,9 @@ def hessian_fd(
             - J(R(-h e_i + h e_j)) + J(R(-h e_i - h e_j))] / (4 h^2)
 
     For i = j both middle probes are J(R_p(0)), read once, so a Hessian
-    costs 2 d^2 + 1 probes in dimension d.
+    costs 2 d^2 + 1 probes in dimension d.  Each probe is the sum of two rows
+    of [hE; -hE] (E the frame) picked by ``_stencil_plan``: adding a negated
+    row rounds as subtracting it does, down to signed zeros.
     """
     manifold = p.manifold
     spec.validate_for(manifold)
@@ -144,26 +157,18 @@ def hessian_fd(
     h = HESSIAN_STEP_FACTOR
     frame = basis.frame
     dim = len(frame)
-    plus, minus = h * frame, -h * frame
-    rows, cols = np.triu_indices(dim, k=1)
-    pairs = len(rows)
-    stencil = np.concatenate([
-        plus[rows] + plus[cols],
-        plus[rows] - plus[cols],
-        minus[rows] + plus[cols],
-        minus[rows] - plus[cols],
-        plus + plus,
-        minus - plus,
-    ])
-    values = _probe_many(objective, spec, p, stencil)
-    pp, pm, mp, mm = values[: 4 * pairs].reshape(4, pairs)
-    centre = _probe(objective, spec, p, np.zeros(manifold.ambient_dim))
-    diag_pp, diag_mm = values[4 * pairs:].reshape(2, dim)
-    out = np.empty((dim, dim))
-    out[rows, cols] = out[cols, rows] = (pp - pm - mp + mm) / (4.0 * h * h)
-    out[np.diag_indices(dim)] = (diag_pp - centre - centre + diag_mm) / (4.0 * h * h)
-    out = 0.5 * (out + out.T)
-    return SymmetricOperator(base=p, basis=basis, matrix=out)
+    first, second, upper, lower = _stencil_plan(dim)
+    signed = h * np.concatenate([frame, -frame])
+    values = _probe_many(objective, spec, p, signed[first] + signed[second])
+    centre = objective.value(retract(spec, unchecked(TangentVector, p, np.zeros(manifold.ambient_dim))))
+    _check_finite(centre)
+    pp, pm, mp, mm = values[: -2 * dim].reshape(4, -1)
+    diag_pp, diag_mm = values[-2 * dim:].reshape(2, dim)
+    out = np.empty(dim * dim)
+    out[upper] = out[lower] = (pp - pm - mp + mm) / (4.0 * h * h)
+    out[:: dim + 1] = (diag_pp - centre - centre + diag_mm) / (4.0 * h * h)
+    square = out.reshape(dim, dim)
+    return SymmetricOperator(base=p, basis=basis, matrix=0.5 * (square + square.T))
 
 
 def taylor_remainder(
@@ -179,11 +184,14 @@ def taylor_remainder(
     The gradient and Hessian may be passed in so a sweep over many v reuses
     one extraction; they must then have been computed at p with this spec.
     """
+    if v.base is not p and not np.array_equal(v.base.coords, p.coords):
+        raise ContractError("tangent vector is based at a different point")
     if gradient is None:
         gradient = gradient_fd(objective, spec, p)
     if hessian is None:
         hessian = hessian_fd(objective, spec, p)
-    value = _probe(objective, spec, p, v.coords)
+    value = objective.value(retract(spec, v))
+    _check_finite(value)
     base_value = objective.value(p)
     linear = float(np.dot(v.coords, gradient.coords))
     quadratic = 0.5 * float(np.dot(v.coords, hessian.apply(v).coords))

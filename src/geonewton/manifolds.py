@@ -31,6 +31,7 @@ closed form, from the tail norms |x[k:]| (``Sphere._frame``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,7 +87,7 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     """Each row divided by its norm.  A norm that is not finite (the row came
     from a tangent vector too long to map) raises ``ContractError``."""
     norms = row_norms(a)[:, None]
-    if not np.all(norms < np.inf):
+    if not (norms < np.inf).all():
         raise ContractError("tangent vector too long to map to the manifold")
     return a / norms
 
@@ -145,7 +146,7 @@ class TangentVector:
         return self.coords.reshape(3, 3)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        return math.sqrt(self.coords.dot(self.coords))  # what np.linalg.norm computes
 
     def scaled(self, t: float) -> "TangentVector":
         return unchecked(TangentVector, self.base, t * self.coords)
@@ -179,7 +180,7 @@ class TangentBasis:
         object.__setattr__(self, "frame", frame)
         eye = np.eye(len(frame))
         # np.allclose(self.gram(), eye, atol=1e-10) without its overhead
-        if not np.all(np.abs(self.gram() - eye) <= 1e-10 + 1e-5 * eye):
+        if not (np.abs(self.gram() - eye) <= 1e-10 + 1e-5 * eye).all():
             raise ContractError("basis vectors are not orthonormal")
 
     @cached_property
@@ -286,14 +287,14 @@ class Sphere(Manifold):
         rows = rows.reshape(-1, self.ambient_dim)
         # an entry above 1 + POINT_TOL (or NaN) fails before its square can overflow
         if not (np.abs(rows).max(initial=0.0) <= 1.0 + POINT_TOL
-                and np.all(np.abs(row_norms(rows) - 1.0) <= POINT_TOL)):
+                and (np.abs(row_norms(rows) - 1.0) <= POINT_TOL).all()):
             raise ContractError("sphere point is not unit length")
 
     def _check_tangents(self, p, rows):
         rows = rows.reshape(-1, self.ambient_dim)
         dots = np.abs(row_dots(rows, p.coords))  # the norms are read only if a dot passes POINT_TOL
         if not (np.isfinite(rows).all()
-                and (np.all(dots <= POINT_TOL) or np.all(dots <= POINT_TOL * np.maximum(1.0, row_norms(rows))))):
+                and ((dots <= POINT_TOL).all() or (dots <= POINT_TOL * np.maximum(1.0, row_norms(rows))).all())):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
     def tangent_project(self, p, w):
@@ -385,7 +386,7 @@ def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
     stack, stable for all angles."""
     omega = np.stack([omega_hats[:, 2, 1], omega_hats[:, 0, 2], omega_hats[:, 1, 0]], axis=1)
     theta = row_norms(omega)[:, None, None]
-    if not np.all(theta < np.inf):
+    if not (theta < np.inf).all():
         raise ContractError("rotation angle is not finite")
     a = np.sinc(theta / np.pi)  # sin(theta)/theta
     # (1 - cos(theta))/theta^2.  float_power calls the C library pow, as **
@@ -445,9 +446,9 @@ class Rotations3(Manifold):
         if not np.abs(q).max(initial=0.0) <= 1.0 + POINT_TOL:
             raise ContractError("matrix is not orthogonal")
         gram = q.transpose(0, 2, 1) @ q - np.eye(3)
-        if not np.all(row_norms(gram.reshape(-1, 9)) <= POINT_TOL):
+        if not (row_norms(gram.reshape(-1, 9)) <= POINT_TOL).all():
             raise ContractError("matrix is not orthogonal")
-        if np.any(np.linalg.det(q) <= 0):
+        if (np.linalg.det(q) <= 0).any():
             raise ContractError("matrix has non-positive determinant")
 
     def _check_tangents(self, p, rows):
@@ -456,7 +457,7 @@ class Rotations3(Manifold):
             raise ContractError("Q^T V is not skew-symmetric")
         body = p.matrix.T @ rows.reshape(-1, 3, 3)
         sym = row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9))
-        if not (np.all(sym <= POINT_TOL) or np.all(sym <= POINT_TOL * np.maximum(1.0, row_norms(rows)))):
+        if not ((sym <= POINT_TOL).all() or (sym <= POINT_TOL * np.maximum(1.0, row_norms(rows))).all()):
             raise ContractError("Q^T V is not skew-symmetric")
 
     def tangent_project(self, p, w):

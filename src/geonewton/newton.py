@@ -14,6 +14,7 @@ gradient read has stopped improving (``STALLED``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,15 +126,19 @@ def solve_tangent_system(
     """
     rhs = -operator.basis.coordinates(gradient)  # raises if gradient is based elsewhere
     matrix = operator.matrix
-    cond = float(np.linalg.cond(matrix))
-    if not np.isfinite(cond) or cond > cond_cap:
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.linalg.cond; NaN (zero matrix) reads inf
+        cond = float(singular[0] / singular[-1])
+    cond = math.inf if math.isnan(cond) else cond
+    if not math.isfinite(cond) or cond > cond_cap:
         raise SingularHessianError(f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}")
     try:
         coeffs = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError("tangent-space solve failed") from exc
-    residual = float(np.linalg.norm(matrix @ coeffs - rhs))
-    if residual > _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(rhs))):
+    gap = matrix @ coeffs - rhs
+    residual = math.sqrt(gap.dot(gap))  # np.linalg.norm, as in TangentVector.norm
+    if residual > _RESIDUAL_TOL * (1.0 + math.sqrt(rhs.dot(rhs))):
         raise SingularHessianError(f"solve residual {residual:.3e} too large")
     return operator.basis.from_coordinates(coeffs)
 

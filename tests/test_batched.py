@@ -4,7 +4,8 @@ reproduce scalar arithmetic exactly.
 Tolerance-based accuracy tests do not notice a last-ulp change in a probe
 value, but the noise-floor-limited sweeps (lemma1 on even pullbacks) move
 visibly when it happens.  Every comparison here is therefore exact
-(``np.array_equal`` or ``==``) against references kept in this file: each
+(``np.array_equal`` or ``==``, and ``tobytes()`` where a signed zero must
+match too) against references kept in this file: each
 retraction's and each objective's closed form on one vector, and a per-probe
 loop that retracts one tangent vector and evaluates the objective by those
 closed forms.
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import geonewton as gn
+from geonewton import calculus
 from geonewton.calculus import GRADIENT_STEP_FACTOR, HESSIAN_STEP_FACTOR, REFINED_GRADIENT_STEP_FACTOR
 from geonewton.manifolds import row_dots
 
@@ -132,6 +134,95 @@ def _scalar_hessian(objective, spec, p, basis):
     return 0.5 * (out + out.T)
 
 
+def _four_point_rows(frame, h):
+    """The Hessian stencil written out row by row: h e_i + h e_j, h e_i - h e_j,
+    -h e_i + h e_j and -h e_i - h e_j over the pairs i < j (each form in
+    turn), then the doubled diagonal h e_i + h e_i and -h e_i - h e_i."""
+    pairs = [(i, j) for i in range(len(frame)) for j in range(i + 1, len(frame))]
+    rows = [h * frame[i] + h * frame[j] for i, j in pairs]
+    rows += [h * frame[i] - h * frame[j] for i, j in pairs]
+    rows += [-h * frame[i] + h * frame[j] for i, j in pairs]
+    rows += [-h * frame[i] - h * frame[j] for i, j in pairs]
+    rows += [h * e + h * e for e in frame]
+    rows += [-h * e - h * e for e in frame]
+    return np.array(rows).reshape(-1, frame.shape[1])
+
+
+def _stencil_of_hessian_fd(monkeypatch, objective, spec, p, basis):
+    """The stencil rows hessian_fd hands to retract_many."""
+    seen = []
+
+    def recording(spec, p, vectors):
+        seen.append(np.array(vectors))
+        return gn.retract_many(spec, p, vectors)
+
+    monkeypatch.setattr(calculus, "retract_many", recording)
+    gn.hessian_fd(objective, spec, p, basis=basis)
+    monkeypatch.undo()
+    (stencil,) = seen
+    return stencil
+
+
+def _signed_zero_basis():
+    """A frame at e_0 of S^4 whose rows hold -0.0 entries in every column."""
+    p = gn.Sphere(5).point([1.0, 0.0, 0.0, 0.0, 0.0])
+    z = -0.0
+    frame = np.array([
+        [z, 1.0, z, 0.0, z],
+        [0.0, z, -1.0, z, 0.0],
+        [z, 0.0, z, 0.6, -0.8],
+        [0.0, z, 0.0, 0.8, 0.6],
+    ])
+    return gn.TangentBasis(p, frame)
+
+
+@pytest.mark.parametrize("n", SPHERE_SIZES)
+def test_hessian_stencil_equals_written_out_rows_byte_for_byte(monkeypatch, n):
+    # np.array_equal treats -0.0 as 0.0; tobytes() does not.  The closed-form
+    # sphere frame is exactly zero below its diagonal.
+    manifold = gn.Sphere(n)
+    objective = _sphere_objectives(n)[0]
+    for seed in (7, 8):
+        p = _base_point(manifold, seed)
+        basis = manifold.tangent_basis(p)
+        assert (basis.frame == 0.0).any() or n == 2
+        for family in SPHERE_FAMILIES:
+            stencil = _stencil_of_hessian_fd(monkeypatch, objective, gn.RetractionSpec(family), p, basis)
+            assert stencil.tobytes() == _four_point_rows(basis.frame, HESSIAN_STEP_FACTOR).tobytes()
+    basis = _signed_zero_basis()
+    assert np.signbit(basis.frame[basis.frame == 0.0]).any()
+    stencil = _stencil_of_hessian_fd(monkeypatch, gn.Rayleigh(np.diag([5.0, 4.0, 3.0, 2.0, 1.0])),
+                                     gn.RetractionSpec("exp"), basis.base, basis)
+    assert stencil.tobytes() == _four_point_rows(basis.frame, HESSIAN_STEP_FACTOR).tobytes()
+
+
+def test_stencil_plan_sums_match_written_out_rows_with_extreme_entries():
+    # The plan's exactness is a property of IEEE addition, not of orthonormal
+    # frames: check it on arrays with signed zeros and entries near overflow.
+    rng = gn.rng_for(90)
+    for dim in (1, 2, 3, 6):
+        first, second, _, _ = calculus._stencil_plan(dim)
+        for _ in range(100):
+            frame = rng.choice([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 3.7e-310], size=(dim, 4))
+            frame = frame * rng.uniform(0.5, 2.0, size=frame.shape)
+            signed = HESSIAN_STEP_FACTOR * np.concatenate([frame, -frame])
+            expected = _four_point_rows(frame, HESSIAN_STEP_FACTOR)
+            assert (signed[first] + signed[second]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 9, 19))
+def test_stencil_plan_is_cached_and_read_only(dim):
+    plan = calculus._stencil_plan(dim)
+    assert calculus._stencil_plan(dim) is plan
+    first, second, upper, lower = plan
+    assert len(first) == len(second) == 2 * dim * dim
+    assert len(upper) == len(lower) == dim * (dim - 1) // 2
+    for index in plan:
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[...] = 0
+
+
 class ValueOnly:
     """A user objective without ``values``: counts its ``value`` calls."""
 
@@ -226,6 +317,19 @@ def test_non_finite_stencil_value_raises(cls):
         gn.gradient_fd(objective, gn.RetractionSpec("exp"), p)
     with pytest.raises(gn.EvaluationError):
         gn.hessian_fd(objective, gn.RetractionSpec("projection"), p)
+
+
+def test_non_finite_centre_value_raises():
+    class NaNCentre(ValueOnly):  # finite stencil rows through values, NaN through value
+        def values(self, p, points):
+            return self.inner.values(p, points)
+
+        def value(self, p):
+            return float("nan")
+
+    p = _base_point(gn.Sphere(4), 4)
+    with pytest.raises(gn.EvaluationError):
+        gn.hessian_fd(NaNCentre(gn.Rayleigh(np.eye(4))), gn.RetractionSpec("exp"), p)
 
 
 def test_values_of_wrong_length_is_contract_error():

@@ -289,6 +289,30 @@ def test_remainder_halving_factor(sphere3, rayleigh_321):
     assert big / small >= 7.0
 
 
+def test_remainder_rejects_vector_based_elsewhere(sphere3, rayleigh_321):
+    p = gn.random_point(sphere3, gn.rng_for(29))
+    q = gn.random_point(sphere3, gn.rng_for(30))
+    v = gn.random_tangent(q, gn.rng_for(31)).scaled(0.01)
+    with pytest.raises(gn.ContractError, match="based at a different point"):
+        gn.taylor_remainder(rayleigh_321, EXP, p, v)
+
+    probes = []
+
+    class Counting:
+        def value(self, point):
+            probes.append(point)
+            return rayleigh_321.value(point)
+
+    grad, hess = gn.gradient_fd(rayleigh_321, EXP, p), gn.hessian_fd(rayleigh_321, EXP, p)
+    with pytest.raises(gn.ContractError, match="based at a different point"):
+        gn.taylor_remainder(Counting(), EXP, p, v, gradient=grad, hessian=hess)
+    assert probes == []  # rejected before v is retracted
+    # a vector at an equal copy of p is based at p
+    w = gn.random_tangent(p, gn.rng_for(32)).scaled(0.01)
+    copy = gn.TangentVector(sphere3.point(p.coords), w.coords)
+    assert gn.taylor_remainder(rayleigh_321, EXP, p, copy) == gn.taylor_remainder(rayleigh_321, EXP, p, w)
+
+
 def test_non_finite_objective_raises():
     class Exploding:
         def value(self, p):

@@ -58,6 +58,45 @@ def test_overflowing_entries_raise_without_a_warning(sphere3, rotations):
 # ---- inner product
 
 
+def _norm_cases():
+    """Tangent vectors of every scale: zero, subnormal, unit and near overflow."""
+    rng = gn.rng_for(70)
+    for manifold in (gn.Sphere(3), gn.Sphere(10), gn.Sphere(50), gn.Rotations3()):
+        p = gn.random_point(manifold, rng)
+        yield manifold.zero_tangent(p)
+        direction = gn.random_tangent(p, rng).coords
+        for scale in (5e-324, 1e-310, 1e-160, 1e-3, 1.0, 1e3, 1e150, 1e154, 1e160):
+            yield gn.TangentVector(p, scale * direction)
+
+
+def _same_norm(v):
+    # a squared norm past 1.8e308 overflows to inf in both, with numpy's overflow warning
+    with np.errstate(over="ignore"):
+        return np.float64(v.norm()).tobytes() == np.float64(np.linalg.norm(v.coords)).tobytes()
+
+
+def test_tangent_norm_equals_numpy_norm_bit_for_bit():
+    for v in _norm_cases():
+        assert _same_norm(v)
+
+
+def test_tangent_norm_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.floats(allow_nan=False, allow_infinity=False)
+    vectors = st.integers(2, 20).flatmap(lambda n: st.lists(entries, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(vectors)
+    def check(entries):
+        # the north pole's tangent space is every vector with a zero first entry
+        coords = np.array([0.0, *entries])
+        p = gn.Sphere(len(coords)).point(np.eye(len(coords))[0])
+        assert _same_norm(gn.TangentVector(p, coords))
+
+    check()
+
+
 def test_inner_orthogonal_vectors(sphere3):
     p = sphere3.point([1, 0, 0])
     u = sphere3.tangent(p, [0, 1, 0])

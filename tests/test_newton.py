@@ -58,6 +58,43 @@ def test_solve_condition_guard(sphere3):
         gn.solve_tangent_system(op, g)
 
 
+def _fd_hessians():
+    """Seeded FD Hessians on every sphere family and on SO(3)."""
+    for n in (3, 10, 20):
+        manifold = gn.Sphere(n)
+        objective = gn.seeded_instance(n, "rayleigh", n=n)
+        for seed, spec in enumerate((EXP, PROJ, PERT)):
+            p = gn.random_point(manifold, gn.rng_for(40 + seed))
+            yield gn.hessian_fd(objective, spec, p)
+    objective = gn.seeded_instance(3, "procrustes")
+    for seed, spec in enumerate((EXP, CAY)):
+        yield gn.hessian_fd(objective, spec, gn.random_point(gn.Rotations3(), gn.rng_for(50 + seed)))
+
+
+def test_condition_estimate_equals_numpy_cond():
+    # The estimate is read back through the guard: the solve raises exactly
+    # when the cap lies below it, and its message prints it.
+    for hess in _fd_hessians():
+        cond = float(np.linalg.cond(hess.matrix))
+        grad = hess.basis.from_coordinates(np.ones(len(hess.basis)))
+        gn.solve_tangent_system(hess, grad, cond_cap=cond)
+        below = float(np.nextafter(cond, 0.0))
+        with pytest.raises(gn.SingularHessianError) as info:
+            gn.solve_tangent_system(hess, grad, cond_cap=below)
+        assert str(info.value) == f"condition estimate {cond:.3e} exceeds cap {below:.3e}"
+
+
+def test_zero_hessian_condition_is_inf(sphere3):
+    # svd gives 0/0 here; np.linalg.cond reads that NaN as inf, and so must the guard
+    p = sphere3.point([1, 0, 0])
+    op = make_operator(sphere3, p, [0.0, 0.0])
+    assert np.linalg.cond(op.matrix) == np.inf
+    g = op.basis.from_coordinates([1.0, 1.0])
+    with pytest.raises(gn.SingularHessianError) as info:
+        gn.solve_tangent_system(op, g)
+    assert str(info.value) == "condition estimate inf exceeds cap 1.000e+12"
+
+
 def test_solve_rejects_other_base(sphere3):
     op = make_operator(sphere3, sphere3.point([1, 0, 0]), [1.0, 1.0])
     g = sphere3.tangent(sphere3.point([0, 1, 0]), [1, 0, 0])
