@@ -9,11 +9,13 @@ gives the second-order ones, returned as a :class:`TangentVector` at p and a
 this way depends on the retraction family unless the family has order >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
-(probes x ambient) array that :func:`retract_many` maps to the manifold and
-the objective's optional ``values(p, points)`` evaluates, one call each (an
-objective with only ``value(p)`` is evaluated row by row).  The batched
-kernels round as the single-probe path (``retract`` then ``value``) does, so
-every probe value and every extracted derivative is the same bit for bit.
+(probes x ambient) array that :func:`retract_many` checks (a retraction
+not defined on p's manifold raises before any probe) and maps to the
+manifold, and the objective's optional ``values(p, points)`` evaluates,
+one call each (an objective with only ``value(p)`` is evaluated row by
+row).  The batched kernels round as the single-probe path (``retract``
+then ``value``) does, so every probe value and every extracted derivative
+is the same bit for bit.
 Each Hessian probe is the sum of two rows of [hE; -hE] (E the frame) from an
 index plan cached per dimension.  The two mixed probes of a diagonal entry
 both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1 probes.
@@ -107,10 +109,8 @@ def gradient_fd(
     vectors; the result is assembled as an ambient tangent vector and is
     independent of the basis choice up to finite-difference error.
     """
-    manifold = p.manifold
-    spec.validate_for(manifold)
     if basis is None:
-        basis = manifold.tangent_basis(p)
+        basis = p.manifold.tangent_basis(p)
     h = step_factor
     frame = basis.frame
     dim = len(frame)
@@ -151,7 +151,6 @@ def hessian_fd(
     row rounds as subtracting it does, down to signed zeros.
     """
     manifold = p.manifold
-    spec.validate_for(manifold)
     if basis is None:
         basis = manifold.tangent_basis(p)
     h = HESSIAN_STEP_FACTOR

@@ -10,6 +10,9 @@ lemma2   deviation of retracted distances from tangent distances
 taylor   cubic remainder of the second-order expansion of J o R_p
 rate     contraction rate of an existing newton JSON report
 
+``COMMANDS`` gives each subcommand one row: its runner, the config fields it
+takes (flags from ``FLAGS``, echoed in its report) and its ``--help`` line.
+
 Every command is deterministic in its seed: rerunning with identical flags
 produces byte-identical report files.  Exit codes: 0 success, 1 measurement
 failure (non-converged run, unusable rate data), 2 usage error, 3 I/O error.
@@ -21,9 +24,8 @@ import argparse
 import sys
 from dataclasses import asdict, dataclass
 
-
 from . import __version__
-from .errors import GeonewtonError, InsufficientDataError
+from .errors import ContractError, GeonewtonError, InsufficientDataError
 from .manifolds import Manifold, Rotations3, Sphere
 from .newton import NewtonConfig, NewtonStatus, newton_run
 from .objectives import ProcrustesTrace
@@ -84,9 +86,6 @@ class ExperimentConfig:
             return Sphere(n)
         raise UsageError(f"unknown manifold {name!r} (expected sphere:<n> or so3)")
 
-    def retraction_spec(self) -> RetractionSpec:
-        return RetractionSpec(self.retraction)
-
     def objective_obj(self):
         manifold = self.manifold_obj()
         kind = self.objective or ("procrustes" if isinstance(manifold, Rotations3) else "rayleigh")
@@ -100,17 +99,14 @@ class ExperimentConfig:
             return seeded_instance(self.seed, "procrustes")
         raise UsageError(f"unknown objective {kind!r}")
 
+    def newton_config(self) -> NewtonConfig:
+        return NewtonConfig(retraction=RetractionSpec(self.retraction), tol=self.tol, max_iter=self.max_iter)
+
     def echo(self, columns, extra=None) -> dict:
-        out = {
-            "command": self.command,
-            "format": self.fmt,
-            "output": self.output,
-            "columns": list(columns),
-        }
-        for key in COMMANDS[self.command][1]:
-            out[key] = getattr(self, "trace_path" if key == "trace" else key)
-        if extra:
-            out.update(extra)
+        out = {"command": self.command, "columns": list(columns)}
+        for key in COMMANDS[self.command][1]:  # under the name argparse gives its flag
+            out[FLAGS[key][0].lstrip("-").replace("-", "_")] = getattr(self, key)
+        out.update(extra or {})
         return out
 
 
@@ -126,70 +122,51 @@ def _parse_scales(text: str) -> tuple[float, ...]:
     return scales
 
 
+# ExperimentConfig field: (its flag, or its positional's name; argparse
+# keywords), in --help order.  A flag left unset keeps the field's default.
+FLAGS = {
+    "trace_path": ("trace", {"help": "path to a JSON report produced by the newton command"}),
+    "manifold": ("--manifold", {"help": "sphere:<n> or so3 (default sphere:3)"}),
+    "retraction": ("--retraction", {"choices": FAMILIES, "help": "retraction family (default exp)"}),
+    "objective": ("--objective", {"choices": ["rayleigh", "procrustes"],
+                                  "help": "seeded objective kind (default matches the manifold)"}),
+    "seed": ("--seed", {"type": int, "help": "instance seed (default 0)"}),
+    "scales": ("--scales", {"type": _parse_scales, "help": "comma list of decreasing scales (default 2^-2..2^-12)"}),
+    "tol": ("--tol", {"type": float, "help": "gradient-norm stopping tolerance (default 1e-12)"}),
+    "max_iter": ("--max-iter", {"type": int, "help": "iteration budget (default 50)"}),
+    "output": ("--output", {"help": "report path (default <command>_report.<format>)"}),
+    "fmt": ("--format", {"choices": ["csv", "json"], "help": "report format (default csv)"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="geonewton",
-        description="Measurement harness for Newton iteration on embedded manifolds.",
-    )
+        prog="geonewton", description="Measurement harness for Newton iteration on embedded manifolds.")
     parser.add_argument("--version", action="version", version=f"geonewton {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, objective=False, solver=False, scales=True):
-        p.add_argument("--manifold", default="sphere:3", help="sphere:<n> or so3 (default sphere:3)")
-        p.add_argument("--retraction", default="exp", choices=FAMILIES,
-                       help="retraction family (default exp)")
-        if objective:
-            p.add_argument("--objective", default=None, choices=["rayleigh", "procrustes"],
-                           help="seeded objective kind (default matches the manifold)")
-        p.add_argument("--seed", type=int, default=0, help="instance seed (default 0)")
-        if scales:
-            p.add_argument("--scales", default=None,
-                           help="comma list of decreasing scales (default 2^-2..2^-12)")
-        if solver:
-            p.add_argument("--tol", type=float, default=1e-12,
-                           help="gradient-norm stopping tolerance (default 1e-12)")
-            p.add_argument("--max-iter", type=int, default=50,
-                           help="iteration budget (default 50)")
-        p.add_argument("--output", default=None,
-                       help="report path (default <command>_report.<format>)")
-        p.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"],
-                       help="report format (default csv)")
-
-    common(sub.add_parser("order", help="estimate a retraction's order against the exponential map"))
-    common(sub.add_parser("newton", help=f"Newton run from a seeded start at distance {NEWTON_START_DIST} from the optimum"),
-           objective=True, solver=True, scales=False)
-    common(sub.add_parser("lemma1", help="residual decay of the linearized gradient at a critical point; the scale column holds |v|"),
-           objective=True)
-    common(sub.add_parser("lemma2", help="second-order deviation of retracted distances from tangent distances"))
-    common(sub.add_parser("taylor", help="cubic remainder of the second-order expansion"), objective=True)
-
-    rate = sub.add_parser("rate", help="contraction rate of an existing newton JSON report")
-    rate.add_argument("trace", help="path to a JSON report produced by the newton command")
-    rate.add_argument("--output", default=None)
-    rate.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
+    for name, (_, keys, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for key, (flag, kwargs) in FLAGS.items():
+            if key in keys and flag.startswith("-"):
+                p.add_argument(flag, dest=key, **kwargs)
+            elif key in keys:
+                p.add_argument(key, metavar=flag, **kwargs)
     return parser
 
 
 def parse_config(argv) -> ExperimentConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(command=ns.command)
-    for name in ("manifold", "retraction", "objective", "seed", "tol", "max_iter", "fmt", "output"):
-        if hasattr(ns, name):
-            value = getattr(ns, name)
-            if value is not None or name in ("objective", "output"):
-                setattr(cfg, name, value)
-    if getattr(ns, "scales", None) is not None:
-        cfg.scales = _parse_scales(ns.scales)
-    if ns.command == "rate":
-        cfg.trace_path = ns.trace
+    cfg = ExperimentConfig(**vars(build_parser().parse_args(argv)))
     if cfg.output is None:
         cfg.output = f"{cfg.command}_report.{cfg.fmt}"
-    if cfg.command != "rate":
-        cfg.retraction_spec().validate_for(cfg.manifold_obj())
+    keys = COMMANDS[cfg.command][1]
+    if "retraction" in keys:
+        RetractionSpec(cfg.retraction).validate_for(cfg.manifold_obj())
     if cfg.seed < 0:
         raise UsageError("seed must be a nonnegative integer")
-    if hasattr(ns, "objective"):  # the commands that draw an objective take --objective
+    if "objective" in keys:
         cfg.objective_obj()  # validates the pairing early
+    if "tol" in keys:
+        cfg.newton_config()  # validates the solver flags early
     return cfg
 
 
@@ -199,12 +176,11 @@ def _run_order(cfg: ExperimentConfig) -> tuple[Report, int]:
     p = random_point(manifold, rng)
     directions = tuple(random_tangent(p, rng) for _ in range(ORDER_DIRECTIONS))
     sweep = ScaleSweep(directions=directions, scales=cfg.scales)
-    rows = retraction_order_rows(cfg.retraction_spec(), sweep)
+    rows = retraction_order_rows(RetractionSpec(cfg.retraction), sweep)
     est = fit_rows(rows)
     summary = asdict(est)
     summary["estimated_order"] = est.slope - 1.0 if not est.saturated else None
-    columns = ("direction_id", "scale", "distance")
-    config = cfg.echo(columns, {"n_directions": ORDER_DIRECTIONS})
+    config = cfg.echo(("direction_id", "scale", "distance"), {"n_directions": ORDER_DIRECTIONS})
     return Report(config=config, rows=tuple(rows), summary=summary, version=__version__), 0
 
 
@@ -213,71 +189,56 @@ def _optimum(objective):
     return objective.polar_factor() if isinstance(objective, ProcrustesTrace) else rayleigh_top_eigenvector(objective)
 
 
-def _noncritical_point(objective, manifold, rng):
-    while True:
-        p = random_point(manifold, rng)
-        if objective.analytic_gradient(p).norm() > 0.1:
-            return p
+def _sweep_report(cfg: ExperimentConfig, raw) -> tuple[Report, int]:
+    """Report of a one-direction sweep: (scale, value) rows and their fit."""
+    config = cfg.echo(("scale", "measured_value"), {"noise_floor": DEFAULT_NOISE_FLOOR})
+    return Report(config=config, rows=tuple((x, y) for _, x, y in raw), summary=asdict(fit_rows(raw)),
+                  version=__version__), 0
 
 
-def _run_sweep_command(cfg: ExperimentConfig) -> tuple[Report, int]:
-    manifold = cfg.manifold_obj()
-    spec = cfg.retraction_spec()
+def _run_lemma1(cfg: ExperimentConfig) -> tuple[Report, int]:
     rng = rng_for(cfg.seed)
+    objective = cfg.objective_obj()
+    sweep = ScaleSweep(directions=(random_tangent(_optimum(objective), rng),), scales=cfg.scales)
+    return _sweep_report(cfg, critical_residual_rows(objective, RetractionSpec(cfg.retraction), sweep))
 
-    if cfg.command == "lemma1":
-        objective = cfg.objective_obj()
-        sweep = ScaleSweep(directions=(random_tangent(_optimum(objective), rng),), scales=cfg.scales)
-        raw = critical_residual_rows(objective, spec, sweep)
-    elif cfg.command == "lemma2":
+
+def _run_lemma2(cfg: ExperimentConfig) -> tuple[Report, int]:
+    rng = rng_for(cfg.seed)
+    p = random_point(cfg.manifold_obj(), rng)
+    v_dir, w_dir = random_tangent(p, rng), random_tangent(p, rng)
+    return _sweep_report(cfg, distance_deviation_rows(RetractionSpec(cfg.retraction), v_dir, w_dir, cfg.scales))
+
+
+def _run_taylor(cfg: ExperimentConfig) -> tuple[Report, int]:
+    rng = rng_for(cfg.seed)
+    objective = cfg.objective_obj()
+    manifold = cfg.manifold_obj()
+    p = random_point(manifold, rng)
+    while objective.analytic_gradient(p).norm() <= 0.1:  # stay away from critical points
         p = random_point(manifold, rng)
-        v_dir = random_tangent(p, rng)
-        w_dir = random_tangent(p, rng)
-        raw = distance_deviation_rows(spec, v_dir, w_dir, cfg.scales)
-    else:  # taylor
-        objective = cfg.objective_obj()
-        p = _noncritical_point(objective, manifold, rng)
-        sweep = ScaleSweep(directions=(random_tangent(p, rng),), scales=cfg.scales)
-        raw = taylor_remainder_rows(objective, spec, sweep)
-
-    rows = tuple((x, y) for _, x, y in raw)
-    est = fit_rows(raw)
-    columns = ("scale", "measured_value")
-    report = Report(
-        config=cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR}),
-        rows=rows,
-        summary=asdict(est),
-        version=__version__,
-    )
-    return report, 0
+    sweep = ScaleSweep(directions=(random_tangent(p, rng),), scales=cfg.scales)
+    return _sweep_report(cfg, taylor_remainder_rows(objective, RetractionSpec(cfg.retraction), sweep))
 
 
 def _run_newton(cfg: ExperimentConfig) -> tuple[Report, int]:
     manifold = cfg.manifold_obj()
-    spec = cfg.retraction_spec()
     objective = cfg.objective_obj()
     rng = rng_for(cfg.seed)
     p_star = _optimum(objective)
     p0 = manifold.exp_map(random_tangent(p_star, rng).scaled(NEWTON_START_DIST))
-    trace = newton_run(objective, NewtonConfig(retraction=spec, tol=cfg.tol, max_iter=cfg.max_iter), p0)
-
-    rows = []
-    for k, point in enumerate(trace.points):
-        rows.append((
-            k,
-            trace.grad_norms[k],
-            trace.step_norms[k - 1] if k > 0 else 0.0,
-            manifold.geodesic_distance(point, p_star),
-        ))
+    trace = newton_run(objective, cfg.newton_config(), p0)
+    dists = [manifold.geodesic_distance(point, p_star) for point in trace.points]
+    rows = tuple(zip(range(len(dists)), trace.grad_norms, (0.0,) + trace.step_norms, dists))
     summary = {
         "status": trace.status.value,
         "iterations": trace.iterations,
         "final_grad_norm": trace.grad_norms[-1],
-        "final_dist_to_pstar": rows[-1][3],
+        "final_dist_to_pstar": dists[-1],
         "start_dist": NEWTON_START_DIST,
     }
     columns = ("iter", "grad_norm", "step_norm", "dist_to_pstar")
-    report = Report(config=cfg.echo(columns), rows=tuple(rows), summary=summary, version=__version__)
+    report = Report(config=cfg.echo(columns), rows=rows, summary=summary, version=__version__)
     return report, 0 if trace.status == NewtonStatus.CONVERGED else 1
 
 
@@ -287,11 +248,14 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[Report, int]:
             source = report_from_json(fh.read())
     except OSError as exc:
         raise OSError(f"cannot read trace file {cfg.trace_path!r}: {exc}") from exc
-    try:
-        dist_col = source.columns.index("dist_to_pstar")
-    except ValueError:
-        raise UsageError("trace file has no dist_to_pstar column; run `newton --format json` first") from None
-    errors = [row[dist_col] for row in source.rows]
+    except ContractError as exc:
+        raise UsageError(f"cannot use trace file {cfg.trace_path!r}: {exc}") from None
+    if "dist_to_pstar" not in source.columns:
+        raise UsageError("trace file has no dist_to_pstar column; run `newton --format json` first")
+    column = source.columns.index("dist_to_pstar")
+    errors = [row[column] for row in source.rows]
+    if not all(isinstance(e, (int, float)) for e in errors):
+        raise UsageError("trace file has a dist_to_pstar entry that is not a number")
     columns = ("pair_index", "err_from", "err_to", "pair_slope")
     try:
         rate = rate_from_errors(errors)
@@ -305,25 +269,25 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[Report, int]:
             "pairs_used": rate.pairs_used,
         }
         code = 0
-    report = Report(
-        config=cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR}),
-        rows=rows,
-        summary=summary,
-        version=__version__,
-    )
-    return report, code
+    config = cfg.echo(columns, {"noise_floor": DEFAULT_NOISE_FLOOR})
+    return Report(config=config, rows=rows, summary=summary, version=__version__), code
 
 
-_INSTANCE_KEYS = ("manifold", "retraction", "seed")
-# command: (runner, the config keys its report echoes after command, format,
-# output and columns)
+_INSTANCE = ("manifold", "retraction", "seed")
+_REPORT = ("output", "fmt")
+# command: (runner, the FLAGS it takes and its report echoes, its --help line)
 COMMANDS = {
-    "order": (_run_order, _INSTANCE_KEYS + ("scales",)),
-    "newton": (_run_newton, _INSTANCE_KEYS + ("objective", "tol", "max_iter")),
-    "lemma1": (_run_sweep_command, _INSTANCE_KEYS + ("objective", "scales")),
-    "lemma2": (_run_sweep_command, _INSTANCE_KEYS + ("scales",)),
-    "taylor": (_run_sweep_command, _INSTANCE_KEYS + ("objective", "scales")),
-    "rate": (_run_rate, ("trace",)),
+    "order": (_run_order, _INSTANCE + ("scales",) + _REPORT,
+              "estimate a retraction's order against the exponential map"),
+    "newton": (_run_newton, _INSTANCE + ("objective", "tol", "max_iter") + _REPORT,
+               f"Newton run from a seeded start at distance {NEWTON_START_DIST} from the optimum"),
+    "lemma1": (_run_lemma1, _INSTANCE + ("objective", "scales") + _REPORT,
+               "residual decay of the linearized gradient at a critical point; the scale column holds |v|"),
+    "lemma2": (_run_lemma2, _INSTANCE + ("scales",) + _REPORT,
+               "second-order deviation of retracted distances from tangent distances"),
+    "taylor": (_run_taylor, _INSTANCE + ("objective", "scales") + _REPORT,
+               "cubic remainder of the second-order expansion"),
+    "rate": (_run_rate, ("trace_path",) + _REPORT, "contraction rate of an existing newton JSON report"),
 }
 
 
@@ -338,10 +302,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Report, int]:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        cfg = parse_config(list(argv))
+        cfg = parse_config(argv)  # argparse reads sys.argv[1:] when argv is None
     except (UsageError, GeonewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

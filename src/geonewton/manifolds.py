@@ -145,6 +145,7 @@ class TangentVector:
     def matrix(self) -> np.ndarray:
         return self.coords.reshape(3, 3)
 
+    @silent_overflow  # a finite vector past ~1.3e154 has norm inf, without a warning
     def norm(self) -> float:
         return math.sqrt(self.coords.dot(self.coords))  # what np.linalg.norm computes
 

@@ -70,11 +70,11 @@ class NewtonConfig:
     cond_cap: float = 1e12
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ContractError("tol must be positive")
         if self.max_iter < 1:
             raise ContractError("max_iter must be at least 1")
-        if self.cond_cap <= 1:
+        if not self.cond_cap > 1:  # a NaN cap would never trip the guard
             raise ContractError("cond_cap must exceed 1")
 
 
@@ -168,7 +168,6 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     budget runs out, or the conditioning guard trips.  Gradient and Hessian
     are recomputed fresh at every iterate."""
     spec = config.retraction
-    spec.validate_for(p0.manifold)
     points = [p0]
     grad_norms: list[float] = []
     step_norms: list[float] = []

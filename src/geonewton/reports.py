@@ -96,8 +96,9 @@ class Report:
 
 
 def report_from_json(data: bytes | str) -> Report:
-    payload = json.loads(data)
+    """Parse a JSON report; any input that is not one raises ``ContractError``."""
     try:
+        payload = json.loads(data)
         return Report(
             config=payload["config"],
             rows=tuple(tuple(r) for r in payload["rows"]),
@@ -106,3 +107,5 @@ def report_from_json(data: bytes | str) -> Report:
         )
     except KeyError as exc:
         raise ContractError(f"report JSON is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, or JSON of another shape
+        raise ContractError(f"not a report: {exc}") from exc

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import geonewton as gn
@@ -56,6 +58,52 @@ def test_parse_newton_flags():
     assert cfg.seed == 42
     assert cfg.tol == 1e-12
     assert cfg.objective == "rayleigh"
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "-1"], ["--max-iter", "0"]])
+def test_bad_solver_flag_is_usage_error(tmp_path, capsys, flags):
+    assert run(["newton", *flags, "--output", "n.csv"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "n.csv").exists()
+
+
+# ---- the command table
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_unset_flags_keep_config_defaults(command):
+    positionals = ["t.json"] if command == "rate" else []
+    cfg = cli.parse_config([command, *positionals])
+    assert cfg == cli.ExperimentConfig(
+        command=command,
+        output=f"{command}_report.csv",
+        trace_path="t.json" if command == "rate" else None,
+    )
+
+
+def test_empty_output_is_kept():
+    assert cli.parse_config(["order", "--output", ""]).output == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "t.json", "--manifold", "so3"],
+        ["order", "--objective", "rayleigh"],
+        ["lemma2", "--tol", "1e-9"],
+        ["newton", "--scales", "0.5,0.25"],
+    ],
+)
+def test_flag_outside_the_commands_row_exits_2(tmp_path, capsys, argv):
+    assert run(argv, tmp_path) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_exits_0(tmp_path, capsys, command):
+    assert run([command, "--help"], tmp_path) == 0
+    assert capsys.readouterr().out.startswith(f"usage: geonewton {command} ")
 
 
 # ---- order command
@@ -240,6 +288,28 @@ def test_rate_insufficient_pairs_exit_one(tmp_path):
     run(["newton", "--seed", "4", "--max-iter", "1", "--format", "json",
          "--output", str(trace)], tmp_path)
     assert run(["rate", str(trace), "--output", "r.csv"], tmp_path) == 1
+
+
+# a newton JSON report, edited so that it is no longer one rate can read
+TRACE_EDITS = {
+    "json_list": lambda payload: [1, 2],
+    "null_distance": lambda payload: {**payload, "rows": [[*row[:3], None] for row in payload["rows"]]},
+    "missing_field": lambda payload: {key: payload[key] for key in ("config", "rows", "version")},
+}
+
+
+@pytest.mark.parametrize("case", ["newton_csv", *TRACE_EDITS])
+def test_rate_unreadable_trace_is_usage_error(tmp_path, capsys, case):
+    trace = tmp_path / "t.json"
+    fmt = "csv" if case == "newton_csv" else "json"
+    assert run(["newton", "--seed", "4", "--tol", "1e-9", "--format", fmt, "--output", str(trace)], tmp_path) == 0
+    if case in TRACE_EDITS:
+        trace.write_text(json.dumps(TRACE_EDITS[case](json.loads(trace.read_text()))))
+    capsys.readouterr()
+    assert run(["rate", str(trace), "--output", "r.csv"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_rate_missing_file_exit_three(tmp_path):

@@ -143,6 +143,11 @@ def test_config_validation():
         gn.NewtonConfig(retraction=EXP, max_iter=0)
     with pytest.raises(gn.ContractError):
         gn.NewtonConfig(retraction=EXP, cond_cap=0.5)
+    # NaN compares false both ways; a NaN cap would switch the singular-Hessian guard off
+    with pytest.raises(gn.ContractError):
+        gn.NewtonConfig(retraction=EXP, tol=np.nan)
+    with pytest.raises(gn.ContractError):
+        gn.NewtonConfig(retraction=EXP, cond_cap=np.nan)
 
 
 def test_run_from_exact_critical_point(sphere3, rayleigh_321):

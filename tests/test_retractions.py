@@ -35,6 +35,21 @@ def test_family_manifold_pairing(sphere3, rotations):
     for bad in ("projection", "perturbed"):
         with pytest.raises(gn.ConfigurationError):
             gn.retract(gn.RetractionSpec(bad), w)
+    # so do the derivative reads and the Newton driver, through retract_many
+    calls = (
+        gn.gradient_fd,
+        gn.hessian_fd,
+        lambda objective, spec, x: gn.newton_run(objective, gn.NewtonConfig(retraction=spec), x),
+    )
+    cases = (
+        (gn.Rayleigh(np.diag([3.0, 2.0, 1.0])), "cayley", p),
+        (gn.ProcrustesTrace(np.eye(3)), "projection", eye),
+        (gn.ProcrustesTrace(np.eye(3)), "perturbed", eye),
+    )
+    for call in calls:
+        for objective, bad, x in cases:
+            with pytest.raises(gn.ConfigurationError):
+                call(objective, gn.RetractionSpec(bad), x)
 
 
 def test_projection_normalizes(sphere3):
