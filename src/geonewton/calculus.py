@@ -140,7 +140,8 @@ def hessian_fd(
     p: ManifoldPoint,
     basis: TangentBasis | None = None,
 ) -> SymmetricOperator:
-    """Four-point-stencil Hessian of J o R_p at 0, symmetrized exactly.
+    """Four-point-stencil Hessian of J o R_p at 0, exactly symmetric: one array
+    holds H_ij and H_ji.
 
     H_ij = [J(R(h e_i + h e_j)) - J(R(h e_i - h e_j))
             - J(R(-h e_i + h e_j)) + J(R(-h e_i - h e_j))] / (4 h^2)
@@ -166,8 +167,7 @@ def hessian_fd(
     out = np.empty(dim * dim)
     out[upper] = out[lower] = (pp - pm - mp + mm) / (4.0 * h * h)
     out[:: dim + 1] = (diag_pp - centre - centre + diag_mm) / (4.0 * h * h)
-    square = out.reshape(dim, dim)
-    return SymmetricOperator(base=p, basis=basis, matrix=0.5 * (square + square.T))
+    return SymmetricOperator(base=p, basis=basis, matrix=out.reshape(dim, dim))
 
 
 def taylor_remainder(

@@ -24,6 +24,8 @@ import argparse
 import sys
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .errors import ContractError, GeonewtonError, InsufficientDataError
 from .manifolds import Manifold, Rotations3, Sphere
@@ -115,8 +117,8 @@ def _parse_scales(text: str) -> tuple[float, ...]:
         scales = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"bad --scales value {text!r}") from None
-    if not scales or any(s <= 0 for s in scales):
-        raise UsageError("scales must be positive")
+    if not scales or not all(0 < s < np.inf for s in scales):  # NaN fails too
+        raise UsageError("scales must be positive and finite")
     if any(a <= b for a, b in zip(scales, scales[1:])):
         raise UsageError("scales must be strictly decreasing")
     return scales
@@ -228,7 +230,7 @@ def _run_newton(cfg: ExperimentConfig) -> tuple[Report, int]:
     p_star = _optimum(objective)
     p0 = manifold.exp_map(random_tangent(p_star, rng).scaled(NEWTON_START_DIST))
     trace = newton_run(objective, cfg.newton_config(), p0)
-    dists = [manifold.geodesic_distance(point, p_star) for point in trace.points]
+    dists = manifold.distance_many(np.array([point.coords for point in trace.points]), p_star.coords).tolist()
     rows = tuple(zip(range(len(dists)), trace.grad_norms, (0.0,) + trace.step_norms, dists))
     summary = {
         "status": trace.status.value,

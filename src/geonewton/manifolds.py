@@ -10,11 +10,12 @@ All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.
 
 Each map has one kernel, written for a stack of rows: ``exp_many`` for the
-exponential map, :func:`rotation_exp_many` for expm on so(3), and
-``_check_points`` / ``_check_tangents`` for the manifold checks.  The
-single-vector forms (``exp_map``, :func:`rotation_exp`, the constructors'
-checks) run the same kernel on one row.  Each row is computed on its own, so
-a row of a stack equals the one-row call bit for bit.  A check rejects NaN
+exponential map, ``distance_many`` for the geodesic distance, and
+:func:`rotation_exp_many`, :func:`rotation_angles`, ``_check_points`` and
+``_check_tangents``.  The single-vector forms (``exp_map``,
+``geodesic_distance``, :func:`rotation_exp`, :func:`rotation_angle`, the
+constructors' checks) run the same kernel on one row.  Each row is computed
+on its own, so a row of a stack equals the one-row call bit for bit.  A check rejects NaN
 and inf entries first, then fails unless its error is at most its tolerance.
 
 Values are checked once, where they enter: coordinates given to
@@ -255,8 +256,13 @@ class Manifold:
     def log_map(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
-    def geodesic_distance(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
+    def distance_many(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Geodesic distance of each row of ``ps`` (points) to the matching row
+        of ``qs``; ``qs`` may be one point row, shared by every row."""
         raise NotImplementedError
+
+    def geodesic_distance(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
+        return float(self.distance_many(p.coords[None], q.coords)[0])
 
     def tangent_basis(self, p: ManifoldPoint) -> TangentBasis:
         raise NotImplementedError
@@ -311,12 +317,11 @@ class Sphere(Manifold):
         n = row_norms(rows)[:, None]
         return unit_rows(np.cos(n) * p.coords + np.sinc(n / np.pi) * rows)
 
-    def geodesic_distance(self, p, q):
+    def distance_many(self, ps, qs):
         # atan2 of (rejection norm, dot) equals arccos of the clamped dot but
         # stays accurate when the separation is far below sqrt(eps).
-        c = float(np.dot(p.coords, q.coords))
-        rej = q.coords - c * p.coords
-        return float(np.arctan2(np.linalg.norm(rej), c))
+        c = row_dots(ps, qs)
+        return np.arctan2(row_norms(qs - c[:, None] * ps), c)
 
     def log_map(self, p, q):
         c = float(np.dot(p.coords, q.coords))
@@ -371,9 +376,10 @@ def hat(omega) -> np.ndarray:
 
 
 def vee(mat) -> np.ndarray:
-    """Inverse of :func:`hat` (reads the strictly lower triangle)."""
+    """Inverse of :func:`hat` (reads the strictly lower triangle); a
+    (k x 3 x 3) stack gives k rows."""
     mat = np.asarray(mat, dtype=float)
-    return np.array([mat[2, 1], mat[0, 2], mat[1, 0]])
+    return np.stack([mat[..., 2, 1], mat[..., 0, 2], mat[..., 1, 0]], axis=-1)
 
 
 @silent_overflow
@@ -385,8 +391,7 @@ def rotation_exp(omega_hat: np.ndarray) -> np.ndarray:
 def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
     """Rodrigues form of expm on so(3) for each matrix in a (k x 3 x 3)
     stack, stable for all angles."""
-    omega = np.stack([omega_hats[:, 2, 1], omega_hats[:, 0, 2], omega_hats[:, 1, 0]], axis=1)
-    theta = row_norms(omega)[:, None, None]
+    theta = row_norms(vee(omega_hats))[:, None, None]
     if not (theta < np.inf).all():
         raise ContractError("rotation angle is not finite")
     a = np.sinc(theta / np.pi)  # sin(theta)/theta
@@ -397,12 +402,18 @@ def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * omega_hats + b * (omega_hats @ omega_hats)
 
 
+def rotation_angles(rots: np.ndarray) -> np.ndarray:
+    """Rotation angle in [0, pi] of each matrix in a (k x 3 x 3) stack,
+    accurate near zero."""
+    skew = 0.5 * (rots - rots.transpose(0, 2, 1))
+    s = row_norms(vee(skew))  # |sin(angle)|
+    c = 0.5 * (np.trace(rots, axis1=1, axis2=2) - 1.0)
+    return np.arctan2(s, c)
+
+
 def rotation_angle(rot: np.ndarray) -> float:
-    """Rotation angle in [0, pi], accurate near zero."""
-    skew = 0.5 * (rot - rot.T)
-    s = float(np.linalg.norm(vee(skew)))  # |sin(angle)|
-    c = 0.5 * (float(np.trace(rot)) - 1.0)
-    return float(np.arctan2(s, c))
+    """Rotation angle in [0, pi] of one rotation matrix."""
+    return float(rotation_angles(rot[None])[0])
 
 
 def rotation_log(rot: np.ndarray) -> np.ndarray:
@@ -477,9 +488,9 @@ class Rotations3(Manifold):
         body = 0.5 * (body - body.transpose(0, 2, 1))
         return (q @ rotation_exp_many(body)).reshape(-1, 9)
 
-    def geodesic_distance(self, p, q):
-        rel = p.matrix.T @ q.matrix
-        return float(np.sqrt(2.0) * rotation_angle(rel))
+    def distance_many(self, ps, qs):
+        rels = ps.reshape(-1, 3, 3).transpose(0, 2, 1) @ qs.reshape(-1, 3, 3)
+        return np.sqrt(2.0) * rotation_angles(rels)
 
     def log_map(self, p, q):
         rel = p.matrix.T @ q.matrix

@@ -25,7 +25,7 @@ from .calculus import (
     gradient_fd,
     hessian_fd,
 )
-from .errors import ContractError, SingularHessianError
+from .errors import ContractError, EvaluationError, SingularHessianError
 from .manifolds import ManifoldPoint, TangentVector
 from .retractions import RetractionSpec, retract
 
@@ -57,6 +57,7 @@ class NewtonStatus(enum.Enum):
     MAX_ITER = "max_iter"
     SINGULAR_HESSIAN = "singular_hessian"
     STALLED = "stalled"
+    EVALUATION_ERROR = "evaluation_error"
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,9 @@ class IterationTrace:
     and neither of the last two gradient norms went below the earlier
     minimum (the read sits at its noise floor, above ``tol``); MAX_ITER when
     the budget ran out; SINGULAR_HESSIAN when the conditioning guard
-    tripped.  Only CONVERGED means ``tol`` was met."""
+    tripped; EVALUATION_ERROR when a probe of the objective was not finite
+    (the last gradient norm is NaN if its read failed).  Only CONVERGED
+    means ``tol`` was met."""
 
     points: tuple[ManifoldPoint, ...]
     grad_norms: tuple[float, ...]
@@ -165,8 +168,8 @@ def newton_step(
 def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationTrace:
     """Iterate newton_step from p0 until the gradient norm drops below
     config.tol, the gradient read stalls at its noise floor, the iteration
-    budget runs out, or the conditioning guard trips.  Gradient and Hessian
-    are recomputed fresh at every iterate."""
+    budget runs out, the conditioning guard trips, or a probe is not
+    finite.  Gradient and Hessian are recomputed fresh at every iterate."""
     spec = config.retraction
     points = [p0]
     grad_norms: list[float] = []
@@ -174,30 +177,34 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     status = NewtonStatus.MAX_ITER
 
     current = p0
-    for _ in range(config.max_iter + 1):
-        basis = current.manifold.tangent_basis(current)
-        grad = _measure_gradient(objective, spec, current, basis)
-        grad_norms.append(grad.norm())
-        if grad_norms[-1] <= config.tol:
-            status = NewtonStatus.CONVERGED
-            break
-        if (
-            len(step_norms) >= 2
-            and step_norms[-1] <= _STALL_STEP
-            and min(grad_norms[-2:]) >= min(grad_norms[:-2])
-        ):
-            status = NewtonStatus.STALLED
-            break
-        if len(step_norms) == config.max_iter:
-            status = NewtonStatus.MAX_ITER
-            break
-        try:
-            current, step = _update(objective, spec, current, basis, grad, config.cond_cap)
-        except SingularHessianError:
-            status = NewtonStatus.SINGULAR_HESSIAN
-            break
-        points.append(current)
-        step_norms.append(step.norm())
+    try:
+        for _ in range(config.max_iter + 1):
+            basis = current.manifold.tangent_basis(current)
+            grad = _measure_gradient(objective, spec, current, basis)
+            grad_norms.append(grad.norm())
+            if grad_norms[-1] <= config.tol:
+                status = NewtonStatus.CONVERGED
+                break
+            if (
+                len(step_norms) >= 2
+                and step_norms[-1] <= _STALL_STEP
+                and min(grad_norms[-2:]) >= min(grad_norms[:-2])
+            ):
+                status = NewtonStatus.STALLED
+                break
+            if len(step_norms) == config.max_iter:
+                status = NewtonStatus.MAX_ITER
+                break
+            try:
+                current, step = _update(objective, spec, current, basis, grad, config.cond_cap)
+            except SingularHessianError:
+                status = NewtonStatus.SINGULAR_HESSIAN
+                break
+            points.append(current)
+            step_norms.append(step.norm())
+    except EvaluationError:  # the trace ends at the last point reached
+        grad_norms += [math.nan] * (len(points) - len(grad_norms))  # its gradient read failed
+        status = NewtonStatus.EVALUATION_ERROR
 
     return IterationTrace(
         points=tuple(points),

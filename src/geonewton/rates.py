@@ -10,10 +10,16 @@ retraction legitimately measures zero everywhere).
 Row-producing variants are exposed alongside each slope estimator so reports
 can emit the raw measurements and refitting the emitted rows reproduces the
 summary exactly.  A trace's rate is the same fit through its error pairs.
+
+The order and distance-deviation sweeps make one batched call per map over
+all their rows (``retract_many``, ``exp_many``, ``distance_many``), as does a
+trace's error read; each kernel row equals its one-row call bit for bit.
+The residual and Taylor sweeps still run one row at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +29,7 @@ from .calculus import gradient_fd, hessian_fd, taylor_remainder
 from .errors import ContractError, InsufficientDataError, PreconditionError
 from .manifolds import ManifoldPoint, TangentVector
 from .newton import IterationTrace
-from .retractions import RetractionSpec, inverse_retract, retract
+from .retractions import RetractionSpec, inverse_retract, retract, retract_many
 
 DEFAULT_SCALES = tuple(2.0 ** (-k) for k in range(2, 13))
 DEFAULT_NOISE_FLOOR = 1e-13
@@ -43,8 +49,8 @@ class ScaleSweep:
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if not self.directions:
             raise ContractError("sweep needs at least one direction")
-        if any(s <= 0 for s in self.scales):
-            raise ContractError("scales must be positive")
+        if not all(0 < s < math.inf for s in self.scales):  # NaN fails too
+            raise ContractError("scales must be positive and finite")
         if any(a <= b for a, b in zip(self.scales, self.scales[1:])):
             raise ContractError("scales must be strictly decreasing")
         base = self.directions[0].base
@@ -133,16 +139,16 @@ def fit_rows(rows: list[Row], floor: float = DEFAULT_NOISE_FLOOR) -> SlopeEstima
 
 
 def retraction_order_rows(spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
-    """d(R_p(s w), exp_p(s w)) for every direction w and scale s."""
-    rows: list[Row] = []
-    for direction_id, w in enumerate(sweep.directions):
-        p = w.base
-        manifold = p.manifold
-        for s in sweep.scales:
-            v = w.scaled(s)
-            dist = manifold.geodesic_distance(retract(spec, v), manifold.exp_map(v))
-            rows.append((direction_id, s, dist))
-    return rows
+    """d(R_p(s w), exp_p(s w)) for every direction w and scale s, direction
+    by direction."""
+    p = sweep.directions[0].base
+    manifold = p.manifold
+    labels = list(itertools.product(range(len(sweep.directions)), sweep.scales))
+    tangents = np.array([s * sweep.directions[i].coords for i, s in labels]).reshape(-1, manifold.ambient_dim)
+    retracted = retract_many(spec, p, tangents)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in exp_map: a row too long to map raises
+        exact = manifold.exp_many(p, tangents)
+    return [(i, s, d) for (i, s), d in zip(labels, manifold.distance_many(retracted, exact).tolist())]
 
 
 def estimate_retraction_order(spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
@@ -200,11 +206,10 @@ def distance_deviation_rows(
     if not np.array_equal(w_dir.base.coords, p.coords):
         raise ContractError("direction pair must share one base point")
     gap = float(np.linalg.norm(v_dir.coords - w_dir.coords))
-    rows: list[Row] = []
-    for s in scales:
-        d = manifold.geodesic_distance(retract(spec, v_dir.scaled(s)), retract(spec, w_dir.scaled(s)))
-        rows.append((0, s, abs(d - s * gap)))
-    return rows
+    scales = tuple(scales)
+    tangents = np.array([s * d.coords for d in (v_dir, w_dir) for s in scales]).reshape(-1, manifold.ambient_dim)
+    dists = manifold.distance_many(*np.split(retract_many(spec, p, tangents), 2))
+    return [(0, s, abs(d - s * gap)) for s, d in zip(scales, dists.tolist())]
 
 
 def distance_deviation_slope(
@@ -275,6 +280,5 @@ def convergence_rate(
     """Contraction rate of d(p_k, p*) along a Newton trace; quadratic
     convergence shows as fitted_rate 2.  The caller guarantees p_star is the
     critical point the trace approaches."""
-    manifold = p_star.manifold
-    errors = [manifold.geodesic_distance(p, p_star) for p in trace.points]
-    return rate_from_errors(errors, floor)
+    points = np.array([p.coords for p in trace.points])
+    return rate_from_errors(p_star.manifold.distance_many(points, p_star.coords), floor)

@@ -6,9 +6,10 @@ value, but the noise-floor-limited sweeps (lemma1 on even pullbacks) move
 visibly when it happens.  Every comparison here is therefore exact
 (``np.array_equal`` or ``==``, and ``tobytes()`` where a signed zero must
 match too) against references kept in this file: each
-retraction's and each objective's closed form on one vector, and a per-probe
-loop that retracts one tangent vector and evaluates the objective by those
-closed forms.
+retraction's, each objective's and each geodesic distance's closed form on
+one vector, a per-probe loop that retracts one tangent vector and evaluates
+the objective by those closed forms, and the order and distance-deviation
+sweeps run one row at a time.
 """
 
 import numpy as np
@@ -397,3 +398,129 @@ def test_row_dots_equals_np_dot(rows, cols):
     assert np.array_equal(row_dots(a, shared), [np.dot(r, shared) for r in a])
     assert np.array_equal(row_dots(a, per_row), [np.dot(r, s) for r, s in zip(a, per_row)])
     assert np.array_equal(row_dots(a[1:], shared), [np.dot(r, shared) for r in a[1:]])
+
+
+@pytest.mark.parametrize("manifold,family,objective", CASES)
+def test_hessian_fd_is_exactly_symmetric_byte_for_byte(manifold, family, objective):
+    # H_ij and H_ji are written from one array, so the assembly needs no
+    # 0.5 (H + H^T) pass: the matrix equals its transpose and the per-probe
+    # reference, which symmetrizes, byte for byte, signed zeros included.
+    spec = gn.RetractionSpec(family)
+    for seed in (7, 8):
+        p = _base_point(manifold, seed)
+        basis = manifold.tangent_basis(p)
+        matrix = gn.hessian_fd(objective, spec, p, basis=basis).matrix
+        assert matrix.tobytes() == matrix.T.copy().tobytes()
+        assert matrix.tobytes() == _scalar_hessian(objective, spec, p, basis).tobytes()
+
+
+SWEEP_PAIRS = [(gn.Sphere(n), f) for n in (3, 10) for f in SPHERE_FAMILIES] + [
+    (gn.Rotations3(), f) for f in SO3_FAMILIES
+]
+SWEEP_IDS = [f"{m!r}-{f}" for m, f in SWEEP_PAIRS]
+
+
+def _closed_distance(p, q):
+    """Geodesic distance of two point rows, in scalar numpy arithmetic."""
+    if len(p) == 9:
+        rel = p.reshape(3, 3).T @ q.reshape(3, 3)
+        skew = 0.5 * (rel - rel.T)
+        s = float(np.linalg.norm(gn.vee(skew)))
+        c = 0.5 * (float(np.trace(rel)) - 1.0)
+        return float(np.sqrt(2.0) * float(np.arctan2(s, c)))
+    c = float(np.dot(p, q))
+    return float(np.arctan2(np.linalg.norm(q - c * p), c))
+
+
+def _scalar_order_rows(spec, sweep):
+    """retraction_order_rows one row at a time: retract, exp_map, distance."""
+    rows = []
+    for direction_id, w in enumerate(sweep.directions):
+        for s in sweep.scales:
+            v = w.scaled(s)
+            retracted = gn.retract(spec, v)
+            exact = w.base.manifold.exp_map(v)
+            rows.append((direction_id, s, _closed_distance(retracted.coords, exact.coords)))
+    return rows
+
+
+def _scalar_deviation_rows(spec, v_dir, w_dir, scales):
+    gap = float(np.linalg.norm(v_dir.coords - w_dir.coords))
+    rows = []
+    for s in scales:
+        a, b = gn.retract(spec, v_dir.scaled(s)), gn.retract(spec, w_dir.scaled(s))
+        rows.append((0, s, abs(_closed_distance(a.coords, b.coords) - s * gap)))
+    return rows
+
+
+def _same_rows(rows, expected):
+    assert [type(x) for row in rows for x in row] == [type(x) for row in expected for x in row]
+    assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+def test_sweep_rows_equal_scalar_reference_byte_for_byte(manifold, family):
+    spec = gn.RetractionSpec(family)
+    scales = gn.DEFAULT_SCALES + (1e-6, 1e-9)
+    for seed in (0, 1, 2):
+        rng = gn.rng_for(300 + seed)
+        p = gn.random_point(manifold, rng)
+        sweep = gn.ScaleSweep(directions=[gn.random_tangent(p, rng) for _ in range(5)], scales=scales)
+        _same_rows(gn.retraction_order_rows(spec, sweep), _scalar_order_rows(spec, sweep))
+        v_dir, w_dir = gn.random_tangent(p, rng), gn.random_tangent(p, rng)
+        _same_rows(gn.distance_deviation_rows(spec, v_dir, w_dir, scales),
+                   _scalar_deviation_rows(spec, v_dir, w_dir, scales))
+    assert gn.distance_deviation_rows(spec, v_dir, w_dir, ()) == []
+
+
+@pytest.mark.parametrize("manifold", [gn.Sphere(2), gn.Sphere(3), gn.Sphere(10), gn.Sphere(50), gn.Rotations3()],
+                         ids=repr)
+def test_distance_many_rows_equal_geodesic_distance(manifold):
+    # identical points, points 1e-17 apart (below the spacing of the
+    # coordinates), and points near the cut locus
+    rng = gn.rng_for(77)
+    ps, qs = [], []
+    for t in (0.0, 1e-17, 1e-12, 1e-3, 1.0, np.pi - 1e-3, np.pi - 1e-9):
+        for _ in range(4):
+            p = gn.random_point(manifold, rng)
+            ps.append(p.coords)
+            qs.append(manifold.exp_map(gn.random_tangent(p, rng).scaled(t)).coords)
+    if isinstance(manifold, gn.Sphere):
+        ps.append(ps[0])
+        qs.append(-ps[0])  # antipodal
+    ps, qs = np.array(ps), np.array(qs)
+    many = manifold.distance_many(ps, qs)
+    single = [manifold.geodesic_distance(manifold.point(p), manifold.point(q)) for p, q in zip(ps, qs)]
+    assert many.tobytes() == np.array(single).tobytes()
+    assert many.tobytes() == np.array([_closed_distance(p, q) for p, q in zip(ps, qs)]).tobytes()
+    shared = manifold.distance_many(ps, qs[3])  # one q row for every p row
+    assert shared.tobytes() == np.array([_closed_distance(p, qs[3]) for p in ps]).tobytes()
+
+
+def _outcome(call):
+    """The message of the ContractError ``call`` raises, or None."""
+    try:
+        call()
+    except gn.ContractError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+@pytest.mark.filterwarnings("error")
+def test_overlong_scale_raises_as_scalar_path(manifold, family):
+    # A scale ladder that starts too long to map raises the ContractError the
+    # row-at-a-time path raised, with its message, and no numpy warning.  At
+    # 1e8 only the Cayley kernel fails (its point check).
+    spec = gn.RetractionSpec(family)
+    rng = gn.rng_for(5)
+    p = gn.random_point(manifold, rng)
+    directions = [gn.random_tangent(p, rng) for _ in range(3)]
+    for scales in ((1e200, 1e-2), (1e160, 1.0, 1e-2), (1e8, 1e-2)):
+        sweep = gn.ScaleSweep(directions=directions, scales=scales)
+        expected = _outcome(lambda: _scalar_order_rows(spec, sweep))
+        assert (expected is None) == (scales[0] == 1e8 and family != "cayley")
+        assert _outcome(lambda: gn.retraction_order_rows(spec, sweep)) == expected
+        v_dir, w_dir = directions[:2]
+        expected = _outcome(lambda: _scalar_deviation_rows(spec, v_dir, w_dir, scales))
+        assert _outcome(lambda: gn.distance_deviation_rows(spec, v_dir, w_dir, scales)) == expected

@@ -46,6 +46,9 @@ def test_bad_scales_is_usage_error():
         cli.parse_config(["order", "--scales", "0.1,0.2"])
     with pytest.raises(cli.UsageError):
         cli.parse_config(["order", "--scales", "0.1,abc"])
+    for scales in ("inf,1", "nan", "1,nan", "1,-inf"):  # a non-finite scale used to fail mid-sweep
+        with pytest.raises(cli.UsageError, match="finite"):
+            cli.parse_config(["lemma2", "--scales", scales])
 
 
 def test_objective_manifold_mismatch_is_usage_error(tmp_path):

@@ -211,6 +211,41 @@ def test_degenerate_hessian_surfaces(sphere3):
     assert trace.iterations >= 1
 
 
+class NaNFromBatch:
+    """Delegates to ``inner``, but its ``values`` returns NaN from probe batch
+    ``bad`` (counted from 1) on."""
+
+    def __init__(self, inner, bad):
+        self.inner, self.bad, self.batches = inner, bad, 0
+
+    def value(self, p):
+        return self.inner.value(p)
+
+    def values(self, p, points):
+        self.batches += 1
+        out = self.inner.values(p, points)
+        return np.full_like(out, np.nan) if self.batches >= self.bad else out
+
+
+def test_nan_objective_ends_run_with_partial_trace(sphere3, rayleigh_321):
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    config = gn.NewtonConfig(retraction=EXP)
+    full = gn.newton_run(rayleigh_321, config, p0)
+    # batch 1 is the gradient at p0 and batch 2 the Hessian stencil there
+    trace = gn.newton_run(NaNFromBatch(rayleigh_321, 2), config, p0)
+    assert trace.status == gn.NewtonStatus.EVALUATION_ERROR
+    assert trace.iterations == 0
+    assert trace.points[0] is p0
+    assert trace.grad_norms == full.grad_norms[:1]
+    # batch 3 is the gradient read at p1: the step is kept, its read is NaN
+    trace = gn.newton_run(NaNFromBatch(rayleigh_321, 3), config, p0)
+    assert trace.status == gn.NewtonStatus.EVALUATION_ERROR
+    assert trace.iterations == 1
+    assert np.array_equal(trace.points[1].coords, full.points[1].coords)
+    assert trace.step_norms == full.step_norms[:1]
+    assert trace.grad_norms[0] == full.grad_norms[0] and np.isnan(trace.grad_norms[1])
+
+
 def test_max_iter_status(sphere3, rayleigh_321):
     p0 = sphere3.point(np.array([0.3, 0.3, 1.0]) / np.linalg.norm([0.3, 0.3, 1.0]))
     trace = gn.newton_run(rayleigh_321, gn.NewtonConfig(retraction=EXP, max_iter=1), p0)

@@ -253,5 +253,8 @@ def test_sweep_validation(sphere3):
         gn.ScaleSweep(directions=())
     with pytest.raises(gn.ContractError):
         gn.ScaleSweep(directions=(v,), scales=(0.1, 0.2))
+    for scales in ((np.inf, 1.0), (np.nan,), (1.0, np.nan)):
+        with pytest.raises(gn.ContractError, match="finite"):
+            gn.ScaleSweep(directions=(v,), scales=scales)
     with pytest.raises(gn.ContractError):
         gn.ScaleSweep(directions=(v.scaled(2.0),))

@@ -1,0 +1,78 @@
+"""Write every report of the byte-identity grid into one directory.
+
+Usage:
+
+    python3 tools/report_grid.py SRC OUTDIR
+
+SRC is the ``src`` directory of a checkout; its ``geonewton`` package is
+imported and run in process. The grid is order, lemma1, lemma2, taylor and
+newton in CSV and JSON at seeds 0-3, on sphere:3 and sphere:10 under exp,
+projection and perturbed and on so3 under exp and cayley, then rate in CSV
+and JSON on each newton JSON report, and order and lemma2 at an over-long
+scale ladder. Each invocation leaves its report (if it wrote one) and a
+``.log`` file with its exit code, stdout and stderr.
+
+Reports echo their output path, so the invocations run inside OUTDIR with
+relative paths: two checkouts give byte-identical grids exactly when every
+report, exit code and message is the same. Compare them with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+COMBOS = (
+    ("sphere:3", "exp"), ("sphere:3", "projection"), ("sphere:3", "perturbed"),
+    ("sphere:10", "exp"), ("sphere:10", "projection"), ("sphere:10", "perturbed"),
+    ("so3", "exp"), ("so3", "cayley"),
+)
+COMMANDS = ("order", "lemma1", "lemma2", "taylor", "newton")
+SEEDS = range(4)
+FORMATS = ("csv", "json")
+OVERLONG_SCALES = "1e200,1e-2"
+
+
+def invocations():
+    """(file stem, argv) for every grid invocation, newton before its rate."""
+    for manifold, family in COMBOS:
+        tag = f"{manifold.replace(':', '')}_{family}"
+        for seed in SEEDS:
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    stem = f"{command}_{tag}_s{seed}_{fmt}"
+                    yield stem, [command, "--manifold", manifold, "--retraction", family,
+                                 "--seed", str(seed), "--format", fmt, "--output", f"{stem}.{fmt}"]
+            for fmt in FORMATS:
+                stem = f"rate_{tag}_s{seed}_{fmt}"
+                yield stem, ["rate", f"newton_{tag}_s{seed}_json.json", "--format", fmt, "--output", f"{stem}.{fmt}"]
+        for command in ("order", "lemma2"):
+            stem = f"{command}_{tag}_overlong"
+            yield stem, [command, "--manifold", manifold, "--retraction", family,
+                         "--scales", OVERLONG_SCALES, "--output", f"{stem}.csv"]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, outdir = os.path.abspath(args[0]), args[1]
+    sys.path.insert(0, src)
+    from geonewton import cli
+
+    os.makedirs(outdir, exist_ok=True)
+    os.chdir(outdir)
+    for stem, command in invocations():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(command)
+        with open(f"{stem}.log", "w", encoding="utf-8") as fh:
+            fh.write(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
