@@ -19,6 +19,10 @@ is the same bit for bit.
 Each Hessian probe is the sum of two rows of [hE; -hE] (E the frame) from an
 index plan cached per dimension.  The two mixed probes of a diagonal entry
 both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1 probes.
+One assembly serves one point and many: its arrays may carry leading stack
+axes (one entry per point) that :func:`gradient_fd` and :func:`hessian_fd`
+leave out and :func:`derivatives_fd` uses to probe k points in one batch
+over a :class:`PointRows` stack, each Hessian centre R_p(0) a zero row.
 
 Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EvaluationError
-from .manifolds import ManifoldPoint, TangentBasis, TangentVector, unchecked
+from .manifolds import ManifoldPoint, PointRows, TangentBasis, TangentVector, frame_sums, row_dots, unchecked
 from .retractions import RetractionSpec, retract, retract_many
 
 _EPS = float(np.finfo(float).eps)
@@ -70,9 +74,17 @@ class SymmetricOperator:
         object.__setattr__(self, "matrix", mat)
 
     def apply(self, v: TangentVector) -> TangentVector:
-        """Operator action: coordinates in the basis, multiply, reassemble."""
-        coeffs = self.basis.coordinates(v)
-        return self.basis.from_coordinates(self.matrix @ coeffs)
+        """Operator action: one row of :func:`apply_many`."""
+        if v.base is not self.basis.base and not np.array_equal(v.base.coords, self.basis.base.coords):
+            raise ContractError("tangent vector is based at a different point")
+        return unchecked(TangentVector, self.basis.base, apply_many(self.matrix, self.basis.frame, v.coords[None])[0])
+
+
+def apply_many(matrices: np.ndarray, frames: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Operator i (a matrix in a frame; one may serve every row) applied to
+    row i of ``vectors``: coordinates in the frame, multiply, reassemble."""
+    coeffs = row_dots(frames, vectors[:, None])
+    return frame_sums((matrices @ coeffs[..., None])[..., 0], frames)
 
 
 def _check_finite(values) -> None:
@@ -80,20 +92,49 @@ def _check_finite(values) -> None:
         raise EvaluationError("objective returned a non-finite value during a probe")
 
 
-def _probe_many(objective, spec: RetractionSpec, p: ManifoldPoint, stencil: np.ndarray) -> np.ndarray:
-    """J(R_p(v)) for every row v of the stencil, through ``values`` when the
-    objective has it and through ``value`` row by row otherwise."""
-    points = retract_many(spec, p, stencil)
+def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray) -> np.ndarray:
+    """J at every point row, through ``values`` when the objective has it and
+    through ``value`` row by row otherwise; every value must be finite."""
     batched = getattr(objective, "values", None)
     if batched is not None:
         out = np.asarray(batched(p, points), dtype=float)
         if out.shape != (len(points),):
             raise ContractError("objective values() must return one value per point")
     else:
-        manifold = p.manifold
-        out = np.array([objective.value(unchecked(ManifoldPoint, manifold, row)) for row in points], dtype=float)
+        out = np.array([objective.value(unchecked(ManifoldPoint, p.manifold, row)) for row in points], dtype=float)
     _check_finite(out)
     return out
+
+
+def _central_rows(frames: np.ndarray, h: float) -> np.ndarray:
+    """[hE; -hE] for each (d x ambient) frame E."""
+    return h * np.concatenate([frames, -frames], axis=-2)
+
+
+def _hessian_rows(frames: np.ndarray) -> np.ndarray:
+    """Each frame's Hessian stencil: the plan's sums of two rows of [hE; -hE]."""
+    first, second, _, _ = _stencil_plan(frames.shape[-2])
+    signed = _central_rows(frames, HESSIAN_STEP_FACTOR)
+    return signed.take(first, axis=-2) + signed.take(second, axis=-2)
+
+
+def _gradients(values: np.ndarray, frames: np.ndarray, h: float) -> np.ndarray:
+    dim = frames.shape[-2]
+    return frame_sums((values[..., :dim] - values[..., dim:]) / (2.0 * h), frames)
+
+
+def _hessians(values: np.ndarray, centres, dim: int) -> np.ndarray:
+    """Hessian matrices from Hessian-stencil values and the centre values
+    J(R_p(0)), exactly symmetric: one array holds H_ij and H_ji."""
+    _, _, upper, lower = _stencil_plan(dim)
+    h = HESSIAN_STEP_FACTOR
+    n = len(upper)
+    pp, pm, mp, mm = (values[..., i * n: (i + 1) * n] for i in range(4))
+    diag_pp, diag_mm = values[..., 4 * n: 4 * n + dim], values[..., 4 * n + dim:]
+    out = np.empty(values.shape[:-1] + (dim * dim,))
+    out[..., upper] = out[..., lower] = (pp - pm - mp + mm) / (4.0 * h * h)
+    out[..., :: dim + 1] = (diag_pp - centres - centres + diag_mm) / (4.0 * h * h)
+    return out.reshape(values.shape[:-1] + (dim, dim))
 
 
 def gradient_fd(
@@ -111,12 +152,8 @@ def gradient_fd(
     """
     if basis is None:
         basis = p.manifold.tangent_basis(p)
-    h = step_factor
-    frame = basis.frame
-    dim = len(frame)
-    values = _probe_many(objective, spec, p, h * np.concatenate([frame, -frame]))
-    coeffs = (values[:dim] - values[dim:]) / (2.0 * h)
-    return basis.from_coordinates(coeffs)
+    values = _evaluate(objective, p, retract_many(spec, p, _central_rows(basis.frame, step_factor)))
+    return unchecked(TangentVector, basis.base, _gradients(values, basis.frame, step_factor))
 
 
 @functools.cache
@@ -154,20 +191,24 @@ def hessian_fd(
     manifold = p.manifold
     if basis is None:
         basis = manifold.tangent_basis(p)
-    h = HESSIAN_STEP_FACTOR
-    frame = basis.frame
-    dim = len(frame)
-    first, second, upper, lower = _stencil_plan(dim)
-    signed = h * np.concatenate([frame, -frame])
-    values = _probe_many(objective, spec, p, signed[first] + signed[second])
+    values = _evaluate(objective, p, retract_many(spec, p, _hessian_rows(basis.frame)))
     centre = objective.value(retract(spec, unchecked(TangentVector, p, np.zeros(manifold.ambient_dim))))
     _check_finite(centre)
-    pp, pm, mp, mm = values[: -2 * dim].reshape(4, -1)
-    diag_pp, diag_mm = values[-2 * dim:].reshape(2, dim)
-    out = np.empty(dim * dim)
-    out[upper] = out[lower] = (pp - pm - mp + mm) / (4.0 * h * h)
-    out[:: dim + 1] = (diag_pp - centre - centre + diag_mm) / (4.0 * h * h)
-    return SymmetricOperator(base=p, basis=basis, matrix=out.reshape(dim, dim))
+    return SymmetricOperator(base=p, basis=basis, matrix=_hessians(values, centre, len(basis)))
+
+
+def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gradient_fd` (default step) and :func:`hessian_fd` at k points in
+    their cached frames, from one probe batch: the (k x ambient) gradients,
+    (k x d x d) Hessians and (k x d x ambient) frames."""
+    frames = np.array([pt.frame for pt in points])
+    k, dim, ambient = frames.shape
+    zero = np.zeros((k, 1, ambient))
+    stencil = np.concatenate([_central_rows(frames, GRADIENT_STEP_FACTOR), _hessian_rows(frames), zero], axis=1)
+    bases = PointRows.of(points, stencil.shape[1])
+    values = _evaluate(objective, bases, retract_many(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
+    hessians = _hessians(values[:, 2 * dim: -1], values[:, -1:], dim)
+    return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames
 
 
 def taylor_remainder(
@@ -178,7 +219,8 @@ def taylor_remainder(
     gradient: TangentVector | None = None,
     hessian: SymmetricOperator | None = None,
 ) -> float:
-    """|J(R_p(v)) - J(p) - <v, grad> - 1/2 <v, Hess v>|.
+    """|J(R_p(v)) - J(p) - <v, grad> - 1/2 <v, Hess v>|: one row of
+    :func:`taylor_remainders`.
 
     The gradient and Hessian may be passed in so a sweep over many v reuses
     one extraction; they must then have been computed at p with this spec.
@@ -189,9 +231,13 @@ def taylor_remainder(
         gradient = gradient_fd(objective, spec, p)
     if hessian is None:
         hessian = hessian_fd(objective, spec, p)
-    value = objective.value(retract(spec, v))
-    _check_finite(value)
-    base_value = objective.value(p)
-    linear = float(np.dot(v.coords, gradient.coords))
-    quadratic = 0.5 * float(np.dot(v.coords, hessian.apply(v).coords))
-    return abs(value - base_value - linear - quadratic)
+    return float(taylor_remainders(objective, spec, p, v.coords[None], gradient, hessian)[0])
+
+
+def taylor_remainders(objective, spec: RetractionSpec, p: ManifoldPoint, rows, gradient, hessian) -> np.ndarray:
+    """The Taylor remainder of each row (a tangent vector at p), from one
+    retract_many and one values call; J(p) is read from p as a last row."""
+    values = _evaluate(objective, p, np.concatenate([retract_many(spec, p, rows), p.coords[None]]))
+    linear = row_dots(rows, gradient.coords)
+    quadratic = 0.5 * row_dots(rows, apply_many(hessian.matrix, hessian.basis.frame, rows))
+    return np.abs(values[:-1] - values[-1] - linear - quadratic)

@@ -35,6 +35,7 @@ from .rates import (
     DEFAULT_NOISE_FLOOR,
     DEFAULT_SCALES,
     ScaleSweep,
+    checked_scales,
     critical_residual_rows,
     distance_deviation_rows,
     fit_rows,
@@ -114,14 +115,11 @@ class ExperimentConfig:
 
 def _parse_scales(text: str) -> tuple[float, ...]:
     try:
-        scales = tuple(float(part) for part in text.split(","))
+        return checked_scales(float(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"bad --scales value {text!r}") from None
-    if not scales or not all(0 < s < np.inf for s in scales):  # NaN fails too
-        raise UsageError("scales must be positive and finite")
-    if any(a <= b for a, b in zip(scales, scales[1:])):
-        raise UsageError("scales must be strictly decreasing")
-    return scales
+    except ContractError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ExperimentConfig field: (its flag, or its positional's name; argparse

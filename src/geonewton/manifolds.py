@@ -17,6 +17,9 @@ exponential map, ``distance_many`` for the geodesic distance, and
 constructors' checks) run the same kernel on one row.  Each row is computed
 on its own, so a row of a stack equals the one-row call bit for bit.  A check rejects NaN
 and inf entries first, then fails unless its error is at most its tolerance.
+A kernel reads its base point only through ``manifold``, ``coords``,
+``matrix`` and ``frame[0]``, so a :class:`PointRows` stack can stand in for
+it: row i is then mapped or checked at base i, as the one-base call would.
 
 Values are checked once, where they enter: coordinates given to
 :class:`ManifoldPoint`, :class:`TangentVector` or :class:`TangentBasis`.  A
@@ -72,11 +75,15 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Stacked (1 x n) @ (n x 1) products go through the same BLAS dot as
     ``np.dot`` on two vectors, so entry i equals ``np.dot(a[i], b[i])`` bit
     for bit; ``a @ b`` on the whole stack would use gemv or gemm, which round
-    differently.  ``b`` may be a single vector, shared by every row.
+    differently.  ``b`` broadcasts: one vector may serve every row.
     """
-    if b.ndim == 1:
-        return (a[:, None, :] @ b[:, None])[:, 0, 0]
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def frame_sums(coeffs: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[..., i] frames[..., i, :], summed row after row from zero
+    as ``coeffs @ frames`` would not be."""
+    return np.sum(coeffs[..., None] * frames, axis=-2, initial=0.0)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -127,6 +134,27 @@ class ManifoldPoint:
         frame = self.manifold._frame(self)
         frame.setflags(write=False)
         return frame
+
+
+@dataclass(frozen=True, eq=False)
+class PointRows:
+    """k base points as one stack: ``coords`` (k x ambient), ``matrix``
+    (k x 3 x 3), and ``frame[0]`` the first frame row of each."""
+
+    manifold: "Manifold"
+    coords: np.ndarray
+    frame: np.ndarray
+
+    @classmethod
+    def of(cls, points, repeats: int) -> "PointRows":
+        """Each point's row ``repeats`` times in turn."""
+        coords = np.repeat([pt.coords for pt in points], repeats, axis=0)
+        firsts = np.repeat([pt.frame[0] for pt in points], repeats, axis=0)
+        return unchecked(cls, points[0].manifold, coords, firsts[None])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.coords.reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +233,7 @@ class TangentBasis:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(self.frame),):
             raise ContractError("coefficient vector has the wrong length")
-        # summed row after row from zero, as coeffs @ frame would not be
-        ambient = np.sum(coeffs[:, None] * self.frame, axis=0, initial=0.0)
-        return unchecked(TangentVector, self.base, ambient)
+        return unchecked(TangentVector, self.base, frame_sums(coeffs, self.frame))
 
 
 class Manifold:
@@ -467,7 +493,7 @@ class Rotations3(Manifold):
         rows = rows.reshape(-1, 9)
         if not np.isfinite(rows).all():
             raise ContractError("Q^T V is not skew-symmetric")
-        body = p.matrix.T @ rows.reshape(-1, 3, 3)
+        body = p.matrix.swapaxes(-1, -2) @ rows.reshape(-1, 3, 3)
         sym = row_norms((body + body.transpose(0, 2, 1)).reshape(-1, 9))
         if not ((sym <= POINT_TOL).all() or (sym <= POINT_TOL * np.maximum(1.0, row_norms(rows))).all()):
             raise ContractError("Q^T V is not skew-symmetric")
@@ -484,7 +510,7 @@ class Rotations3(Manifold):
 
     def exp_many(self, p, rows):
         q = p.matrix
-        body = q.T @ rows.reshape(-1, 3, 3)
+        body = q.swapaxes(-1, -2) @ rows.reshape(-1, 3, 3)
         body = 0.5 * (body - body.transpose(0, 2, 1))
         return (q @ rotation_exp_many(body)).reshape(-1, 9)
 

@@ -23,8 +23,9 @@ term vanishes.
 Any object exposing ``value(p)`` (and optionally ``analytic_gradient(p)``)
 works with the finite-difference and Newton machinery; these four are simply
 the families with oracles.  An objective may also expose ``values(p, points)``:
-given a base point p and a (k x ambient) array of points on p's manifold, it
-returns the k values as an array.  The finite-difference stencils call it
+given a base point p (or a PointRows stack) and a (k x ambient) array of
+points on p's manifold, it returns the k values as an array.  The
+finite-difference stencils call it
 once per stencil instead of ``value`` once per probe, and they rely on it
 returning exactly what ``value`` returns for each row.  The four families
 here have one kernel each, ``values``; ``value`` evaluates its one row.

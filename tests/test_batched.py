@@ -9,7 +9,7 @@ match too) against references kept in this file: each
 retraction's, each objective's and each geodesic distance's closed form on
 one vector, a per-probe loop that retracts one tangent vector and evaluates
 the objective by those closed forms, and the order and distance-deviation
-sweeps run one row at a time.
+sweeps run one row at a time, as are the residual and Taylor sweeps.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ import pytest
 import geonewton as gn
 from geonewton import calculus
 from geonewton.calculus import GRADIENT_STEP_FACTOR, HESSIAN_STEP_FACTOR, REFINED_GRADIENT_STEP_FACTOR
-from geonewton.manifolds import row_dots
+from geonewton.manifolds import PointRows, row_dots
 
 SPHERE_SIZES = (2, 3, 10, 20, 50)
 SPHERE_FAMILIES = ("exp", "projection", "perturbed")
@@ -470,7 +470,8 @@ def test_sweep_rows_equal_scalar_reference_byte_for_byte(manifold, family):
         v_dir, w_dir = gn.random_tangent(p, rng), gn.random_tangent(p, rng)
         _same_rows(gn.distance_deviation_rows(spec, v_dir, w_dir, scales),
                    _scalar_deviation_rows(spec, v_dir, w_dir, scales))
-    assert gn.distance_deviation_rows(spec, v_dir, w_dir, ()) == []
+    with pytest.raises(gn.ContractError, match="at least one scale"):
+        gn.distance_deviation_rows(spec, v_dir, w_dir, ())
 
 
 @pytest.mark.parametrize("manifold", [gn.Sphere(2), gn.Sphere(3), gn.Sphere(10), gn.Sphere(50), gn.Rotations3()],
@@ -524,3 +525,164 @@ def test_overlong_scale_raises_as_scalar_path(manifold, family):
         v_dir, w_dir = directions[:2]
         expected = _outcome(lambda: _scalar_deviation_rows(spec, v_dir, w_dir, scales))
         assert _outcome(lambda: gn.distance_deviation_rows(spec, v_dir, w_dir, scales)) == expected
+
+
+def _anchor(objective):
+    """A critical point of each shipped objective kind."""
+    if objective.kind == "rayleigh":
+        return gn.rayleigh_top_eigenvector(objective)
+    if objective.kind == "procrustes":
+        return objective.polar_factor()
+    return objective.minimizer()
+
+
+def _sweep_objectives(manifold):
+    return _so3_objectives() if manifold == gn.Rotations3() else _sphere_objectives(manifold.ambient_dim)
+
+
+def _old_apply(hess, v):
+    """The operator action written out: coordinates, multiply, reassemble."""
+    return hess.basis.from_coordinates(hess.matrix @ hess.basis.coordinates(v))
+
+
+def _scalar_residual_rows(objective, spec, sweep):
+    """critical_residual_rows one row at a time: retract, inverse_retract, a
+    gradient_fd and a hessian_fd at the row's point, and apply."""
+    anchor = sweep.directions[0].base
+    rows = []
+    for direction_id, w in enumerate(sweep.directions):
+        for s in sweep.scales:
+            p = gn.retract(spec, w.scaled(s))
+            v = gn.inverse_retract(spec, p, anchor)
+            basis = p.manifold.tangent_basis(p)
+            grad = gn.gradient_fd(objective, spec, p, basis=basis)
+            hess = gn.hessian_fd(objective, spec, p, basis=basis)
+            applied = hess.apply(v)
+            assert applied.coords.tobytes() == _old_apply(hess, v).coords.tobytes()
+            rows.append((direction_id, v.norm(), float(np.linalg.norm(grad.coords + applied.coords))))
+    return rows
+
+
+def _scalar_taylor_rows(objective, spec, sweep):
+    """taylor_remainder_rows one row at a time through taylor_remainder, each
+    value checked against the remainder written out."""
+    p = sweep.directions[0].base
+    grad = gn.gradient_fd(objective, spec, p)
+    hess = gn.hessian_fd(objective, spec, p)
+    rows = []
+    for direction_id, w in enumerate(sweep.directions):
+        for s in sweep.scales:
+            v = w.scaled(s)
+            rem = gn.taylor_remainder(objective, spec, p, v, gradient=grad, hessian=hess)
+            written = abs(objective.value(gn.retract(spec, v)) - objective.value(p) - float(np.dot(v.coords, grad.coords))
+                          - 0.5 * float(np.dot(v.coords, _old_apply(hess, v).coords)))
+            assert rem == written
+            rows.append((direction_id, s, rem))
+    return rows
+
+
+def _rows_or_error(call):
+    """The rows ``call`` returns, or the type and message of the library error
+    it raises."""
+    try:
+        return call()
+    except gn.GeonewtonError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+def test_residual_and_taylor_rows_equal_scalar_reference_byte_for_byte(manifold, family):
+    # three directions per sweep, on all four objective kinds
+    spec = gn.RetractionSpec(family)
+    scales = gn.DEFAULT_SCALES + (1e-6,)
+    for seed, objective in enumerate(_sweep_objectives(manifold)):
+        rng = gn.rng_for(400 + seed)
+        anchor = _anchor(objective)
+        sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, rng) for _ in range(3)], scales=scales)
+        _same_rows(gn.critical_residual_rows(objective, spec, sweep), _scalar_residual_rows(objective, spec, sweep))
+        p = gn.random_point(manifold, rng)
+        sweep = gn.ScaleSweep(directions=[gn.random_tangent(p, rng) for _ in range(3)], scales=scales)
+        _same_rows(gn.taylor_remainder_rows(objective, spec, sweep), _scalar_taylor_rows(objective, spec, sweep))
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+@pytest.mark.filterwarnings("error")
+def test_residual_and_taylor_error_paths_match_scalar_reference(manifold, family):
+    # Over-long ladders, the Cayley point check at 1e8, and perturbed ladders
+    # starting outside the range of R_p raise what the row-at-a-time path
+    # raised, with no numpy warning.
+    spec = gn.RetractionSpec(family)
+    objective = _sweep_objectives(manifold)[0]
+    rng = gn.rng_for(9)
+    anchor = _anchor(objective)
+    for scales in ((1e200, 1e-2), (1e8, 1e-2), (3.0, 1e-2)):
+        sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, rng) for _ in range(2)], scales=scales)
+        assert (_rows_or_error(lambda: gn.critical_residual_rows(objective, spec, sweep))
+                == _rows_or_error(lambda: _scalar_residual_rows(objective, spec, sweep)))
+        assert (_rows_or_error(lambda: gn.taylor_remainder_rows(objective, spec, sweep))
+                == _rows_or_error(lambda: _scalar_taylor_rows(objective, spec, sweep)))
+
+
+def _base_rows(manifold, seed, count=6):
+    """``count`` points and one tangent row at each, from 0 (the zero vector)
+    to 0.5 in length."""
+    rng = gn.rng_for(seed)
+    points = [gn.random_point(manifold, rng) for _ in range(count)]
+    lengths = (0.0,) + tuple(np.geomspace(1e-7, 0.5, count - 1))
+    return points, np.array([t * gn.random_tangent(p, rng).coords for p, t in zip(points, lengths)])
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+def test_point_rows_retract_many_equals_one_base_rows(manifold, family):
+    spec = gn.RetractionSpec(family)
+    for seed in (1, 2, 3):
+        points, rows = _base_rows(manifold, 600 + seed)
+        stacked = gn.retract_many(spec, PointRows.of(points, 1), rows)
+        single = np.array([gn.retract_many(spec, p, row[None])[0] for p, row in zip(points, rows)])
+        assert stacked.tobytes() == single.tobytes()
+        if family == "exp":
+            assert manifold.exp_many(PointRows.of(points, 1), rows).tobytes() == single.tobytes()
+        repeated = PointRows.of(points, 3)  # each point's row three times in turn
+        assert repeated.coords.tobytes() == np.repeat([p.coords for p in points], 3, axis=0).tobytes()
+        assert gn.retract_many(spec, repeated, np.repeat(rows, 3, axis=0)).tobytes() == np.repeat(single, 3, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("manifold", [gn.Sphere(4), gn.Rotations3()], ids=repr)
+def test_check_tangents_reads_each_row_at_its_own_base(manifold):
+    points, rows = _base_rows(manifold, 70, count=3)
+    rows = np.array([gn.random_tangent(p, gn.rng_for(71)).coords for p in points])
+    bases = PointRows.of(points, 1)
+    manifold._check_tangents(bases, rows)
+    gn.retract_many(gn.RetractionSpec("exp"), bases, rows)
+    # row 0 is tangent at point 1's base, not at its own
+    swapped = rows.copy()
+    swapped[0] = rows[1]
+    manifold._check_tangents(points[1], swapped[:1])
+    with pytest.raises(gn.ContractError):
+        manifold._check_tangents(bases, swapped)
+    with pytest.raises(gn.ContractError):
+        gn.retract_many(gn.RetractionSpec("exp"), bases, swapped)
+    with pytest.raises(gn.ContractError):  # one row per base
+        gn.retract_many(gn.RetractionSpec("exp"), bases, rows[:2])
+
+
+@pytest.mark.parametrize("manifold,family,objective", CASES)
+def test_derivatives_fd_rows_equal_one_point_extraction(manifold, family, objective):
+    # Row i of the one-batch extraction is gradient_fd and hessian_fd at
+    # point i, byte for byte, each Hessian its own transpose; an objective
+    # with only value() is probed row by row and gives the same bytes.
+    spec = gn.RetractionSpec(family)
+    points = [_base_point(manifold, seed) for seed in (7, 8, 9)]
+    grads, hessians, frames = calculus.derivatives_fd(objective, spec, points)
+    for p, grad, hess, frame in zip(points, grads, hessians, frames):
+        basis = manifold.tangent_basis(p)
+        assert frame.tobytes() == basis.frame.tobytes()
+        assert grad.tobytes() == gn.gradient_fd(objective, spec, p, basis=basis).coords.tobytes()
+        assert hess.tobytes() == gn.hessian_fd(objective, spec, p, basis=basis).matrix.tobytes()
+        assert hess.tobytes() == hess.T.copy().tobytes()
+    if objective.kind == "rayleigh" and manifold.ambient_dim <= 3:
+        wrapped = ValueOnly(objective)
+        again = calculus.derivatives_fd(wrapped, spec, points)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (grads, hessians, frames)))
+        dim = manifold.intrinsic_dim
+        assert wrapped.calls == len(points) * (2 * dim + 2 * dim * dim + 1)

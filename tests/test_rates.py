@@ -258,3 +258,16 @@ def test_sweep_validation(sphere3):
             gn.ScaleSweep(directions=(v,), scales=scales)
     with pytest.raises(gn.ContractError):
         gn.ScaleSweep(directions=(v.scaled(2.0),))
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_scale_check_for_every_sweep(sphere3):
+    # ScaleSweep, distance_deviation_rows and the CLI's --scales share one rule
+    p = sphere3.point([0, 0, 1])
+    v, w = sphere3.tangent(p, [1, 0, 0]), sphere3.tangent(p, [0, 1, 0])
+    for scales in ((np.inf,), (np.nan,), (-1.0,), (0.5, 0.5), ()):
+        with pytest.raises(gn.ContractError):
+            gn.distance_deviation_rows(EXP, v, w, scales)
+        with pytest.raises(gn.ContractError):
+            gn.ScaleSweep(directions=(v,), scales=scales)
+    assert [type(x) for _, x, _ in gn.distance_deviation_rows(EXP, v, w, [0.5, np.float32(0.25)])] == [float, float]

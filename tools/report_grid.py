@@ -8,9 +8,12 @@ SRC is the ``src`` directory of a checkout; its ``geonewton`` package is
 imported and run in process. The grid is order, lemma1, lemma2, taylor and
 newton in CSV and JSON at seeds 0-3, on sphere:3 and sphere:10 under exp,
 projection and perturbed and on so3 under exp and cayley, then rate in CSV
-and JSON on each newton JSON report, and order and lemma2 at an over-long
-scale ladder. Each invocation leaves its report (if it wrote one) and a
-``.log`` file with its exit code, stdout and stderr.
+and JSON on each newton JSON report, and order, lemma1, lemma2 and taylor at
+an over-long scale ladder. Three lemma1 runs under the perturbed retraction
+fail to invert a retracted point: on sphere:3 and sphere:10 at a ladder that
+starts outside the retraction's range, and on sphere:3 at seed 14. Each
+invocation leaves its report (if it wrote one) and a ``.log`` file with its
+exit code, stdout and stderr.
 
 Reports echo their output path, so the invocations run inside OUTDIR with
 relative paths: two checkouts give byte-identical grids exactly when every
@@ -33,6 +36,7 @@ COMMANDS = ("order", "lemma1", "lemma2", "taylor", "newton")
 SEEDS = range(4)
 FORMATS = ("csv", "json")
 OVERLONG_SCALES = "1e200,1e-2"
+OUT_OF_RANGE_SCALES = "3,1e-2"  # the perturbed R_p(3 w) cannot be inverted back to the anchor
 
 
 def invocations():
@@ -48,10 +52,16 @@ def invocations():
             for fmt in FORMATS:
                 stem = f"rate_{tag}_s{seed}_{fmt}"
                 yield stem, ["rate", f"newton_{tag}_s{seed}_json.json", "--format", fmt, "--output", f"{stem}.{fmt}"]
-        for command in ("order", "lemma2"):
+        for command in ("order", "lemma2", "lemma1", "taylor"):
             stem = f"{command}_{tag}_overlong"
             yield stem, [command, "--manifold", manifold, "--retraction", family,
                          "--scales", OVERLONG_SCALES, "--output", f"{stem}.csv"]
+        if family == "perturbed":
+            stem = f"lemma1_{tag}_out_of_range"
+            yield stem, ["lemma1", "--manifold", manifold, "--retraction", family,
+                         "--scales", OUT_OF_RANGE_SCALES, "--output", f"{stem}.csv"]
+    stem = "lemma1_sphere3_perturbed_s14"  # a seed whose perturbed lemma1 sweep fails to invert
+    yield stem, ["lemma1", "--retraction", "perturbed", "--seed", "14", "--output", f"{stem}.csv"]
 
 
 def main(argv=None) -> int:
