@@ -22,7 +22,8 @@ both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1 probes.
 One assembly serves one point and many: its arrays may carry leading stack
 axes (one entry per point) that :func:`gradient_fd` and :func:`hessian_fd`
 leave out and :func:`derivatives_fd` uses to probe k points in one batch
-over a :class:`PointRows` stack, each Hessian centre R_p(0) a zero row.
+over a :class:`PointRows` stack (one per group of points at large
+dimension), each Hessian centre R_p(0) a zero row.
 
 Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
@@ -50,6 +51,11 @@ HESSIAN_STEP_FACTOR = _EPS ** 0.25  # ~1.2e-4
 # for resolution and is what the Newton driver switches to near critical points,
 # where the cubic term of the pullback vanishes and truncation is harmless.
 REFINED_GRADIENT_STEP_FACTOR = _EPS ** 0.2  # ~7.4e-4
+
+# Most stencil entries (rows x ambient) derivatives_fd probes over several
+# points at once: past it the stacked base rows cost more than the calls they
+# save (lemma1 on sphere:20 ran 1.2x slower in one batch than point by point).
+_BATCH_FLOATS = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,13 +205,19 @@ def hessian_fd(
 
 def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`gradient_fd` (default step) and :func:`hessian_fd` at k points in
-    their cached frames, from one probe batch: the (k x ambient) gradients,
-    (k x d x d) Hessians and (k x d x ambient) frames."""
+    their cached frames: the (k x ambient) gradients, (k x d x d) Hessians and
+    (k x d x ambient) frames.  The points are probed in one batch, or in one
+    batch per group of points whose stencils fit ``_BATCH_FLOATS``."""
+    dim, ambient = points[0].frame.shape
+    group = max(1, _BATCH_FLOATS // ((2 * dim * dim + 2 * dim + 1) * ambient))
+    if len(points) > group:
+        parts = [derivatives_fd(objective, spec, points[i: i + group]) for i in range(0, len(points), group)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     frames = np.array([pt.frame for pt in points])
-    k, dim, ambient = frames.shape
+    k = len(points)
     zero = np.zeros((k, 1, ambient))
     stencil = np.concatenate([_central_rows(frames, GRADIENT_STEP_FACTOR), _hessian_rows(frames), zero], axis=1)
-    bases = PointRows.of(points, stencil.shape[1])
+    bases = PointRows.of(points, stencil.shape[1]) if k > 1 else points[0]
     values = _evaluate(objective, bases, retract_many(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
     hessians = _hessians(values[:, 2 * dim: -1], values[:, -1:], dim)
     return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames

@@ -15,8 +15,8 @@ The order and distance-deviation sweeps make one batched call per map over
 all their rows (``retract_many``, ``exp_many``, ``distance_many``), as does a
 trace's error read; each kernel row equals its one-row call bit for bit.
 The residual sweep retracts and inverts row by row, then probes all its
-points in one batch (``derivatives_fd``); the Taylor sweep is one
-``taylor_remainders`` call.
+points at once (``derivatives_fd``, one batch below its size limit); the
+Taylor sweep is one ``taylor_remainders`` call.
 """
 
 from __future__ import annotations

@@ -667,13 +667,25 @@ def test_check_tangents_reads_each_row_at_its_own_base(manifold):
 
 
 @pytest.mark.parametrize("manifold,family,objective", CASES)
-def test_derivatives_fd_rows_equal_one_point_extraction(manifold, family, objective):
-    # Row i of the one-batch extraction is gradient_fd and hessian_fd at
-    # point i, byte for byte, each Hessian its own transpose; an objective
-    # with only value() is probed row by row and gives the same bytes.
+def test_derivatives_fd_rows_equal_one_point_extraction(monkeypatch, manifold, family, objective):
+    # Row i of the batched extraction is gradient_fd and hessian_fd at point
+    # i, byte for byte, each Hessian its own transpose; an objective with
+    # only value() is probed row by row and gives the same bytes.  The three
+    # points share one batch up to sphere:10 and get one each from sphere:20.
     spec = gn.RetractionSpec(family)
     points = [_base_point(manifold, seed) for seed in (7, 8, 9)]
+    batches = []
+
+    def recording(spec, p, vectors):
+        batches.append(len(vectors))
+        return gn.retract_many(spec, p, vectors)
+
+    monkeypatch.setattr(calculus, "retract_many", recording)
     grads, hessians, frames = calculus.derivatives_fd(objective, spec, points)
+    monkeypatch.undo()
+    dim = manifold.intrinsic_dim
+    per_point = 2 * dim * dim + 2 * dim + 1
+    assert batches == ([3 * per_point] if manifold.ambient_dim <= 10 else [per_point] * 3)
     for p, grad, hess, frame in zip(points, grads, hessians, frames):
         basis = manifold.tangent_basis(p)
         assert frame.tobytes() == basis.frame.tobytes()
@@ -684,5 +696,4 @@ def test_derivatives_fd_rows_equal_one_point_extraction(manifold, family, object
         wrapped = ValueOnly(objective)
         again = calculus.derivatives_fd(wrapped, spec, points)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (grads, hessians, frames)))
-        dim = manifold.intrinsic_dim
-        assert wrapped.calls == len(points) * (2 * dim + 2 * dim * dim + 1)
+        assert wrapped.calls == 3 * per_point
