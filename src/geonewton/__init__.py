@@ -37,7 +37,6 @@ from .newton import (
     NewtonConfig,
     NewtonStatus,
     newton_run,
-    newton_step,
     solve_tangent_system,
 )
 from .objectives import Brockett, ProcrustesTrace, Rayleigh, TiltedRayleigh

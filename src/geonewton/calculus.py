@@ -60,17 +60,14 @@ _BATCH_FLOATS = 2 ** 14
 
 @dataclass(frozen=True, eq=False)
 class SymmetricOperator:
-    """Hessian as a symmetric matrix in an orthonormal tangent basis."""
+    """Hessian at ``basis.base`` as a symmetric matrix in that orthonormal basis."""
 
-    base: ManifoldPoint
     basis: TangentBasis
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
         dim = len(self.basis)
-        if not np.array_equal(self.base.coords, self.basis.base.coords):
-            raise ContractError("operator base point differs from its basis base point")
         if mat.shape != (dim, dim):
             raise ContractError("operator matrix does not match the basis dimension")
         if not np.array_equal(mat, mat.T):
@@ -159,7 +156,7 @@ def gradient_fd(
     if basis is None:
         basis = p.manifold.tangent_basis(p)
     values = _evaluate(objective, p, retract_many(spec, p, _central_rows(basis.frame, step_factor)))
-    return unchecked(TangentVector, basis.base, _gradients(values, basis.frame, step_factor))
+    return unchecked(TangentVector, p, _gradients(values, basis.frame, step_factor))
 
 
 @functools.cache
@@ -197,10 +194,12 @@ def hessian_fd(
     manifold = p.manifold
     if basis is None:
         basis = manifold.tangent_basis(p)
+    elif basis.base is not p and not np.array_equal(basis.base.coords, p.coords):
+        raise ContractError("basis is based at a different point")
     values = _evaluate(objective, p, retract_many(spec, p, _hessian_rows(basis.frame)))
     centre = objective.value(retract(spec, unchecked(TangentVector, p, np.zeros(manifold.ambient_dim))))
     _check_finite(centre)
-    return SymmetricOperator(base=p, basis=basis, matrix=_hessians(values, centre, len(basis)))
+    return unchecked(SymmetricOperator, basis, _hessians(values, centre, len(basis)))
 
 
 def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,6 +207,8 @@ def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray,
     their cached frames: the (k x ambient) gradients, (k x d x d) Hessians and
     (k x d x ambient) frames.  The points are probed in one batch, or in one
     batch per group of points whose stencils fit ``_BATCH_FLOATS``."""
+    if len(points) == 0:
+        raise ContractError("derivatives_fd needs at least one point")
     dim, ambient = points[0].frame.shape
     group = max(1, _BATCH_FLOATS // ((2 * dim * dim + 2 * dim + 1) * ambient))
     if len(points) > group:

@@ -254,7 +254,8 @@ def _run_rate(cfg: ExperimentConfig) -> tuple[Report, int]:
         raise UsageError("trace file has no dist_to_pstar column; run `newton --format json` first")
     column = source.columns.index("dist_to_pstar")
     errors = [row[column] for row in source.rows]
-    if not all(isinstance(e, (int, float)) for e in errors):
+    # A JSON true is a bool, not 1; an int past the float range has no float value.
+    if not all(type(e) in (int, float) and abs(e) <= sys.float_info.max for e in errors):
         raise UsageError("trace file has a dist_to_pstar entry that is not a number")
     columns = ("pair_index", "err_from", "err_to", "pair_slope")
     try:

@@ -188,18 +188,14 @@ class TangentBasis:
     vectors and Hessians as symmetric matrices.
 
     ``frame`` is one read-only (d x ambient) array whose rows are the basis
-    vectors.  The constructor also takes a sequence of :class:`TangentVector`
-    at ``base`` in its place.
+    vectors.
     """
 
     base: ManifoldPoint
     frame: np.ndarray
 
     def __post_init__(self):
-        frame = self.frame
-        if not isinstance(frame, np.ndarray):  # a sequence of TangentVectors
-            frame = [v.coords for v in frame]
-        frame = np.array(frame, dtype=float)
+        frame = np.array(self.frame, dtype=float)
         frame.setflags(write=False)
         manifold = self.base.manifold
         if frame.ndim != 2 or frame.shape[1] != manifold.ambient_dim:

@@ -1,12 +1,12 @@
 """The geometric Newton iteration: solve the tangent-space system
-Hess s = -grad at the current point, retract, repeat.  ``newton_step`` and
-each ``newton_run`` iteration read the gradient alike and share one update.
+Hess s = -grad at the current point, retract, repeat.  ``newton_run`` is
+the one driver: each iteration reads the gradient, then takes one update.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
 tests guard ``newton_run`` without changing any step it takes: a condition
-cap on the tangent Hessian (instead of a silent near-singular solve the step
-raises, or the run records, ``SingularHessian``), and a stall test that ends
+cap on the tangent Hessian (instead of a silent near-singular solve the solve
+raises, and the run records, ``SingularHessian``), and a stall test that ends
 a run once its steps are below ``sqrt(eps)`` and the finite-difference
 gradient read has stopped improving (``STALLED``).
 """
@@ -146,29 +146,10 @@ def solve_tangent_system(
     return operator.basis.from_coordinates(coeffs)
 
 
-def _update(objective, spec, p, basis, grad, cond_cap) -> tuple[ManifoldPoint, TangentVector]:
-    """FD Hessian at p, solve Hess s = -grad for the step s, return (R_p(s), s)."""
-    hess = hessian_fd(objective, spec, p, basis=basis)
-    step = solve_tangent_system(hess, grad, cond_cap=cond_cap)
-    return retract(spec, step), step
-
-
-def newton_step(
-    objective,
-    spec: RetractionSpec,
-    p: ManifoldPoint,
-    cond_cap: float = 1e12,
-) -> ManifoldPoint:
-    """One pure Newton update: retract the Newton direction, nothing else."""
-    basis = p.manifold.tangent_basis(p)
-    grad = _measure_gradient(objective, spec, p, basis)
-    return _update(objective, spec, p, basis, grad, cond_cap)[0]
-
-
 def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationTrace:
-    """Iterate newton_step from p0 until the gradient norm drops below
-    config.tol, the gradient read stalls at its noise floor, the iteration
-    budget runs out, the conditioning guard trips, or a probe is not
+    """Pure Newton updates x <- R_x(-Hess^-1 grad) from p0 until the gradient
+    norm drops below config.tol, the gradient read stalls at its noise floor,
+    the budget runs out, the conditioning guard trips, or a probe is not
     finite.  Gradient and Hessian are recomputed fresh at every iterate."""
     spec = config.retraction
     points = [p0]
@@ -196,10 +177,12 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
                 status = NewtonStatus.MAX_ITER
                 break
             try:
-                current, step = _update(objective, spec, current, basis, grad, config.cond_cap)
+                hess = hessian_fd(objective, spec, current, basis=basis)
+                step = solve_tangent_system(hess, grad, cond_cap=config.cond_cap)
             except SingularHessianError:
                 status = NewtonStatus.SINGULAR_HESSIAN
                 break
+            current = retract(spec, step)
             points.append(current)
             step_norms.append(step.norm())
     except EvaluationError:  # the trace ends at the last point reached

@@ -101,18 +101,21 @@ class RateReport:
 
 def fit_loglog(xs, ys, floor: float = DEFAULT_NOISE_FLOOR) -> SlopeEstimate:
     """Least-squares line through (log x, log y) for the points with y above
-    the floor.  Saturated when fewer than two points survive."""
+    the floor.  Saturated when fewer than two points, or two distinct x,
+    survive."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ContractError("xs and ys must be 1-d arrays of equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ContractError("xs and ys must be finite")
     if np.any(xs <= 0):
         raise ContractError("xs must be strictly positive")
     if np.any(ys < 0):
         raise ContractError("ys must be nonnegative")
     mask = ys > floor
     used = int(mask.sum())
-    if used < 2:
+    if used < 2 or np.ptp(xs[mask]) == 0:
         return SlopeEstimate(
             slope=float("nan"),
             intercept=float("nan"),
@@ -261,19 +264,23 @@ def taylor_remainder_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -
 
 def rate_from_errors(errors, floor: float = DEFAULT_NOISE_FLOOR) -> RateReport:
     """Fit log e_{k+1} against log e_k over the consecutive pairs with both
-    entries above the floor."""
+    entries above the floor.  A pair with e_k = 1 has a non-finite slope."""
     errors = [float(e) for e in errors]
+    if not all(math.isfinite(e) for e in errors):
+        raise ContractError("errors must be finite")
     pairs = [
         (errors[k], errors[k + 1])
         for k in range(len(errors) - 1)
         if errors[k] > floor and errors[k + 1] > floor
     ]
-    if len(pairs) < 2:
-        raise InsufficientDataError("need at least two usable error pairs to fit a rate")
     fit = fit_loglog([a for a, _ in pairs], [b for _, b in pairs], floor)
+    if fit.saturated:
+        raise InsufficientDataError("need at least two usable error pairs, with distinct e_k, to fit a rate")
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 1 = 0
+        slopes = tuple(float(np.log(b) / np.log(a)) for a, b in pairs)
     return RateReport(
         pairs=tuple(pairs),
-        pair_slopes=tuple(float(np.log(b) / np.log(a)) for a, b in pairs),
+        pair_slopes=slopes,
         fitted_rate=fit.slope,
         fitted_constant=float(np.exp(fit.intercept)),
         pairs_used=len(pairs),

@@ -672,6 +672,7 @@ def test_derivatives_fd_rows_equal_one_point_extraction(monkeypatch, manifold, f
     # i, byte for byte, each Hessian its own transpose; an objective with
     # only value() is probed row by row and gives the same bytes.  The three
     # points share one batch up to sphere:10 and get one each from sphere:20.
+    # An empty point list is a ContractError.
     spec = gn.RetractionSpec(family)
     points = [_base_point(manifold, seed) for seed in (7, 8, 9)]
     batches = []
@@ -697,3 +698,5 @@ def test_derivatives_fd_rows_equal_one_point_extraction(monkeypatch, manifold, f
         again = calculus.derivatives_fd(wrapped, spec, points)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (grads, hessians, frames)))
         assert wrapped.calls == 3 * per_point
+    with pytest.raises(gn.ContractError):
+        calculus.derivatives_fd(objective, spec, [])

@@ -183,17 +183,20 @@ def test_gradient_oracle_agreement(retraction):
 def test_gradient_basis_independence(sphere3, rayleigh_321):
     p = gn.random_point(sphere3, gn.rng_for(20))
     basis = sphere3.tangent_basis(p)
-    b0, b1 = basis.vectors
-    rotated = gn.TangentBasis(
-        p,
-        (
-            gn.TangentVector(p, (b0.coords + b1.coords) / np.sqrt(2)),
-            gn.TangentVector(p, (b0.coords - b1.coords) / np.sqrt(2)),
-        ),
-    )
+    b0, b1 = basis.frame
+    rotated = gn.TangentBasis(p, np.array([b0 + b1, b0 - b1]) / np.sqrt(2))
     g_default = gn.gradient_fd(rayleigh_321, EXP, p, basis=basis)
     g_rotated = gn.gradient_fd(rayleigh_321, EXP, p, basis=rotated)
     assert np.linalg.norm(g_default.coords - g_rotated.coords) <= 1e-8
+    # The antipode's basis spans the same tangent space: the gradient read in
+    # it is still based at p, and a Hessian operator, based where its basis
+    # is, refuses it.
+    antipodal = sphere3.tangent_basis(sphere3.point(-p.coords))
+    g_antipodal = gn.gradient_fd(rayleigh_321, EXP, p, basis=antipodal)
+    assert g_antipodal.base is p
+    assert np.linalg.norm(g_default.coords - g_antipodal.coords) <= 1e-8
+    with pytest.raises(gn.ContractError, match="different point"):
+        gn.hessian_fd(rayleigh_321, EXP, p, basis=antipodal)
 
 
 def test_gradient_vector_is_tangent(sphere3, rayleigh_321):
@@ -270,7 +273,7 @@ def test_operator_rejects_asymmetric_matrix(sphere3):
     p = sphere3.point([1, 0, 0])
     basis = sphere3.tangent_basis(p)
     with pytest.raises(gn.ContractError):
-        gn.SymmetricOperator(base=p, basis=basis, matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
+        gn.SymmetricOperator(basis, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # ---- Taylor remainder

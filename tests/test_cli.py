@@ -298,6 +298,8 @@ TRACE_EDITS = {
     "json_list": lambda payload: [1, 2],
     "null_distance": lambda payload: {**payload, "rows": [[*row[:3], None] for row in payload["rows"]]},
     "missing_field": lambda payload: {key: payload[key] for key in ("config", "rows", "version")},
+    "true_distance": lambda payload: {**payload, "rows": [[*row[:3], True] for row in payload["rows"]]},
+    "huge_int_distance": lambda payload: {**payload, "rows": [[*row[:3], 10**400] for row in payload["rows"]]},
 }
 
 

@@ -432,14 +432,11 @@ def test_basis_rejects_non_orthonormal_or_non_tangent(sphere3):
     with pytest.raises(gn.ContractError, match="orthonormal"):
         gn.TangentBasis(p, np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]) / [[1.0], [np.sqrt(2.0)]])
     with pytest.raises(gn.ContractError, match="orthonormal"):
-        gn.TangentBasis(p, (sphere3.tangent(p, [2.0, 0.0, 0.0]),))
+        gn.TangentBasis(p, np.array([[2.0, 0.0, 0.0]]))
     with pytest.raises(gn.ContractError, match="tangent"):
         gn.TangentBasis(p, np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
     with pytest.raises(gn.ContractError):
         gn.TangentBasis(p, np.eye(2))
-    other = sphere3.point([1.0, 0.0, 0.0])
-    with pytest.raises(gn.ContractError, match="tangent"):
-        gn.TangentBasis(p, (sphere3.tangent(other, [0.0, 0.0, 1.0]),))
 
 
 @pytest.mark.parametrize("n", [3, 10, 50])

@@ -26,6 +26,11 @@ def test_fit_saturates_below_floor():
     assert est.saturated
     assert est.points_used == 0
     assert est.r_squared == 0.0
+    # one distinct x among the points above the floor leaves no line to fit
+    est = gn.fit_loglog([0.5, 0.5, 0.5, 0.1], [1e-2, 1e-3, 1e-4, 1e-16], floor=1e-13)
+    assert est.saturated
+    assert est.points_used == 3
+    assert est.r_squared == 0.0
 
 
 def test_fit_with_jitter():
@@ -37,13 +42,22 @@ def test_fit_with_jitter():
     assert est.constant == pytest.approx(0.7, rel=0.1)
 
 
-def test_fit_rejects_bad_input():
+def test_fit_rejects_bad_input(capfd):
     with pytest.raises(gn.ContractError):
         gn.fit_loglog([1.0, 0.5], [1.0])
     with pytest.raises(gn.ContractError):
         gn.fit_loglog([1.0, -0.5], [1.0, 1.0])
     with pytest.raises(gn.ContractError):
         gn.fit_loglog([1.0, 0.5], [1.0, -1.0])
+    # non-finite input is refused before any log or LAPACK call: no warning,
+    # nothing on stderr
+    for bad in (np.inf, np.nan):
+        for xs, ys in (([1.0, bad, 0.25], [1.0, 0.5, 0.25]), ([1.0, 0.5, 0.25], [1.0, bad, 0.25])):
+            with pytest.raises(gn.ContractError, match="finite"):
+                gn.fit_loglog(xs, ys)
+        with pytest.raises(gn.ContractError, match="finite"):
+            gn.rate_from_errors([1e-1, 1e-2, bad, 1e-4, 1e-8])
+    assert capfd.readouterr().err == ""
 
 
 # ---- retraction order estimates
@@ -219,6 +233,19 @@ def test_rate_pairs_are_the_fitted_pairs():
 def test_rate_insufficient_data():
     with pytest.raises(gn.InsufficientDataError):
         gn.rate_from_errors([1e-1, 1e-2])
+    # two pairs, but both start from the same error
+    with pytest.raises(gn.InsufficientDataError):
+        gn.rate_from_errors([0.5, 0.5, 0.5])
+
+
+def test_rate_pair_slope_at_unit_error_is_non_finite():
+    # log e_k = 0 at e_k = 1: the pair slope is -inf, read without a numpy
+    # warning (pytest turns one into an error), and the fit is unaffected
+    report = gn.rate_from_errors([1.0, 1e-1, 1e-2, 1e-4])
+    assert report.pair_slopes[0] == -np.inf
+    assert report.pair_slopes[1:] == pytest.approx((2.0, 2.0), abs=1e-12)
+    fit = gn.fit_loglog([a for a, _ in report.pairs], [b for _, b in report.pairs])
+    assert report.fitted_rate == fit.slope
 
 
 def test_rate_requires_pairs_above_floor():
