@@ -22,7 +22,9 @@ A kernel reads its base point only through ``manifold``, ``coords``,
 it: row i is then mapped or checked at base i, as the one-base call would.
 
 Values are checked once, where they enter: coordinates given to
-:class:`ManifoldPoint`, :class:`TangentVector` or :class:`TangentBasis`.  A
+:class:`ManifoldPoint`, :class:`TangentVector` or :class:`TangentBasis`
+(coordinates that are not real numbers in a rectangular array raise
+``ContractError`` there, as points and tangents off the manifold do).  A
 value the library computes from checked values (the result of ``exp_map``,
 ``TangentVector.scaled``, ``TangentBasis.from_coordinates``, the basis that
 ``tangent_basis`` builds from the cached frame) is built with
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,8 +50,21 @@ _BASIS_SKIP_TOL = 1e-8  # sphere frame: e_k goes last if |x[k+1:]| <= this * |x[
 _CUT_LOCUS_MARGIN = 1e-6
 
 
+def _real_array(values) -> np.ndarray:
+    """``values`` as a float array, read as ``np.asarray(values, dtype=float)``
+    reads them; ``ContractError`` unless they are real numbers in a
+    rectangular array."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":  # casting would drop the imaginary part
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # not numeric, or ragged
+        pass
+    raise ContractError("coordinates must be real numbers in a rectangular array")
+
+
 def _as_vector(coords, dim: int) -> np.ndarray:
-    arr = np.asarray(coords, dtype=float)
+    arr = _real_array(coords)
     if arr.shape != (dim,):
         raise ContractError(f"expected an ambient vector of length {dim}, got shape {arr.shape}")
     arr = arr.copy()
@@ -83,7 +98,7 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frame_sums(coeffs: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """sum_i coeffs[..., i] frames[..., i, :], summed row after row from zero
     as ``coeffs @ frames`` would not be."""
-    return np.sum(coeffs[..., None] * frames, axis=-2, initial=0.0)
+    return np.add.reduce(coeffs[..., None] * frames, axis=-2, initial=0.0)  # np.sum's ufunc
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -195,7 +210,7 @@ class TangentBasis:
     frame: np.ndarray
 
     def __post_init__(self):
-        frame = np.array(self.frame, dtype=float)
+        frame = np.array(_real_array(self.frame))
         frame.setflags(write=False)
         manifold = self.base.manifold
         if frame.ndim != 2 or frame.shape[1] != manifold.ambient_dim:
@@ -294,6 +309,14 @@ class Manifold:
         raise NotImplementedError
 
 
+@cache
+def _right_of_diagonal(n: int) -> np.ndarray:
+    """Read-only (n-1 x n) mask of the entries right of the diagonal."""
+    mask = np.arange(n) > np.arange(n - 1)[:, None]
+    mask.setflags(write=False)
+    return mask
+
+
 class Sphere(Manifold):
     """Unit sphere S^{n-1} embedded in R^n."""
 
@@ -327,7 +350,7 @@ class Sphere(Manifold):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
     def tangent_project(self, p, w):
-        w = np.asarray(w, dtype=float)
+        w = _real_array(w)
         return TangentVector(p, w - np.dot(p.coords, w) * p.coords)
 
     @silent_overflow
@@ -375,9 +398,9 @@ class Sphere(Manifold):
             order = np.append(np.delete(np.arange(n), short[0]), short[0])
             x = x[order]
             tails = np.hypot.accumulate(np.abs(x[::-1]))[::-1]
-        upper = np.where(np.arange(n) > np.arange(n - 1)[:, None], x, 0.0) / tails[1:, None]
+        upper = np.where(_right_of_diagonal(n), x, 0.0) / tails[1:, None]
         frame = upper * (-x[:-1] / tails[:-1])[:, None]
-        np.fill_diagonal(frame, tails[1:] / tails[:-1])
+        frame.flat[:: n + 1] = tails[1:] / tails[:-1]  # the diagonal
         if short.size:
             frame[:, order] = frame.copy()
         return frame
@@ -469,7 +492,7 @@ class Rotations3(Manifold):
         return hash("rotations3")
 
     def point_from_matrix(self, mat) -> ManifoldPoint:
-        return ManifoldPoint(self, np.asarray(mat, dtype=float).reshape(9))
+        return ManifoldPoint(self, _real_array(mat).reshape(-1))  # a wrong size fails the length check
 
     def identity(self) -> ManifoldPoint:
         return self.point_from_matrix(np.eye(3))
@@ -496,7 +519,7 @@ class Rotations3(Manifold):
 
     def tangent_project(self, p, w):
         q = p.matrix
-        body = q.T @ np.asarray(w, dtype=float).reshape(3, 3)
+        body = q.T @ _real_array(w).reshape(3, 3)
         skew = 0.5 * (body - body.T)
         return TangentVector(p, (q @ skew).reshape(9))
 

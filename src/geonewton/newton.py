@@ -38,18 +38,22 @@ _REFINE_THRESHOLD = 1e-8
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
-def _measure_gradient(objective, spec, p, basis) -> TangentVector:
-    # Near critical points the default-step read is quantization-limited at
-    # ~ulp(J)/(2h); a wider-step read resolves finer gradients there.  Keep
-    # whichever measurement is smaller.
+def _measure_gradient(objective, spec, p, basis) -> tuple[TangentVector, float]:
+    """The gradient read at p and its norm.
+
+    Near critical points the default-step read is quantization-limited at
+    ~ulp(J)/(2h); a wider-step read resolves finer gradients there.  Keep
+    whichever measurement is smaller."""
     grad = gradient_fd(objective, spec, p, basis=basis)
-    if grad.norm() < _REFINE_THRESHOLD:
+    norm = grad.norm()
+    if norm < _REFINE_THRESHOLD:
         refined = gradient_fd(
             objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR
         )
-        if refined.norm() < grad.norm():
-            return refined
-    return grad
+        refined_norm = refined.norm()
+        if refined_norm < norm:
+            return refined, refined_norm
+    return grad, norm
 
 
 class NewtonStatus(enum.Enum):
@@ -161,8 +165,8 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     try:
         for _ in range(config.max_iter + 1):
             basis = current.manifold.tangent_basis(current)
-            grad = _measure_gradient(objective, spec, current, basis)
-            grad_norms.append(grad.norm())
+            grad, norm = _measure_gradient(objective, spec, current, basis)
+            grad_norms.append(norm)
             if grad_norms[-1] <= config.tol:
                 status = NewtonStatus.CONVERGED
                 break

@@ -150,7 +150,8 @@ def _four_point_rows(frame, h):
 
 
 def _stencil_of_hessian_fd(monkeypatch, objective, spec, p, basis):
-    """The stencil rows hessian_fd hands to retract_many."""
+    """The stencil rows hessian_fd hands to retract_many, before the centre
+    R_p(0): a last row of +0.0 entries, checked here byte for byte."""
     seen = []
 
     def recording(spec, p, vectors):
@@ -161,7 +162,8 @@ def _stencil_of_hessian_fd(monkeypatch, objective, spec, p, basis):
     gn.hessian_fd(objective, spec, p, basis=basis)
     monkeypatch.undo()
     (stencil,) = seen
-    return stencil
+    assert stencil[-1].tobytes() == np.zeros(stencil.shape[1]).tobytes()
+    return stencil[:-1]
 
 
 def _signed_zero_basis():
@@ -195,6 +197,28 @@ def test_hessian_stencil_equals_written_out_rows_byte_for_byte(monkeypatch, n):
     stencil = _stencil_of_hessian_fd(monkeypatch, gn.Rayleigh(np.diag([5.0, 4.0, 3.0, 2.0, 1.0])),
                                      gn.RetractionSpec("exp"), basis.base, basis)
     assert stencil.tobytes() == _four_point_rows(basis.frame, HESSIAN_STEP_FACTOR).tobytes()
+
+
+@pytest.mark.parametrize("manifold", (gn.Sphere(3), gn.Sphere(10), gn.Rotations3()), ids=repr)
+def test_hessian_centre_is_the_last_row_of_its_one_retract_many(monkeypatch, manifold):
+    # R_p(0) is retracted with the stencil, not by a retract call of its own,
+    # and J is read there through value(), at the point retract would give.
+    if isinstance(manifold, gn.Rotations3):
+        objective, families = _so3_objectives()[0], SO3_FAMILIES
+    else:
+        objective, families = _sphere_objectives(manifold.ambient_dim)[0], SPHERE_FAMILIES
+    p = _base_point(manifold, 9)
+    value = type(objective).value
+    for family in families:
+        spec = gn.RetractionSpec(family)
+        batches, singles, valued = [], [], []
+        monkeypatch.setattr(calculus, "retract_many", lambda *args: batches.append(args) or gn.retract_many(*args))
+        monkeypatch.setattr(calculus, "retract", lambda *args: singles.append(args) or gn.retract(*args))
+        monkeypatch.setattr(type(objective), "value", lambda self, q: valued.append(q) or value(self, q))
+        gn.hessian_fd(objective, spec, p)
+        monkeypatch.undo()
+        assert (len(batches), len(singles), len(valued)) == (1, 0, 1)
+        assert valued[0].coords.tobytes() == gn.retract(spec, manifold.zero_tangent(p)).coords.tobytes()
 
 
 def test_stencil_plan_sums_match_written_out_rows_with_extreme_entries():

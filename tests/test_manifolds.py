@@ -55,6 +55,47 @@ def test_overflowing_entries_raise_without_a_warning(sphere3, rotations):
         gn.rotation_exp(gn.hat([1e160, 0.0, 0.0]))
 
 
+_S3, _SO3 = gn.Sphere(3), gn.Rotations3()
+_E0 = _S3.point([1.0, 0.0, 0.0])
+# Coordinates that are not real numbers in a rectangular array, one per
+# constructor and kind: numpy raised ValueError or TypeError on each, or
+# dropped the imaginary part of a complex array.
+NOT_REAL = {
+    "point_text": lambda: _S3.point("abc"),
+    "point_ragged": lambda: _S3.point([[1, 0], [0]]),
+    "point_complex": lambda: _S3.point([1 + 0j, 0, 0]),
+    "point_complex_array": lambda: _S3.point(np.array([1 + 0j, 0, 0])),
+    "tangent_text": lambda: gn.TangentVector(_E0, ["a", "b", "c"]),
+    "tangent_ragged": lambda: gn.TangentVector(_E0, [[0, 1], [0]]),
+    "tangent_complex": lambda: gn.TangentVector(_E0, [0, 1j, 0]),
+    "basis_text": lambda: gn.TangentBasis(_E0, "abc"),
+    "basis_ragged": lambda: gn.TangentBasis(_E0, [[0, 1, 0], [0, 0]]),
+    "basis_complex": lambda: gn.TangentBasis(_E0, [[0, 1 + 0j, 0], [0, 0, 1]]),
+    "basis_of_vectors": lambda: gn.TangentBasis(_E0, (gn.TangentVector(_E0, [0, 1, 0]),)),
+    "rotation_text": lambda: _SO3.point_from_matrix("abc"),
+    "rotation_ragged": lambda: _SO3.point_from_matrix([[1, 0, 0], [0, 1], [0, 0, 1]]),
+    "rotation_complex": lambda: _SO3.point_from_matrix(np.eye(3) + 0j),
+    "sphere_project_text": lambda: _S3.tangent_project(_E0, "abc"),
+    "sphere_project_ragged": lambda: _S3.tangent_project(_E0, [[0, 1], [0]]),
+    "sphere_project_complex": lambda: _S3.tangent_project(_E0, [0, 1 + 0j, 0]),
+    "rotation_project_text": lambda: _SO3.tangent_project(_SO3.identity(), "abc"),
+    "rotation_project_ragged": lambda: _SO3.tangent_project(_SO3.identity(), [[1, 0, 0], [0, 1], [0, 0, 1]]),
+    "rotation_project_complex": lambda: _SO3.tangent_project(_SO3.identity(), 1j * np.eye(3)),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning either
+@pytest.mark.parametrize("case", NOT_REAL)
+def test_coordinates_that_are_not_real_raise_contract_error(case):
+    with pytest.raises(gn.ContractError, match="real numbers"):
+        NOT_REAL[case]()
+
+
+def test_rotation_matrix_of_the_wrong_size_raises_contract_error(rotations):
+    with pytest.raises(gn.ContractError, match="length 9"):
+        rotations.point_from_matrix(np.eye(2))
+
+
 # ---- inner product
 
 

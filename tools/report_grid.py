@@ -8,12 +8,14 @@ SRC is the ``src`` directory of a checkout; its ``geonewton`` package is
 imported and run in process. The grid is order, lemma1, lemma2, taylor and
 newton in CSV and JSON at seeds 0-3, on sphere:3 and sphere:10 under exp,
 projection and perturbed and on so3 under exp and cayley, then rate in CSV
-and JSON on each newton JSON report, and order, lemma1, lemma2 and taylor at
-an over-long scale ladder. Three lemma1 runs under the perturbed retraction
-fail to invert a retracted point: on sphere:3 and sphere:10 at a ladder that
-starts outside the retraction's range, and on sphere:3 at seed 14. Each
-invocation leaves its report (if it wrote one) and a ``.log`` file with its
-exit code, stdout and stderr.
+and JSON on each newton JSON report, newton in JSON at seed 0 with an early
+stop (``--max-iter 2`` ends ``max_iter``; ``--tol 1e-6`` converges at least
+one iteration before the default run ends), and order, lemma1, lemma2 and
+taylor at an over-long scale ladder. Three lemma1 runs under the perturbed
+retraction fail to invert a retracted point: on sphere:3 and sphere:10 at a
+ladder that starts outside the retraction's range, and on sphere:3 at seed
+14. Each invocation leaves its report (if it wrote one) and a ``.log`` file
+with its exit code, stdout and stderr.
 
 Reports echo their output path, so the invocations run inside OUTDIR with
 relative paths: two checkouts give byte-identical grids exactly when every
@@ -37,6 +39,7 @@ SEEDS = range(4)
 FORMATS = ("csv", "json")
 OVERLONG_SCALES = "1e200,1e-2"
 OUT_OF_RANGE_SCALES = "3,1e-2"  # the perturbed R_p(3 w) cannot be inverted back to the anchor
+EARLY_STOPS = (("maxiter", ["--max-iter", "2"]), ("tol", ["--tol", "1e-6"]))
 
 
 def invocations():
@@ -52,6 +55,10 @@ def invocations():
             for fmt in FORMATS:
                 stem = f"rate_{tag}_s{seed}_{fmt}"
                 yield stem, ["rate", f"newton_{tag}_s{seed}_json.json", "--format", fmt, "--output", f"{stem}.{fmt}"]
+        for name, flags in EARLY_STOPS:
+            stem = f"newton_{tag}_{name}"
+            yield stem, ["newton", "--manifold", manifold, "--retraction", family,
+                         *flags, "--format", "json", "--output", f"{stem}.json"]
         for command in ("order", "lemma2", "lemma1", "taylor"):
             stem = f"{command}_{tag}_overlong"
             yield stem, [command, "--manifold", manifold, "--retraction", family,
