@@ -29,7 +29,6 @@ from .manifolds import (
     hat,
     rotation_about_z,
     rotation_exp,
-    rotation_log,
     vee,
 )
 from .newton import (
@@ -67,6 +66,7 @@ from .retractions import (
     PROJECTION,
     RetractionSpec,
     inverse_retract,
+    inverse_retract_many,
     perturbation_direction,
     retract,
     retract_many,

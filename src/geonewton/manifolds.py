@@ -10,21 +10,25 @@ All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.
 
 Each map has one kernel, written for a stack of rows: ``exp_many`` for the
-exponential map, ``distance_many`` for the geodesic distance, and
-:func:`rotation_exp_many`, :func:`rotation_angles`, ``_check_points`` and
-``_check_tangents``.  The single-vector forms (``exp_map``,
-``geodesic_distance``, :func:`rotation_exp`, :func:`rotation_angle`, the
+exponential map, ``log_many`` for its inverse, ``distance_many`` for the
+geodesic distance, and :func:`rotation_exp_many`, :func:`rotation_angles`,
+``_check_points`` and ``_check_tangents``.  The single-vector forms
+(``exp_map``, ``log_map``, ``geodesic_distance``, :func:`rotation_exp`, the
 constructors' checks) run the same kernel on one row.  Each row is computed
 on its own, so a row of a stack equals the one-row call bit for bit.  A check rejects NaN
 and inf entries first, then fails unless its error is at most its tolerance.
 A kernel reads its base point only through ``manifold``, ``coords``,
 ``matrix`` and ``frame[0]``, so a :class:`PointRows` stack can stand in for
 it: row i is then mapped or checked at base i, as the one-base call would.
+Near the cut locus the sphere's log magnifies rounding, so a sphere log row
+is tangent at its base or ``log_many`` raises ``CutLocusError``.
 
 Values are checked once, where they enter: coordinates given to
-:class:`ManifoldPoint`, :class:`TangentVector` or :class:`TangentBasis`
-(coordinates that are not real numbers in a rectangular array raise
-``ContractError`` there, as points and tangents off the manifold do).  A
+:class:`ManifoldPoint`, :class:`TangentVector`, :class:`TangentBasis` or
+``tangent_project`` (coordinates that are not real numbers in a rectangular
+array raise ``ContractError`` there, as points and tangents off the manifold
+do, and so do the points of another manifold given to ``log_map`` or
+``geodesic_distance``).  A
 value the library computes from checked values (the result of ``exp_map``,
 ``TangentVector.scaled``, ``TangentBasis.from_coordinates``, the basis that
 ``tangent_basis`` builds from the cached frame) is built with
@@ -268,6 +272,11 @@ class Manifold:
             raise ContractError("inner product requires tangent vectors at the same base point")
         return float(np.dot(u.coords, v.coords))
 
+    def _check_members(self, *points: ManifoldPoint) -> None:
+        """Raise ``ContractError`` unless every point lies on this manifold."""
+        if any(pt.manifold != self for pt in points):
+            raise ContractError(f"point is not on {self!r}")
+
     # subclass responsibilities -------------------------------------------------
 
     def _check_points(self, rows: np.ndarray) -> None:
@@ -290,8 +299,13 @@ class Manifold:
     def exp_map(self, v: TangentVector) -> ManifoldPoint:
         raise NotImplementedError
 
-    def log_map(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
+    def log_many(self, p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
+        """Inverse exponential map of every row (a point), as tangent rows at p."""
         raise NotImplementedError
+
+    def log_map(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
+        self._check_members(p, q)
+        return TangentVector(p, self.log_many(p, q.coords[None])[0])
 
     def distance_many(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Geodesic distance of each row of ``ps`` (points) to the matching row
@@ -299,6 +313,7 @@ class Manifold:
         raise NotImplementedError
 
     def geodesic_distance(self, p: ManifoldPoint, q: ManifoldPoint) -> float:
+        self._check_members(p, q)
         return float(self.distance_many(p.coords[None], q.coords)[0])
 
     def tangent_basis(self, p: ManifoldPoint) -> TangentBasis:
@@ -350,7 +365,7 @@ class Sphere(Manifold):
             raise ContractError("vector is not tangent to the sphere at its base point")
 
     def tangent_project(self, p, w):
-        w = _real_array(w)
+        w = _as_vector(w, self.ambient_dim)
         return TangentVector(p, w - np.dot(p.coords, w) * p.coords)
 
     @silent_overflow
@@ -368,17 +383,20 @@ class Sphere(Manifold):
         c = row_dots(ps, qs)
         return np.arctan2(row_norms(qs - c[:, None] * ps), c)
 
-    def log_map(self, p, q):
-        c = float(np.dot(p.coords, q.coords))
-        rej = q.coords - c * p.coords
-        s = float(np.linalg.norm(rej))
-        theta = float(np.arctan2(s, c))
-        if theta >= np.pi - _CUT_LOCUS_MARGIN:
+    def log_many(self, p, rows):
+        """theta/s times the rejection of q from p (of norm s), or the rejection below s = 1e-12."""
+        c = row_dots(p.coords, rows)
+        rej = rows - c[:, None] * p.coords
+        s = row_norms(rej)
+        theta = np.arctan2(s, c)
+        if (theta >= np.pi - _CUT_LOCUS_MARGIN).any():
             raise CutLocusError("points are antipodal or too close to the cut locus")
-        if s < 1e-12:
-            # theta/sin(theta) -> 1; the rejection itself is accurate enough
-            return TangentVector(p, rej)
-        return TangentVector(p, rej * (theta / s))
+        out = rej * np.where(s < 1e-12, 1.0, theta / np.maximum(s, 1e-12))[:, None]
+        try:  # within ~1e-4 of pi, theta/s magnifies the rounding of the rejection past tangency
+            self._check_tangents(p, out)
+        except ContractError:
+            raise CutLocusError("points are antipodal or too close to the cut locus") from None
+        return out
 
     def tangent_basis(self, p):
         return unchecked(TangentBasis, p, p.frame)
@@ -456,25 +474,6 @@ def rotation_angles(rots: np.ndarray) -> np.ndarray:
     return np.arctan2(s, c)
 
 
-def rotation_angle(rot: np.ndarray) -> float:
-    """Rotation angle in [0, pi] of one rotation matrix."""
-    return float(rotation_angles(rot[None])[0])
-
-
-def rotation_log(rot: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of a rotation, Rodrigues closed form with a
-    series fallback below angle 1e-4; raises near the cut locus."""
-    theta = rotation_angle(rot)
-    if theta >= np.pi - _CUT_LOCUS_MARGIN:
-        raise CutLocusError("rotation angle too close to pi for a stable logarithm")
-    skew = 0.5 * (rot - rot.T)
-    if theta < 1e-4:
-        factor = 1.0 + theta**2 / 6.0 + 7.0 * theta**4 / 360.0
-    else:
-        factor = theta / np.sin(theta)
-    return factor * skew
-
-
 class Rotations3(Manifold):
     """Rotation group SO(3); ambient coordinates are row-major flattened 3x3
     matrices and the metric is trace(U^T V)."""
@@ -519,7 +518,7 @@ class Rotations3(Manifold):
 
     def tangent_project(self, p, w):
         q = p.matrix
-        body = q.T @ _real_array(w).reshape(3, 3)
+        body = q.T @ _as_vector(w, 9).reshape(3, 3)
         skew = 0.5 * (body - body.T)
         return TangentVector(p, (q @ skew).reshape(9))
 
@@ -537,9 +536,16 @@ class Rotations3(Manifold):
         rels = ps.reshape(-1, 3, 3).transpose(0, 2, 1) @ qs.reshape(-1, 3, 3)
         return np.sqrt(2.0) * rotation_angles(rels)
 
-    def log_map(self, p, q):
-        rel = p.matrix.T @ q.matrix
-        return TangentVector(p, (p.matrix @ rotation_log(rel)).reshape(9))
+    @silent_overflow  # theta / sin(theta) at theta = 0, where the series is taken
+    def log_many(self, p, rows):
+        """Rodrigues' principal log of Q^T R mapped back to T_Q, with a series below angle 1e-4."""
+        rels = p.matrix.swapaxes(-1, -2) @ rows.reshape(-1, 3, 3)
+        theta = rotation_angles(rels)
+        if (theta >= np.pi - _CUT_LOCUS_MARGIN).any():
+            raise CutLocusError("rotation angle too close to pi for a stable logarithm")
+        series = 1.0 + np.float_power(theta, 2) / 6.0 + 7.0 * np.float_power(theta, 4) / 360.0  # pow, as ** on floats
+        factor = np.where(theta < 1e-4, series, theta / np.sin(theta))[:, None, None]
+        return (p.matrix @ (factor * (0.5 * (rels - rels.transpose(0, 2, 1))))).reshape(-1, 9)
 
     def tangent_basis(self, p):
         return unchecked(TangentBasis, p, p.frame)

@@ -11,12 +11,11 @@ Row-producing variants are exposed alongside each slope estimator so reports
 can emit the raw measurements and refitting the emitted rows reproduces the
 summary exactly.  A trace's rate is the same fit through its error pairs.
 
-The order and distance-deviation sweeps make one batched call per map over
-all their rows (``retract_many``, ``exp_many``, ``distance_many``), as does a
-trace's error read; each kernel row equals its one-row call bit for bit.
-The residual sweep retracts and inverts row by row, then probes all its
-points at once (``derivatives_fd``, one batch below its size limit); the
-Taylor sweep is one ``taylor_remainders`` call.
+Every sweep makes one batched call per map over all its rows (a
+:class:`ScaleSweep` lists them with ``tangent_rows``), as does a trace's
+error read; each kernel row equals its one-row call bit for bit.  The
+residual sweep inverts each row at its own base, then probes all its points
+at once (``derivatives_fd``, one batch below its size limit).
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ import numpy as np
 from .calculus import apply_many, derivatives_fd, gradient_fd, hessian_fd, taylor_remainders
 from .calculus import taylor_remainder  # noqa: F401  not called here; the benchmark tracer checks this binding
 from .errors import ContractError, InsufficientDataError, PreconditionError
-from .manifolds import ManifoldPoint, TangentVector, row_norms
+from .manifolds import ManifoldPoint, PointRows, TangentVector, row_norms, unchecked
 from .newton import IterationTrace
-from .retractions import RetractionSpec, inverse_retract, retract, retract_many
+from .retractions import RetractionSpec, inverse_retract_many, retract_many
+from .retractions import inverse_retract, retract  # noqa: F401  not called; the benchmark tracer checks them
 
 DEFAULT_SCALES = tuple(2.0 ** (-k) for k in range(2, 13))
 DEFAULT_NOISE_FLOOR = 1e-13
@@ -70,6 +70,11 @@ class ScaleSweep:
                 raise ContractError("sweep directions must be unit norm")
             if not np.array_equal(d.base.coords, base.coords):
                 raise ContractError("sweep directions must share one base point")
+
+    def tangent_rows(self) -> tuple[list[tuple[int, float]], np.ndarray]:
+        """(direction id, scale) of every row, direction by direction, and the (rows x ambient) s w."""
+        labels = list(itertools.product(range(len(self.directions)), self.scales))
+        return labels, np.array([s * self.directions[i].coords for i, s in labels])
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,7 @@ def retraction_order_rows(spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
     by direction."""
     p = sweep.directions[0].base
     manifold = p.manifold
-    labels = list(itertools.product(range(len(sweep.directions)), sweep.scales))
-    tangents = np.array([s * sweep.directions[i].coords for i, s in labels]).reshape(-1, manifold.ambient_dim)
+    labels, tangents = sweep.tangent_rows()
     retracted = retract_many(spec, p, tangents)
     with np.errstate(over="ignore", invalid="ignore"):  # as in exp_map: a row too long to map raises
         exact = manifold.exp_many(p, tangents)
@@ -185,16 +189,12 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
     anchor = sweep.directions[0].base
     if objective.analytic_gradient(anchor).norm() > 1e-10:
         raise PreconditionError("residual sweep must be anchored at a critical point")
-    labels, points, vs = [], [], []
-    for direction_id, w in enumerate(sweep.directions):
-        for s in sweep.scales:
-            p = retract(spec, w.scaled(s))
-            labels.append(direction_id)
-            points.append(p)
-            vs.append(inverse_retract(spec, p, anchor))
+    labels, tangents = sweep.tangent_rows()
+    points = [unchecked(ManifoldPoint, anchor.manifold, row) for row in retract_many(spec, anchor, tangents)]
+    vs = inverse_retract_many(spec, PointRows.of(points, 1), np.tile(anchor.coords, (len(points), 1)))
     grads, hessians, frames = derivatives_fd(objective, spec, points)
-    residuals = row_norms(grads + apply_many(hessians, frames, np.array([v.coords for v in vs])))
-    return [(i, v.norm(), r) for i, v, r in zip(labels, vs, residuals.tolist())]
+    residuals = row_norms(grads + apply_many(hessians, frames, vs))
+    return [(i, x, r) for (i, _), x, r in zip(labels, row_norms(vs).tolist(), residuals.tolist())]
 
 
 def critical_residual_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
@@ -246,8 +246,7 @@ def taylor_remainder_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) ->
     p = sweep.directions[0].base
     grad = gradient_fd(objective, spec, p)
     hess = hessian_fd(objective, spec, p)
-    labels = list(itertools.product(range(len(sweep.directions)), sweep.scales))
-    tangents = np.array([s * sweep.directions[i].coords for i, s in labels])
+    labels, tangents = sweep.tangent_rows()
     rems = taylor_remainders(objective, spec, p, tangents, grad, hess)
     return [(i, s, r) for (i, s), r in zip(labels, rems.tolist())]
 

@@ -13,17 +13,18 @@ exponential map.
 
 Each family is one kernel that maps a (k x ambient) array of tangent vectors
 at one base point (or row i at base i of a :class:`PointRows`) to k point
-rows, computing each row on its own.  One table
-gives each family's declared order, kernel and the manifold it is defined
-on.  :func:`retract_many` checks its rows and runs the kernel;
-:func:`retract` runs it on the one row of a :class:`TangentVector`, which was
-checked when it was built, so its row of :func:`retract_many` and its
-:func:`retract` agree bit for bit.  Each kernel returns points or raises
-``ContractError``, with no numpy warning.  The projection, perturbed and
-exponential kernels end in a division by the row norm, so they return unit
-rows unless that norm overflows, which raises.  The Cayley kernel's error
-grows like eps |v|, so it checks its output with the point check; a solve
-singular to working precision raises too.  Stencils use the batched form.
+rows, computing each row on its own, and one inverse kernel that maps point
+rows back.  One table gives each family's declared order, kernel, manifold
+class and inverse (the exponential's is ``log_many``).  :func:`retract_many`
+and :func:`inverse_retract_many` check their rows and run a kernel;
+:func:`retract` and :func:`inverse_retract` run one row, so each agrees with
+its row of the batch bit for bit.  Each kernel returns points or raises
+``ContractError``, with no numpy warning; each inverse raises
+``InversionFailureError`` on a row outside the range it inverts.  The
+projection, perturbed and exponential kernels end in a division by the row
+norm, so they return unit rows unless that norm overflows, which raises.
+The Cayley kernel's error grows like eps |v|, so it checks its output with
+the point check; a solve singular to working precision raises too.
 
 u(p) is read from the base point's cached frame (``ManifoldPoint.frame``),
 so retracting, inverting and probing at one point build that frame once.
@@ -44,7 +45,9 @@ from .manifolds import (
     Rotations3,
     Sphere,
     TangentVector,
+    _real_array,
     row_dots,
+    row_norms,
     silent_overflow,
     unchecked,
     unit_rows,
@@ -79,12 +82,56 @@ def _cayley_rows(p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-# family: (declared order, kernel, the manifold class it is defined on)
+def _inverse_projection(p: ManifoldPoint | PointRows, qs: np.ndarray) -> np.ndarray:
+    c = row_dots(p.coords, qs)
+    if (c <= 1e-12).any():
+        raise InversionFailureError("target lies outside the invertible hemisphere")
+    return qs / c[:, None] - p.coords
+
+
+def _inverse_cayley(p: ManifoldPoint | PointRows, qs: np.ndarray) -> np.ndarray:
+    rels = p.matrix.swapaxes(-1, -2) @ qs.reshape(-1, 3, 3)
+    eye = np.eye(3)
+    try:
+        body = 2.0 * np.linalg.solve(eye + rels, rels - eye)
+    except np.linalg.LinAlgError as exc:
+        raise InversionFailureError("Cayley inverse undefined (angle at pi)") from exc
+    body = 0.5 * (body - body.transpose(0, 2, 1))
+    return (p.matrix @ body).reshape(-1, 9)
+
+
+def _inverse_perturbed(p: ManifoldPoint | PointRows, qs: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of q = (p + v + |v|^2 u) / N.
+
+    Since v and u are tangent, q.p = 1/N.  Writing v = a u + w with w
+    orthogonal to u, the rest of q gives w = N q_w and a + a^2 + |w|^2 = N q.u.
+    The root through a = 0 is a = 2c / (1 + sqrt(1 + 4c)) with
+    c = N q.u - |w|^2; there is none when 1 + 4c < 0, and q is then outside
+    the range of R_p.
+    """
+    cos_angle = row_dots(p.coords, qs)
+    if (cos_angle <= 0.0).any():
+        raise InversionFailureError("target lies outside the range of the perturbed retraction")
+    scale = 1.0 / cos_angle
+    u = p.frame[0]
+    tangent = qs - cos_angle[:, None] * p.coords  # tangent_project of q
+    along = row_dots(tangent, u)
+    w = scale[:, None] * (tangent - along[:, None] * u)
+    c = scale * along - row_dots(w, w)
+    disc = 1.0 + 4.0 * c
+    if (disc < 0.0).any():
+        raise InversionFailureError("target lies outside the range of the perturbed retraction")
+    a = 2.0 * c / (1.0 + np.sqrt(disc))
+    return a[:, None] * u + w
+
+
+# family: (declared order, kernel, the manifold class it is defined on, inverse kernel)
 _TABLE = {
-    EXPONENTIAL: (math.inf, lambda p, rows: p.manifold.exp_many(p, rows), Manifold),
-    PROJECTION: (2, _projection_rows, Sphere),
-    CAYLEY: (2, _cayley_rows, Rotations3),
-    PERTURBED: (1, _perturbed_rows, Sphere),
+    EXPONENTIAL: (math.inf, lambda p, rows: p.manifold.exp_many(p, rows), Manifold,
+                  lambda p, qs: p.manifold.log_many(p, qs)),
+    PROJECTION: (2, _projection_rows, Sphere, _inverse_projection),
+    CAYLEY: (2, _cayley_rows, Rotations3, _inverse_cayley),
+    PERTURBED: (1, _perturbed_rows, Sphere, _inverse_perturbed),
 }
 
 FAMILIES = tuple(_TABLE)
@@ -131,76 +178,40 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, vectors) ->
 
     Each row is checked as :class:`TangentVector` would check it.
     """
-    manifold = p.manifold
-    spec.validate_for(manifold)
-    rows = np.asarray(vectors, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != manifold.ambient_dim or p.coords.shape[:-1] not in ((), rows.shape[:1]):
-        raise ContractError(
-            f"expected a (k, {manifold.ambient_dim}) array of tangent vectors, got shape {rows.shape}"
-        )
-    manifold._check_tangents(p, rows)
+    rows = _rows(spec, p, vectors, "tangent vectors")
+    p.manifold._check_tangents(p, rows)
     return _TABLE[spec.family][1](p, rows)
 
 
-def _inverse_projection(p: ManifoldPoint, q: ManifoldPoint) -> np.ndarray:
-    c = float(np.dot(p.coords, q.coords))
-    if c <= 1e-12:
-        raise InversionFailureError("target lies outside the invertible hemisphere")
-    return q.coords / c - p.coords
-
-
-def _inverse_cayley(p: ManifoldPoint, q: ManifoldPoint) -> np.ndarray:
-    rel = p.matrix.T @ q.matrix
-    eye = np.eye(3)
-    try:
-        body = 2.0 * np.linalg.solve(eye + rel, rel - eye)
-    except np.linalg.LinAlgError as exc:
-        raise InversionFailureError("Cayley inverse undefined (angle at pi)") from exc
-    body = 0.5 * (body - body.T)
-    return (p.matrix @ body).reshape(9)
-
-
-def _inverse_perturbed(p: ManifoldPoint, q: ManifoldPoint) -> np.ndarray:
-    """Closed-form inverse of q = (p + v + |v|^2 u) / N.
-
-    Since v and u are tangent, q.p = 1/N.  Writing v = a u + w with w
-    orthogonal to u, the rest of q gives w = N q_w and a + a^2 + |w|^2 = N q.u.
-    The root through a = 0 is a = 2c / (1 + sqrt(1 + 4c)) with
-    c = N q.u - |w|^2; there is none when 1 + 4c < 0, and q is then outside
-    the range of R_p.
-    """
-    cos_angle = float(np.dot(p.coords, q.coords))
-    if cos_angle <= 0.0:
-        raise InversionFailureError("target lies outside the range of the perturbed retraction")
-    scale = 1.0 / cos_angle
-    u = p.frame[0]
-    tangent = p.manifold.tangent_project(p, q.coords).coords
-    along = float(np.dot(tangent, u))
-    w = scale * (tangent - along * u)
-    c = scale * along - float(np.dot(w, w))
-    disc = 1.0 + 4.0 * c
-    if disc < 0.0:
-        raise InversionFailureError("target lies outside the range of the perturbed retraction")
-    a = 2.0 * c / (1.0 + math.sqrt(disc))
-    return a * u + w
-
-
-_INVERSES = {PROJECTION: _inverse_projection, CAYLEY: _inverse_cayley, PERTURBED: _inverse_perturbed}
+def _rows(spec: RetractionSpec, p: ManifoldPoint | PointRows, values, what: str) -> np.ndarray:
+    """``values`` as a real (k x ambient) array (k bases in a PointRows), once spec is defined at p."""
+    spec.validate_for(p.manifold)
+    ambient = p.manifold.ambient_dim
+    rows = _real_array(values)
+    if rows.ndim != 2 or rows.shape[1] != ambient or p.coords.shape[:-1] not in ((), rows.shape[:1]):
+        raise ContractError(f"expected a (k, {ambient}) array of {what}, got shape {rows.shape}")
+    return rows
 
 
 def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-    """Find v in T_pM with retract(spec, v) = q.
+    """Find v in T_pM with retract(spec, v) = q: one row of :func:`inverse_retract_many`."""
+    p.manifold._check_members(q)
+    return unchecked(TangentVector, p, inverse_retract_many(spec, p, q.coords[None])[0])
 
-    Every family has a closed form; each raises ``InversionFailureError`` when
-    q lies outside the range it inverts on.  The exponential map's inverse is
-    the manifold's ``log_map``; the other inverses are checked by a round
-    trip through ``retract``.
-    """
-    spec.validate_for(p.manifold)
-    if spec.family == EXPONENTIAL:
-        return p.manifold.log_map(p, q)
-    v = TangentVector(p, _INVERSES[spec.family](p, q))
-    gap = float(np.linalg.norm(retract(spec, v).coords - q.coords))
-    if gap > _ROUNDTRIP_TOL:
-        raise InversionFailureError(f"inverse retraction round trip off by {gap:.3e}")
-    return v
+
+@silent_overflow
+def inverse_retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, targets) -> np.ndarray:
+    """The tangent rows v with R_p(v) = q for every row q of ``targets``, a
+    (k x ambient) array of points (row i from base i of a k-row
+    :class:`PointRows`).  Every row is checked tangent, and the rows of the
+    families other than exp by a round trip, which names the first gap past 1e-10."""
+    qs = _rows(spec, p, targets, "points")
+    p.manifold._check_points(qs)
+    out = _TABLE[spec.family][3](p, qs)
+    p.manifold._check_tangents(p, out)
+    if spec.family != EXPONENTIAL:  # exp inverts log_many's rows exactly
+        gaps = row_norms(_TABLE[spec.family][1](p, out) - qs)
+        gap = gaps[np.argmax(gaps > _ROUNDTRIP_TOL)]  # the first past the tolerance, if any
+        if gap > _ROUNDTRIP_TOL:
+            raise InversionFailureError(f"inverse retraction round trip off by {gap:.3e}")
+    return out

@@ -6,19 +6,20 @@ value, but the noise-floor-limited sweeps (lemma1 on even pullbacks) move
 visibly when it happens.  Every comparison here is therefore exact
 (``np.array_equal`` or ``==``, and ``tobytes()`` where a signed zero must
 match too) against references kept in this file: each
-retraction's, each objective's and each geodesic distance's closed form on
-one vector, a per-probe loop that retracts one tangent vector and evaluates
-the objective by those closed forms, and the order and distance-deviation
-sweeps run one row at a time, as are the residual and Taylor sweeps.
+retraction's, each inverse retraction's (the log for exp), each objective's
+and each geodesic distance's closed form on one vector, a per-probe loop
+that retracts one tangent vector and evaluates the objective by those closed
+forms, and the order and distance-deviation sweeps run one row at a time, as
+are the residual and Taylor sweeps.
 """
 
 import numpy as np
 import pytest
 
 import geonewton as gn
-from geonewton import calculus
+from geonewton import calculus, rates
 from geonewton.calculus import GRADIENT_STEP_FACTOR, HESSIAN_STEP_FACTOR, REFINED_GRADIENT_STEP_FACTOR
-from geonewton.manifolds import PointRows, row_dots
+from geonewton.manifolds import PointRows, row_dots, unchecked
 
 SPHERE_SIZES = (2, 3, 10, 20, 50)
 SPHERE_FAMILIES = ("exp", "projection", "perturbed")
@@ -569,15 +570,88 @@ def _old_apply(hess, v):
     return hess.basis.from_coordinates(hess.matrix @ hess.basis.coordinates(v))
 
 
+_CUT_LOCUS = np.pi - 1e-6
+
+
+def _closed_log(p, q):
+    """log_p(q) for one point q, in scalar numpy arithmetic: theta/s times the
+    rejection on the sphere, Rodrigues with a series below angle 1e-4 on SO(3)."""
+    if isinstance(p.manifold, gn.Sphere):
+        c = float(np.dot(p.coords, q))
+        rej = q - c * p.coords
+        s = float(np.linalg.norm(rej))
+        theta = float(np.arctan2(s, c))
+        if theta >= _CUT_LOCUS:
+            raise gn.CutLocusError("points are antipodal or too close to the cut locus")
+        return rej if s < 1e-12 else rej * (theta / s)
+    rel = p.matrix.T @ q.reshape(3, 3)
+    skew = 0.5 * (rel - rel.T)
+    theta = float(np.arctan2(np.linalg.norm(gn.vee(skew)), 0.5 * (float(np.trace(rel)) - 1.0)))
+    if theta >= _CUT_LOCUS:
+        raise gn.CutLocusError("rotation angle too close to pi for a stable logarithm")
+    factor = 1.0 + theta**2 / 6.0 + 7.0 * theta**4 / 360.0 if theta < 1e-4 else theta / np.sin(theta)
+    return (p.matrix @ (factor * skew)).reshape(9)
+
+
+def _closed_inverse(family, p, q):
+    """v with R_p(v) = q for one point q, in scalar numpy arithmetic."""
+    if family == "exp":
+        return _closed_log(p, q)
+    if family == "cayley":
+        rel = p.matrix.T @ q.reshape(3, 3)
+        eye = np.eye(3)
+        try:
+            body = 2.0 * np.linalg.solve(eye + rel, rel - eye)
+        except np.linalg.LinAlgError:
+            raise gn.InversionFailureError("Cayley inverse undefined (angle at pi)") from None
+        return (p.matrix @ (0.5 * (body - body.T))).reshape(9)
+    c = float(np.dot(p.coords, q))
+    if family == "projection":
+        if c <= 1e-12:
+            raise gn.InversionFailureError("target lies outside the invertible hemisphere")
+        return q / c - p.coords
+    outside = gn.InversionFailureError("target lies outside the range of the perturbed retraction")
+    if c <= 0.0:
+        raise outside
+    u = gn.perturbation_direction(p).coords
+    tangent = q - c * p.coords
+    along = float(np.dot(tangent, u))
+    w = (1.0 / c) * (tangent - along * u)
+    cc = (1.0 / c) * along - float(np.dot(w, w))
+    if 1.0 + 4.0 * cc < 0.0:
+        raise outside
+    a = 2.0 * cc / (1.0 + np.sqrt(1.0 + 4.0 * cc))
+    return a * u + w
+
+
+def _closed_inverse_retract(spec, p, q):
+    """inverse_retract one point at a time: the closed form, a tangent check
+    (a CutLocusError for the sphere's log) and, for the families other than
+    exp, a round trip through retract."""
+    v = _closed_inverse(spec.family, p, q.coords)
+    try:
+        v = gn.TangentVector(p, v)
+    except gn.ContractError:
+        if spec.family != "exp" or not isinstance(p.manifold, gn.Sphere):
+            raise
+        raise gn.CutLocusError("points are antipodal or too close to the cut locus") from None
+    if spec.family != "exp":
+        gap = float(np.linalg.norm(gn.retract(spec, v).coords - q.coords))
+        if gap > 1e-10:
+            raise gn.InversionFailureError(f"inverse retraction round trip off by {gap:.3e}")
+    return v
+
+
 def _scalar_residual_rows(objective, spec, sweep):
-    """critical_residual_rows one row at a time: retract, inverse_retract, a
-    gradient_fd and a hessian_fd at the row's point, and apply."""
+    """critical_residual_rows one row at a time: retract, the inverse
+    retraction in closed form, a gradient_fd and a hessian_fd at the row's
+    point, and apply."""
     anchor = sweep.directions[0].base
     rows = []
     for direction_id, w in enumerate(sweep.directions):
         for s in sweep.scales:
             p = gn.retract(spec, w.scaled(s))
-            v = gn.inverse_retract(spec, p, anchor)
+            v = _closed_inverse_retract(spec, p, anchor)
             basis = p.manifold.tangent_basis(p)
             grad = gn.gradient_fd(objective, spec, p, basis=basis)
             hess = gn.hessian_fd(objective, spec, p, basis=basis)
@@ -724,3 +798,112 @@ def test_derivatives_fd_rows_equal_one_point_extraction(monkeypatch, manifold, f
         assert wrapped.calls == 3 * per_point
     with pytest.raises(gn.ContractError):
         calculus.derivatives_fd(objective, spec, [])
+
+
+def _targets(manifold, family, p, seed):
+    """Points R_p(v) for v from 0 to 0.5 in length (SO(3) angles below 1e-4
+    included), and for exp from 1 to within 1e-3 of the cut locus."""
+    spec = gn.RetractionSpec(family)
+    rows = _tangent_rows(p, seed)
+    if family == "exp":
+        rng = gn.rng_for(seed + 1)
+        scale = np.sqrt(2.0) if isinstance(manifold, gn.Rotations3) else 1.0  # |v| = sqrt(2) angle on SO(3)
+        far = [t * scale * gn.random_tangent(p, rng).coords for t in (1.0, 2.0, 3.0, np.pi - 1e-3)]
+        rows = np.concatenate([rows, far])
+    return gn.retract_many(spec, p, rows)
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+@pytest.mark.filterwarnings("error")
+def test_inverse_retract_many_rows_equal_closed_forms(manifold, family):
+    # At one base, row i is the scalar closed form at target i, and
+    # inverse_retract (log_map for exp) is its one-row call, bit for bit.
+    spec = gn.RetractionSpec(family)
+    for seed in (1, 2, 3):
+        p = _base_point(manifold, 800 + seed)
+        qs = _targets(manifold, family, p, 810 + seed)
+        many = gn.inverse_retract_many(spec, p, qs)
+        assert many.tobytes() == np.array([_closed_inverse(family, p, q) for q in qs]).tobytes()
+        singles = [gn.inverse_retract(spec, p, unchecked(gn.ManifoldPoint, manifold, q)).coords for q in qs]
+        assert many.tobytes() == np.array(singles).tobytes()
+        if family == "exp":
+            logs = [manifold.log_map(p, unchecked(gn.ManifoldPoint, manifold, q)).coords for q in qs]
+            assert many.tobytes() == np.array(logs).tobytes()
+            if isinstance(manifold, gn.Rotations3):  # the series branch is reached
+                assert (gn.manifolds.rotation_angles(p.matrix.T @ qs.reshape(-1, 3, 3)) < 1e-4).sum() >= 3
+
+
+@pytest.mark.parametrize("manifold,family", SWEEP_PAIRS, ids=SWEEP_IDS)
+@pytest.mark.filterwarnings("error")
+def test_point_rows_inverse_retract_many_equals_closed_forms(manifold, family):
+    # Row i is inverted at base i, as the closed form at that base would.
+    spec = gn.RetractionSpec(family)
+    for seed in (1, 2, 3):
+        points, rows = _base_rows(manifold, 900 + seed)
+        bases = PointRows.of(points, 1)
+        qs = gn.retract_many(spec, bases, rows)
+        many = gn.inverse_retract_many(spec, bases, qs)
+        assert many.tobytes() == np.array([_closed_inverse(family, p, q) for p, q in zip(points, qs)]).tobytes()
+        with pytest.raises(gn.ContractError):  # one target per base
+            gn.inverse_retract_many(spec, bases, qs[:2])
+
+
+def test_inverse_retract_many_raises_when_any_row_is_out_of_range():
+    # rows 1 and 3 lie outside the hemisphere the projection inverts on, and
+    # row 3 is the antipode, where the log is undefined
+    manifold = gn.Sphere(3)
+    p = manifold.point([0.0, 0.0, 1.0])
+    qs = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(gn.InversionFailureError, match="invertible hemisphere"):
+        gn.inverse_retract_many(gn.RetractionSpec("projection"), p, qs)
+    with pytest.raises(gn.CutLocusError):
+        gn.inverse_retract_many(gn.RetractionSpec("exp"), p, qs[2:])
+    assert gn.inverse_retract_many(gn.RetractionSpec("exp"), p, qs[:3]).shape == (3, 3)
+
+
+def test_residual_sweep_makes_one_call_per_map(monkeypatch):
+    # one retract_many, one inverse_retract_many, one derivatives_fd, and no
+    # per-row retract or inverse_retract
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("retract_many", "inverse_retract_many", "derivatives_fd", "retract", "inverse_retract"):
+        monkeypatch.setattr(rates, name, counting(name, getattr(rates, name)))
+    for manifold, family in SWEEP_PAIRS:
+        objective = _sweep_objectives(manifold)[0]
+        anchor = _anchor(objective)
+        rng = gn.rng_for(17)
+        sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, rng) for _ in range(3)], scales=gn.DEFAULT_SCALES[1:])
+        calls.clear()
+        gn.critical_residual_rows(objective, gn.RetractionSpec(family), sweep)
+        assert calls == ["retract_many", "inverse_retract_many", "derivatives_fd"]
+
+
+LEMMA1_FAILURES = [
+    # (manifold, family, instance seed, scales, error, message): the grid's
+    # failing lemma1 invocations
+    (gn.Sphere(3), "perturbed", 14, gn.DEFAULT_SCALES, gn.InversionFailureError,
+     "target lies outside the range of the perturbed retraction"),
+    (gn.Sphere(3), "perturbed", 0, (3.0, 1e-2), gn.InversionFailureError,
+     "target lies outside the range of the perturbed retraction"),
+    (gn.Sphere(10), "perturbed", 0, (3.0, 1e-2), gn.InversionFailureError,
+     "target lies outside the range of the perturbed retraction"),
+    (gn.Sphere(3), "perturbed", 0, (1e200, 1e-2), gn.ContractError, "tangent vector too long to map to the manifold"),
+    (gn.Sphere(10), "exp", 0, (1e200, 1e-2), gn.ContractError, "tangent vector too long to map to the manifold"),
+    (gn.Rotations3(), "cayley", 0, (1e200, 1e-2), gn.ContractError, "tangent vector too long to map to the manifold"),
+    (gn.Rotations3(), "cayley", 0, (1e6, 1e-2), gn.ContractError, "matrix is not orthogonal"),
+]
+
+
+@pytest.mark.parametrize("manifold,family,seed,scales,error,message", LEMMA1_FAILURES)
+@pytest.mark.filterwarnings("error")
+def test_failing_lemma1_sweeps_raise_as_the_row_loop(manifold, family, seed, scales, error, message):
+    # the CLI's lemma1 sweep: one direction at the seeded instance's optimum
+    kind = "rayleigh" if isinstance(manifold, gn.Sphere) else "procrustes"
+    objective = gn.seeded_instance(seed, kind, manifold.ambient_dim) if kind == "rayleigh" else gn.seeded_instance(seed, kind)
+    sweep = gn.ScaleSweep(directions=(gn.random_tangent(_anchor(objective), gn.rng_for(seed)),), scales=scales)
+    spec = gn.RetractionSpec(family)
+    assert _rows_or_error(lambda: _scalar_residual_rows(objective, spec, sweep)) == (error, message)
+    assert _rows_or_error(lambda: gn.critical_residual_rows(objective, spec, sweep)) == (error, message)

@@ -337,3 +337,11 @@ def test_csv_floats_round_trip(tmp_path):
     parsed = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
     for got, want in zip(parsed, report.rows):
         assert got[1] == want[1] and got[2] == want[2]
+
+
+def test_lemma1_at_a_scale_near_pi_reports_the_cut_locus(tmp_path, capsys):
+    # R_p(3.14159 w) lies 2.7e-6 from the antipode of the anchor, where the
+    # sphere's log cannot return a tangent vector
+    argv = ["lemma1", "--manifold", "sphere:3", "--retraction", "exp", "--scales", "3.14159,1e-2"]
+    assert run(argv, tmp_path) == 1
+    assert "cut locus" in capsys.readouterr().err

@@ -264,6 +264,29 @@ def test_log_cut_locus(sphere3, rotations):
         rotations.log_map(eye, half_turn)
 
 
+@pytest.mark.parametrize("gap", [1.5e-6, 1e-4, 3e-4, 1e-3])
+def test_sphere_log_near_the_cut_locus_is_tangent_or_cut_locus_error(gap):
+    # At distance pi - gap, theta/s magnifies the rounding of the rejection:
+    # below gap ~3e-4 the scaled rejection can miss tangency, which is a
+    # CutLocusError (it was a ContractError), never an escaped non-tangent row.
+    rng = gn.rng_for(31)
+    outcomes = []
+    for n in (3, 10):
+        sphere = gn.Sphere(n)
+        for _ in range(100):
+            p = gn.random_point(sphere, rng)
+            q = sphere.exp_map(gn.random_tangent(p, rng).scaled(np.pi - gap))
+            try:
+                v = sphere.log_map(p, q)
+            except gn.CutLocusError:
+                outcomes.append(False)
+                continue
+            gn.TangentVector(p, v.coords)  # tangent to working precision
+            assert v.norm() == pytest.approx(np.pi - gap, abs=1e-6)
+            outcomes.append(True)
+    assert (all(outcomes) if gap >= 1e-3 else not all(outcomes))
+
+
 def test_distance_examples(sphere3, rotations):
     assert sphere3.geodesic_distance(
         sphere3.point([1, 0, 0]), sphere3.point([0, 1, 0])
@@ -341,10 +364,17 @@ def test_basis_coordinates_round_trip(sphere3):
 
 def _gram_schmidt_reference(p):
     """Candidate-by-candidate modified Gram-Schmidt over the standard basis,
-    skipping the candidate aligned with p: the frame ``p.frame`` must match
-    to rounding."""
+    skipping the candidate the frame puts last: the first e_k with
+    |x[k+1:]| <= 1e-8 |x[k:]|, or e_{n-1}.  The frame ``p.frame`` must match
+    to rounding.  The tails are taken as the frame takes them (``hypot``), so
+    the two agree on the skipped candidate even when a tail ratio rounds to
+    exactly 1e-8, where a norm of the projected candidate could fall on
+    either side."""
     x = p.coords
     n = len(x)
+    tails = np.hypot.accumulate(np.abs(x[::-1]))[::-1]
+    short = np.flatnonzero(tails[1:] <= 1e-8 * tails[:-1])
+    skipped = short[0] if short.size else n - 1
 
     def sweep(vec):
         vec = vec - np.dot(x, vec) * x
@@ -354,16 +384,13 @@ def _gram_schmidt_reference(p):
 
     vectors = []
     for i in range(n):
+        if i == skipped:
+            continue
         cand = np.zeros(n)
         cand[i] = 1.0
         cand = sweep(cand)
-        norm = np.linalg.norm(cand)
-        if norm < 1e-8:
-            continue
-        cand = sweep(cand / norm)
+        cand = sweep(cand / np.linalg.norm(cand))
         vectors.append(cand / np.linalg.norm(cand))
-        if len(vectors) == n - 1:
-            break
     return np.array(vectors)
 
 
@@ -424,6 +451,14 @@ def test_sphere_frame_with_subnormal_tail():
     x = 10.0 ** (-7.0 * np.arange(50))
     p = gn.Sphere(50).point(x / np.linalg.norm(x))
     _assert_orthonormal_tangent_frame(p, p.frame)
+    assert np.max(np.abs(p.frame - _gram_schmidt_reference(p))) <= 1e-14
+
+
+@pytest.mark.parametrize("entries", [[1.0, 1e-8], [1.0, 0.0, 1e-8], [1.0, 1e-8, 0.0], [1e3, 1e-5]])
+def test_sphere_frame_at_the_skip_boundary(entries):
+    # |x[1:]| is exactly 1e-8 |x|: e_0 goes last, in the frame and the reference
+    v = np.array(entries) / max(entries)
+    p = gn.Sphere(len(entries)).point(v / np.linalg.norm(v))
     assert np.max(np.abs(p.frame - _gram_schmidt_reference(p))) <= 1e-14
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import geonewton as gn
-from geonewton.manifolds import SO3_GENERATORS, rotation_angle
+from geonewton.manifolds import SO3_GENERATORS, rotation_angles
 
 
 def families_for(manifold):
@@ -113,7 +113,7 @@ def test_cayley_closed_form_angle(rotations):
     theta = 0.2
     v = rotations.tangent(eye, (theta * SO3_GENERATORS[2]).reshape(9))
     out = gn.retract(gn.RetractionSpec("cayley"), v)
-    assert rotation_angle(out.matrix) == pytest.approx(2.0 * np.arctan(theta / 2.0), abs=1e-14)
+    assert rotation_angles(out.matrix[None])[0] == pytest.approx(2.0 * np.arctan(theta / 2.0), abs=1e-14)
     assert np.allclose(out.matrix, gn.rotation_about_z(2.0 * np.arctan(theta / 2.0)), atol=1e-14)
 
 
@@ -202,3 +202,45 @@ def test_perturbation_direction_is_first_basis_vector(sphere3):
     u = gn.perturbation_direction(p)
     assert np.array_equal(u.coords, sphere3.tangent_basis(p).vectors[0].coords)
     assert u.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+# Value entry points given a point of another manifold, a vector of the wrong
+# length, or rows that are not a real rectangular array: numpy raised
+# ValueError at each, warned ComplexWarning, or (for a Sphere(9) point at the
+# SO(3) identity, whose coordinates have the right length) returned a value.
+_S3, _SO3 = gn.Sphere(3), gn.Rotations3()
+_E0, _I = _S3.point([1.0, 0.0, 0.0]), _SO3.identity()
+_S9_POINT = gn.Sphere(9).point(np.eye(9)[0])
+BAD_VALUES = {
+    "inverse_retract_other_sphere": lambda: gn.inverse_retract(
+        gn.RetractionSpec("exp"), _E0, gn.Sphere(4).point([1.0, 0.0, 0.0, 0.0])),
+    "inverse_retract_sphere_point_at_rotation": lambda: gn.inverse_retract(gn.RetractionSpec("exp"), _I, _S9_POINT),
+    "log_map_sphere_point_at_rotation": lambda: _SO3.log_map(_I, _S9_POINT),
+    "distance_sphere_point_at_rotation": lambda: _SO3.geodesic_distance(_I, _S9_POINT),
+    "sphere_project_short": lambda: _S3.tangent_project(_E0, [0.0, 1.0]),
+    "rotation_project_short": lambda: _SO3.tangent_project(_I, [1.0, 2.0, 3.0]),
+    "retract_many_ragged": lambda: gn.retract_many(gn.RetractionSpec("exp"), _E0, [[0.0, 1.0, 0.0], [0.0, 1.0]]),
+    "retract_many_complex": lambda: gn.retract_many(gn.RetractionSpec("exp"), _E0, np.array([[0.0, 1j, 0.0]])),
+    "inverse_retract_many_ragged": lambda: gn.inverse_retract_many(
+        gn.RetractionSpec("projection"), _E0, [[1.0, 0.0, 0.0], [1.0, 0.0]]),
+    "inverse_retract_many_complex": lambda: gn.inverse_retract_many(
+        gn.RetractionSpec("projection"), _E0, np.array([[1.0 + 0j, 0.0, 0.0]])),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning either
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_value_entry_points_raise_contract_error(case):
+    with pytest.raises(gn.ContractError):
+        BAD_VALUES[case]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_inverse_retract_many_checks_its_rows():
+    spec = gn.RetractionSpec("projection")
+    with pytest.raises(gn.ContractError, match="array of points"):
+        gn.inverse_retract_many(spec, _E0, [1.0, 0.0, 0.0])  # one row, not a (k, 3) array
+    with pytest.raises(gn.ContractError, match="unit length"):
+        gn.inverse_retract_many(spec, _E0, [[1.0, 1.0, 0.0]])
+    with pytest.raises(gn.ConfigurationError):
+        gn.inverse_retract_many(gn.RetractionSpec("cayley"), _E0, [[1.0, 0.0, 0.0]])

@@ -14,7 +14,8 @@ one iteration before the default run ends), and order, lemma1, lemma2 and
 taylor at an over-long scale ladder. Three lemma1 runs under the perturbed
 retraction fail to invert a retracted point: on sphere:3 and sphere:10 at a
 ladder that starts outside the retraction's range, and on sphere:3 at seed
-14. Each invocation leaves its report (if it wrote one) and a ``.log`` file
+14. One lemma1 run under cayley on so3 fails the point check of R_p(1e6 w).
+Each invocation leaves its report (if it wrote one) and a ``.log`` file
 with its exit code, stdout and stderr.
 
 Reports echo their output path, so the invocations run inside OUTDIR with
@@ -69,6 +70,9 @@ def invocations():
                          "--scales", OUT_OF_RANGE_SCALES, "--output", f"{stem}.csv"]
     stem = "lemma1_sphere3_perturbed_s14"  # a seed whose perturbed lemma1 sweep fails to invert
     yield stem, ["lemma1", "--retraction", "perturbed", "--seed", "14", "--output", f"{stem}.csv"]
+    stem = "lemma1_so3_cayley_not_orthogonal"  # R_p(1e6 w) fails the Cayley kernel's point check
+    yield stem, ["lemma1", "--manifold", "so3", "--retraction", "cayley", "--scales", "1e6,1e-2",
+                 "--output", f"{stem}.csv"]
 
 
 def main(argv=None) -> int:
