@@ -4,6 +4,7 @@ quadratic convergence rate."""
 
 from .calculus import (
     SymmetricOperator,
+    gradient_cs,
     gradient_fd,
     hessian_fd,
     taylor_remainder,

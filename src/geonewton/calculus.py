@@ -1,5 +1,5 @@
-"""Finite-difference extraction of the retraction-induced gradient and
-Hessian.
+"""Finite-difference and complex-step extraction of the retraction-induced
+gradient and Hessian.
 
 The gradient and Hessian at p are read off the second-order expansion of the
 pulled-back objective t -> J(R_p(t e_i)) in an orthonormal tangent basis:
@@ -31,7 +31,8 @@ Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
 independent of the objective's magnitude: probing cJ at the same points as J
 makes the extracted derivatives exactly c-homogeneous, which the Newton step
-relies on.
+relies on.  :func:`gradient_cs` reads the gradient by complex step: its d
+probes R_p(i h e_i) subtract nothing, so it has no rounding floor.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ import numpy as np
 
 from .errors import ContractError, EvaluationError
 from .manifolds import ManifoldPoint, PointRows, TangentBasis, TangentVector, frame_sums, row_dots, unchecked
-from .retractions import RetractionSpec, retract_many
+from .retractions import RetractionSpec, _retract_rows, retract_many
 from .retractions import retract  # noqa: F401  not called here; the benchmark tracer checks this binding
 
 _EPS = float(np.finfo(float).eps)
 GRADIENT_STEP_FACTOR = _EPS ** (1.0 / 3.0)  # ~6.1e-6
 HESSIAN_STEP_FACTOR = _EPS ** 0.25  # ~1.2e-4
+COMPLEX_STEP = 1e-30  # gradient_cs's h: h^2 vanishes against 1 in every real part
 
 # Central differences quantize to ulp(J)/(2h); the wider step trades truncation
 # for resolution and is what the Newton driver switches to near critical points,
@@ -98,16 +100,16 @@ def _check_finite(values) -> None:
         raise EvaluationError("objective returned a non-finite value during a probe")
 
 
-def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray) -> np.ndarray:
-    """J at every point row, through ``values`` when the objective has it and
-    through ``value`` row by row otherwise; every value must be finite."""
+def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray, dtype=float) -> np.ndarray:
+    """J at every point row as ``dtype``, through ``values`` when the objective
+    has it and through ``value`` row by row otherwise; each must be finite."""
     batched = getattr(objective, "values", None)
     if batched is not None:
-        out = np.asarray(batched(p, points), dtype=float)
+        out = np.asarray(batched(p, points), dtype=dtype)
         if out.shape != (len(points),):
             raise ContractError("objective values() must return one value per point")
     else:
-        out = np.array([objective.value(unchecked(ManifoldPoint, p.manifold, row)) for row in points], dtype=float)
+        out = np.array([objective.value(unchecked(ManifoldPoint, p.manifold, row)) for row in points], dtype=dtype)
     _check_finite(out)
     return out
 
@@ -160,6 +162,16 @@ def gradient_fd(
         basis = p.manifold.tangent_basis(p)
     values = _evaluate(objective, p, retract_many(spec, p, _central_rows(basis.frame, step_factor)))
     return unchecked(TangentVector, p, _gradients(values, basis.frame, step_factor))
+
+
+def gradient_cs(objective, spec: RetractionSpec, p: ManifoldPoint, basis: TangentBasis | None = None) -> TangentVector:
+    """Complex-step gradient of J o R_p at 0 in d probes: component i is
+    Im J(R_p(i h e_i)) / h.  It subtracts nothing, so it has no rounding
+    floor, but it is right only where J o R_p is holomorphic in v."""
+    if basis is None:
+        basis = p.manifold.tangent_basis(p)
+    values = _evaluate(objective, p, _retract_rows(spec, p, (1j * COMPLEX_STEP) * basis.frame), complex)
+    return unchecked(TangentVector, p, frame_sums(values.imag / COMPLEX_STEP, basis.frame))
 
 
 @functools.cache

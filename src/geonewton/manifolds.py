@@ -440,8 +440,9 @@ def hat(omega) -> np.ndarray:
 
 def vee(mat) -> np.ndarray:
     """Inverse of :func:`hat` (reads the strictly lower triangle); a
-    (k x 3 x 3) stack gives k rows."""
-    mat = np.asarray(mat, dtype=float)
+    (k x 3 x 3) stack gives k rows, complex if the stack is."""
+    mat = np.asarray(mat)
+    mat = mat.astype(np.result_type(mat, np.float64), copy=False)
     return np.stack([mat[..., 2, 1], mat[..., 0, 2], mat[..., 1, 0]], axis=-1)
 
 

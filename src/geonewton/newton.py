@@ -1,14 +1,17 @@
 """The geometric Newton iteration: solve the tangent-space system
 Hess s = -grad at the current point, retract, repeat.  ``newton_run`` is
 the one driver: each iteration reads the gradient, then takes one update.
+The gradient of an objective that declares ``holomorphic = True`` is read by
+complex step, and checked against the FD read at each run's first iterate;
+any other objective's, and every Hessian, by finite differences.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
 tests guard ``newton_run`` without changing any step it takes: a condition
 cap on the tangent Hessian (instead of a silent near-singular solve the solve
 raises, and the run records, ``SingularHessian``), and a stall test that ends
-a run once its steps are below ``sqrt(eps)`` and the finite-difference
-gradient read has stopped improving (``STALLED``).
+a run once its steps are below ``sqrt(eps)`` and the gradient read has
+stopped improving (``STALLED``, at the read's noise floor).
 """
 
 from __future__ import annotations
@@ -19,18 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    REFINED_GRADIENT_STEP_FACTOR,
-    SymmetricOperator,
-    gradient_fd,
-    hessian_fd,
-)
+from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, gradient_cs, gradient_fd, hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
 from .manifolds import ManifoldPoint, TangentVector
 from .retractions import RetractionSpec, retract
 
 _RESIDUAL_TOL = 1e-10
 _REFINE_THRESHOLD = 1e-8
+_GUARD = 1e-6  # the FD read's error: at most 2e-10 (|grad| + |J|) on the shipped objectives
 # Stall gate.  Inside the quadratic basin a Newton step of length s lands
 # within about s**2 of the critical point, so once a step is at most
 # sqrt(eps) the next one could only move rounding-level digits; a gradient
@@ -38,18 +37,28 @@ _REFINE_THRESHOLD = 1e-8
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
-def _measure_gradient(objective, spec, p, basis) -> tuple[TangentVector, float]:
+def _measure_gradient(objective, spec, p, basis, first: bool) -> tuple[TangentVector, float]:
     """The gradient read at p and its norm.
 
-    Near critical points the default-step read is quantization-limited at
-    ~ulp(J)/(2h); a wider-step read resolves finer gradients there.  Keep
-    whichever measurement is smaller."""
+    An objective that declares ``holomorphic = True`` is read by complex
+    step; at a run's first iterate that read must agree with the FD read to
+    _GUARD (|grad| + |J|), or ``ContractError`` names the objective.  Any
+    other objective is read by FD, which near critical points is
+    quantization-limited at ~ulp(J)/(2h); a wider-step read resolves finer
+    gradients there.  Keep whichever measurement is smaller."""
+    if getattr(objective, "holomorphic", False):
+        grad = gradient_cs(objective, spec, p, basis=basis)
+        if first:
+            fd = gradient_fd(objective, spec, p, basis=basis)
+            gap = float(np.linalg.norm(grad.coords - fd.coords))
+            if not gap <= _GUARD * (fd.norm() + abs(objective.value(p))):
+                raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
+                                    f"complex-step gradient is {gap:.3e} from the finite-difference read")
+        return grad, grad.norm()
     grad = gradient_fd(objective, spec, p, basis=basis)
     norm = grad.norm()
     if norm < _REFINE_THRESHOLD:
-        refined = gradient_fd(
-            objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR
-        )
+        refined = gradient_fd(objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR)
         refined_norm = refined.norm()
         if refined_norm < norm:
             return refined, refined_norm
@@ -67,9 +76,9 @@ class NewtonStatus(enum.Enum):
 @dataclass(frozen=True)
 class NewtonConfig:
     retraction: RetractionSpec
-    # Gradient-norm stop, the only way to end CONVERGED.  It is absolute, so
-    # a run whose FD noise floor lies above it ends STALLED (IterationTrace
-    # lists every status).
+    # Gradient-norm stop, the only way to end CONVERGED.  It is absolute, so a
+    # run whose read floors above it (an FD read, or a complex read of a J
+    # scaled past about 1e4) ends STALLED (IterationTrace lists every status).
     tol: float = 1e-12
     max_iter: int = 50
     cond_cap: float = 1e12
@@ -91,7 +100,8 @@ class IterationTrace:
     ``status`` says why the run ended: CONVERGED when the last gradient norm
     is at most ``tol``; STALLED when the last step was at most ``sqrt(eps)``
     and neither of the last two gradient norms went below the earlier
-    minimum (the read sits at its noise floor, above ``tol``); MAX_ITER when
+    minimum (the read sits at its noise floor above ``tol``: an FD read, or
+    a complex read of a J scaled past about 1e4); MAX_ITER when
     the budget ran out; SINGULAR_HESSIAN when the conditioning guard
     tripped; EVALUATION_ERROR when a probe of the objective was not finite
     (the last gradient norm is NaN if its read failed).  Only CONVERGED
@@ -165,7 +175,7 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     try:
         for _ in range(config.max_iter + 1):
             basis = current.manifold.tangent_basis(current)
-            grad, norm = _measure_gradient(objective, spec, current, basis)
+            grad, norm = _measure_gradient(objective, spec, current, basis, not grad_norms)
             grad_norms.append(norm)
             if grad_norms[-1] <= config.tol:
                 status = NewtonStatus.CONVERGED

@@ -29,6 +29,10 @@ finite-difference stencils call it
 once per stencil instead of ``value`` once per probe, and they rely on it
 returning exactly what ``value`` returns for each row.  The four families
 here have one kernel each, ``values``; ``value`` evaluates its one row.
+
+These four declare ``holomorphic = True``: Newton reads their gradient by
+complex step, so ``values`` must be complex-analytic in complex points (no
+``abs``, ``conj``, ``max`` or real casts).  Other objectives are read by FD.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ class Rayleigh:
     """Quadratic form x^T A x restricted to the unit sphere."""
 
     kind = "rayleigh"
+    holomorphic = True
 
     def __init__(self, matrix):
         self.matrix = _symmetric_matrix(self, matrix)
@@ -111,6 +116,7 @@ class ProcrustesTrace:
     """Negated trace alignment -trace(A^T Q) on the rotation group."""
 
     kind = "procrustes"
+    holomorphic = True
 
     def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
@@ -160,6 +166,7 @@ class TiltedRayleigh:
     """
 
     kind = "tilted"
+    holomorphic = True
 
     def __init__(self, matrix, tilt):
         self.matrix = a = _symmetric_matrix(self, matrix)
@@ -252,6 +259,7 @@ class Brockett:
     """
 
     kind = "brockett"
+    holomorphic = True
 
     def __init__(self, rotation, m, n):
         self._minimizer = Rotations3().point_from_matrix(rotation)

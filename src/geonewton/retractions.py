@@ -178,8 +178,16 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, vectors) ->
 
     Each row is checked as :class:`TangentVector` would check it.
     """
-    rows = _rows(spec, p, vectors, "tangent vectors")
-    p.manifold._check_tangents(p, rows)
+    return _retract_rows(spec, p, _rows(spec, p, vectors, "tangent vectors"))
+
+
+@silent_overflow
+def _retract_rows(spec: RetractionSpec, p: ManifoldPoint | PointRows, rows: np.ndarray) -> np.ndarray:
+    """:func:`retract_many` of a (k x ambient) array the library built, real
+    or complex (the complex-step probes at one point): every kernel is
+    holomorphic in the rows, and a complex row is tangent if both parts are."""
+    spec.validate_for(p.manifold)
+    p.manifold._check_tangents(p, np.concatenate([rows.real, rows.imag]) if rows.dtype.kind == "c" else rows)
     return _TABLE[spec.family][1](p, rows)
 
 

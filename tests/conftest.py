@@ -17,3 +17,22 @@ def rotations():
 @pytest.fixture
 def rayleigh_321():
     return gn.Rayleigh(np.diag([3.0, 2.0, 1.0]))
+
+
+class FDOnly:
+    """Delegates every attribute to ``inner`` except ``holomorphic``, so
+    ``newton_run`` reads its gradient by finite differences, as it does for
+    any objective that does not declare itself holomorphic."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name == "holomorphic":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+@pytest.fixture
+def fd_only():
+    return FDOnly

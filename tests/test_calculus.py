@@ -180,6 +180,45 @@ def test_gradient_oracle_agreement(retraction):
         assert np.linalg.norm(fd.coords - exact.coords) <= 1e-6 * (1.0 + exact.norm())
 
 
+def _shipped_objectives():
+    """Each shipped objective with its manifold and the families defined there."""
+    for seed in range(2):
+        n = 3 + 7 * seed
+        yield gn.seeded_instance(seed, "rayleigh", n), gn.Sphere(n), (EXP, PROJ, PERT)
+        tilted = _tilted_instance(seed)
+        yield tilted, gn.Sphere(len(tilted.matrix)), (EXP, PROJ, PERT)
+        yield gn.seeded_instance(seed, "procrustes"), gn.Rotations3(), (EXP, CAY)
+        yield _brockett_instance(seed), gn.Rotations3(), (EXP, CAY)
+
+
+def test_complex_step_gradient_matches_the_oracle():
+    # Nothing is subtracted, so the read is good to rounding: the FD read is
+    # good to about 1e-10 relative here, the complex read to about 1e-15.
+    rng = gn.rng_for(700)
+    for objective, manifold, families in _shipped_objectives():
+        assert objective.holomorphic is True
+        for _ in range(5):
+            p = gn.random_point(manifold, rng)
+            exact = objective.analytic_gradient(p)
+            for spec in families:
+                read = gn.gradient_cs(objective, spec, p)
+                assert read.base is p
+                assert np.linalg.norm(read.coords - exact.coords) <= 1e-13 * exact.norm()
+
+
+def test_complex_step_gradient_checks_its_spec_first(rotations):
+    calls = []
+
+    class Counting(gn.ProcrustesTrace):
+        def values(self, p, points):
+            calls.append(points)
+            return super().values(p, points)
+
+    with pytest.raises(gn.ConfigurationError):
+        gn.gradient_cs(Counting(np.eye(3)), PROJ, rotations.identity())
+    assert calls == []
+
+
 def test_gradient_basis_independence(sphere3, rayleigh_321):
     p = gn.random_point(sphere3, gn.rng_for(20))
     basis = sphere3.tangent_basis(p)

@@ -240,20 +240,23 @@ def test_newton_budget_exhaustion_exit_one(tmp_path):
 
 
 @pytest.mark.parametrize("family", ["exp", "projection", "perturbed"])
-def test_newton_sphere50_stalls_exit_one(tmp_path, family):
-    # The gradient read plateaus above --tol within a few iterations; the run
-    # stops there instead of spending the rest of --max-iter on Hessians.
-    out = tmp_path / "n.json"
-    code = run(["newton", "--manifold", "sphere:50", "--retraction", family,
-                "--format", "json", "--output", str(out)], tmp_path)
-    assert code == 1
-    report = report_from_json(out.read_bytes())
-    assert report.summary["status"] == "stalled"
-    assert report.summary["iterations"] <= 8
-    assert report.summary["final_dist_to_pstar"] <= 1e-9
+def test_newton_sphere50_converges_exit_zero(tmp_path, family):
+    # The complex-step gradient read has no finite-difference floor, so at
+    # sphere:50 it falls below --tol within a few iterations.
+    for seed in range(5):
+        out = tmp_path / f"n{seed}.json"
+        code = run(["newton", "--manifold", "sphere:50", "--retraction", family, "--seed", str(seed),
+                    "--format", "json", "--output", str(out)], tmp_path)
+        assert code == 0
+        report = report_from_json(out.read_bytes())
+        assert report.summary["status"] == "converged"
+        assert report.summary["iterations"] <= 8
+        assert report.summary["final_dist_to_pstar"] <= 1e-9
 
 
-def test_rate_of_stalled_trace_fits_its_rows(tmp_path):
+def test_rate_of_stalled_trace_fits_its_rows(tmp_path, monkeypatch, fd_only):
+    # the seeded Rayleigh read by finite differences, whose floor stalls the run
+    monkeypatch.setattr(cli, "seeded_instance", lambda *args: fd_only(gn.seeded_instance(*args)))
     trace = tmp_path / "t.json"
     code = run(["newton", "--manifold", "sphere:10", "--retraction", "perturbed", "--seed", "4",
                 "--format", "json", "--output", str(trace)], tmp_path)

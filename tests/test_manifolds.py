@@ -224,6 +224,21 @@ def test_exp_rotation_quarter_turn(rotations):
     assert np.allclose(q.matrix, gn.rotation_about_z(np.pi / 2), atol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")  # no ComplexWarning: vee keeps the stack's dtype
+def test_complex_rotation_exp_stack_runs_clean():
+    # The complex-step probes of SO(3) go through this kernel: exp(i h W) is
+    # I + i h W to far below rounding, so its imaginary part over h reads W.
+    h = 1e-30
+    omegas = gn.rng_for(60).standard_normal((4, 3))
+    hats = np.array([gn.hat(w) for w in omegas])
+    out = gn.manifolds.rotation_exp_many(1j * h * hats)
+    assert out.dtype == complex
+    assert np.abs(out.real - np.eye(3)).max() <= 1e-50
+    assert np.allclose(out.imag / h, hats, rtol=1e-15, atol=0.0)
+    assert np.array_equal(gn.vee(1j * hats), 1j * omegas)
+    assert gn.vee(np.zeros((3, 3), dtype=int)).dtype == float
+
+
 def test_log_inverts_exp_example(sphere3):
     p = sphere3.point([1, 0, 0])
     v = sphere3.log_map(p, sphere3.point([0, 1, 0]))

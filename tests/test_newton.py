@@ -226,10 +226,11 @@ class NaNFromBatch:
         return np.full_like(out, np.nan) if self.batches >= self.bad else out
 
 
-def test_nan_objective_ends_run_with_partial_trace(sphere3, rayleigh_321):
+def test_nan_objective_ends_run_with_partial_trace(sphere3, rayleigh_321, fd_only):
+    # read by FD, as NaNFromBatch is, so that batch 1 is the one gradient read at p0
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     config = gn.NewtonConfig(retraction=EXP)
-    full = gn.newton_run(rayleigh_321, config, p0)
+    full = gn.newton_run(fd_only(rayleigh_321), config, p0)
     # batch 1 is the gradient at p0 and batch 2 the Hessian stencil there
     trace = gn.newton_run(NaNFromBatch(rayleigh_321, 2), config, p0)
     assert trace.status == gn.NewtonStatus.EVALUATION_ERROR
@@ -253,13 +254,17 @@ def test_max_iter_status(sphere3, rayleigh_321):
 
 
 # ---- stalling at the finite-difference floor
+#
+# The shipped objectives are read by complex step, which has no such floor;
+# these runs read an objective that does not declare itself holomorphic, as
+# any objective outside the package may be, by finite differences.
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
-def test_scaled_rayleigh_stalls_at_the_floor(sphere3, scale):
+def test_scaled_rayleigh_stalls_at_the_floor(sphere3, scale, fd_only):
     # The gradient read plateaus far above tol (1.9e-8 at 1e3, 2.9e-5 at 1e6)
     # once the iterate is at the optimum; the run must say so and stop.
-    objective = gn.Rayleigh(scale * np.diag([3.0, 2.0, 1.0]))
+    objective = fd_only(gn.Rayleigh(scale * np.diag([3.0, 2.0, 1.0])))
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     config = gn.NewtonConfig(retraction=EXP)
     trace = gn.newton_run(objective, config, p0)
@@ -277,9 +282,9 @@ def test_scaled_rayleigh_stalls_at_the_floor(sphere3, scale):
         assert np.array_equal(gn.newton_run(objective, one_step, before).final_point.coords, expected)
 
 
-def test_circle_perturbed_stalls_at_the_floor():
+def test_circle_perturbed_stalls_at_the_floor(fd_only):
     circle = gn.Sphere(2)
-    objective = gn.Rayleigh(np.diag([2.0, 1.0]))
+    objective = fd_only(gn.Rayleigh(np.diag([2.0, 1.0])))
     p0 = circle.point(np.array([1.0, 0.1]) / np.linalg.norm([1.0, 0.1]))
     trace = gn.newton_run(objective, gn.NewtonConfig(retraction=PERT), p0)
     assert trace.status == gn.NewtonStatus.STALLED
@@ -287,7 +292,7 @@ def test_circle_perturbed_stalls_at_the_floor():
     assert circle.geodesic_distance(trace.final_point, circle.point([1, 0])) <= 1e-9
 
 
-def test_single_bounce_does_not_stall():
+def test_single_bounce_does_not_stall(fd_only):
     # Once the steps are at most sqrt(eps) the gradient read may rise once
     # on finite-difference noise; a rise right after a new minimum must not
     # end the run.  Which starts bounce depends on rounding, so scan seeded
@@ -296,7 +301,7 @@ def test_single_bounce_does_not_stall():
     sphere10 = gn.Sphere(10)
     converged_after_bounce = 0
     for seed in range(40):
-        objective = gn.seeded_instance(seed, "rayleigh", 10)
+        objective = fd_only(gn.seeded_instance(seed, "rayleigh", 10))
         p_star = gn.rayleigh_top_eigenvector(objective)
         p0 = sphere10.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
         trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
@@ -356,3 +361,64 @@ def test_one_step_contraction_cubic_under_exponential(sphere3):
     p = sphere3.exp_map(gn.random_tangent(p_star, rng).scaled(1e-3))
     e1 = sphere3.geodesic_distance(reference_step(objective, PERT, p), p_star)
     assert 0.1 <= e1 / 1e-6 <= 100.0
+
+
+# ---- complex-step gradient read
+
+
+@pytest.mark.parametrize("spec", [EXP, PROJ, PERT], ids=lambda s: s.family)
+def test_iterates_invariant_under_power_of_two_scaling(spec):
+    # The complex read, the FD Hessian and the solve all scale exactly with J
+    # by 1024, so the iterates must not move.  tol is tiny so that the
+    # absolute gradient tolerance, which does depend on J's scale, stops no run.
+    sphere10 = gn.Sphere(10)
+    config = gn.NewtonConfig(retraction=spec, max_iter=8, tol=1e-300)
+    for seed in range(16):
+        objective = gn.seeded_instance(seed, "rayleigh", 10)
+        p_star = gn.rayleigh_top_eigenvector(objective)
+        p0 = sphere10.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
+        trace = gn.newton_run(objective, config, p0)
+        scaled = gn.newton_run(gn.Rayleigh(1024.0 * objective.matrix), config, p0)
+        assert scaled.status == trace.status
+        assert len(scaled.points) == len(trace.points) >= 4
+        for a, b in zip(trace.points, scaled.points):
+            assert np.array_equal(a.coords, b.coords)
+        assert scaled.grad_norms == tuple(1024.0 * g for g in trace.grad_norms)
+
+
+class AbsRayleigh:
+    """|x^T A x|, declared holomorphic though np.abs is not: the complex probe
+    loses its imaginary part, so the complex-step gradient reads zero."""
+
+    holomorphic = True
+
+    def __init__(self, matrix):
+        self.inner = gn.Rayleigh(matrix)
+
+    def value(self, p):
+        return abs(self.inner.value(p))
+
+    def values(self, p, points):
+        return np.abs(self.inner.values(p, points))
+
+
+def test_wrongly_declared_holomorphic_objective_is_refused(sphere3, fd_only):
+    objective = AbsRayleigh(np.diag([3.0, 2.0, 1.0]))
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    config = gn.NewtonConfig(retraction=EXP)
+    with pytest.raises(gn.ContractError, match="AbsRayleigh declares holomorphic"):
+        gn.newton_run(objective, config, p0)
+    # read by finite differences, the same objective converges
+    trace = gn.newton_run(fd_only(objective), config, p0)
+    assert sphere3.geodesic_distance(trace.final_point, sphere3.point([0, 0, 1])) <= 1e-9
+
+
+def test_complex_read_leaves_fd_reads_to_the_first_iterate(sphere3, rayleigh_321, monkeypatch):
+    # one FD read per run (the guard at p0), and no wider-step re-read
+    reads = []
+    real_gradient_fd = gn.newton.gradient_fd
+    monkeypatch.setattr(gn.newton, "gradient_fd", lambda *a, **k: reads.append(k) or real_gradient_fd(*a, **k))
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    trace = gn.newton_run(rayleigh_321, gn.NewtonConfig(retraction=EXP), p0)
+    assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
+    assert len(reads) == 1 and "step_factor" not in reads[0]

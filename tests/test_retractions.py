@@ -244,3 +244,24 @@ def test_inverse_retract_many_checks_its_rows():
         gn.inverse_retract_many(spec, _E0, [[1.0, 1.0, 0.0]])
     with pytest.raises(gn.ConfigurationError):
         gn.inverse_retract_many(gn.RetractionSpec("cayley"), _E0, [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["exp", "projection", "perturbed"])
+def test_complex_probe_rows_are_checked_then_mapped_holomorphically(family):
+    # The complex-step path behind gradient_cs: rows i h v with v tangent map to
+    # R_p(0) + i h v to far below rounding (DR_p(0) = id), and a row with a
+    # non-tangent part, real or imaginary, is refused as retract_many refuses it.
+    from geonewton.retractions import _retract_rows
+
+    spec, h = gn.RetractionSpec(family), 1e-30
+    p = gn.random_point(_S3, gn.rng_for(70))
+    rows = 1j * h * p.frame
+    out = _retract_rows(spec, p, rows)
+    assert np.abs(out.real - p.coords).max() <= 1e-15
+    assert np.allclose(out.imag / h, p.frame, rtol=0.0, atol=1e-15)
+    for bad in (rows + 1e-3j * p.coords, rows + 1e-3 * p.coords):
+        with pytest.raises(gn.ContractError, match="not tangent"):
+            _retract_rows(spec, p, bad)
+    with pytest.raises(gn.ConfigurationError):
+        _retract_rows(gn.RetractionSpec("cayley"), p, rows)

@@ -9,12 +9,14 @@ imported and run in process. The grid is order, lemma1, lemma2, taylor and
 newton in CSV and JSON at seeds 0-3, on sphere:3 and sphere:10 under exp,
 projection and perturbed and on so3 under exp and cayley, then rate in CSV
 and JSON on each newton JSON report, newton in JSON at seed 0 with an early
-stop (``--max-iter 2`` ends ``max_iter``; ``--tol 1e-6`` converges at least
-one iteration before the default run ends), and order, lemma1, lemma2 and
-taylor at an over-long scale ladder. Three lemma1 runs under the perturbed
-retraction fail to invert a retracted point: on sphere:3 and sphere:10 at a
-ladder that starts outside the retraction's range, and on sphere:3 at seed
-14. One lemma1 run under cayley on so3 fails the point check of R_p(1e6 w).
+stop (``--max-iter 2`` ends ``max_iter`` on the sphere and ``converged`` on
+so3, whose seed-0 runs converge in two iterations; ``--tol 1e-6`` converges
+one iteration before the default run on the sphere and with it on so3), and
+order, lemma1, lemma2 and taylor at an over-long scale ladder. Three lemma1
+runs under the perturbed retraction fail to invert a retracted point: on
+sphere:3 and sphere:10 at a ladder that starts outside the retraction's
+range, and on sphere:3 at seed 14. One lemma1 run under cayley on so3 fails
+the point check of R_p(1e6 w).
 Each invocation leaves its report (if it wrote one) and a ``.log`` file
 with its exit code, stdout and stderr.
 
