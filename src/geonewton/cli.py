@@ -21,6 +21,8 @@ failure (non-converged run, unusable rate data), 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 
@@ -297,9 +299,32 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Report, int]:
     if cfg.command not in COMMANDS:
         raise UsageError(f"unknown command {cfg.command!r}")
     report, code = COMMANDS[cfg.command][0](cfg)
-    with open(cfg.output, "wb") as fh:
-        fh.write(report.to_bytes(cfg.fmt))
+    _write_over(cfg.output, report.to_bytes(cfg.fmt))
     return report, code
+
+
+def _write_over(path: str, data: bytes) -> None:
+    """Write ``data`` over the file at ``path`` in place, then cut it to length.
+
+    Unlike ``open(path, "wb")`` this does not first truncate the file to zero,
+    which costs far more than the write on a file system that flushes a file
+    rewritten after a truncation.  The cut runs even when a write fails, so no
+    byte of an older, longer file survives behind the bytes written.  Only a
+    regular file that was longer than the bytes written is cut: a device such
+    as /dev/null cannot be truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old = os.fstat(fd)
+        view, written = memoryview(data), 0
+        try:
+            while written < len(view):
+                written += os.write(fd, view[written:])
+        finally:
+            if stat.S_ISREG(old.st_mode) and old.st_size > written:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def main(argv=None) -> int:

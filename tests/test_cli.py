@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -9,8 +11,6 @@ from geonewton.reports import report_from_json
 
 def run(argv, cwd):
     """Run the CLI inside tmp_path, returning the exit code."""
-    import os
-
     old = os.getcwd()
     os.chdir(cwd)
     try:
@@ -327,6 +327,64 @@ def test_rate_missing_file_exit_three(tmp_path):
 def test_output_io_error_exit_three(tmp_path):
     code = run(["order", "--output", str(tmp_path / "no_dir" / "o.csv")], tmp_path)
     assert code == 3
+
+
+# ---- writing over an existing report
+
+LONG_LADDER = ",".join(str(2.0 ** -k) for k in range(1, 25))
+
+
+def long_then_default(tmp_path, fmt):
+    """Write the default order report, then a longer one over it, at one path.
+
+    Returns the path and the default report's bytes (a report echoes its path).
+    """
+    out = tmp_path / f"o.{fmt}"
+    assert run(["order", "--format", fmt, "--output", str(out)], tmp_path) == 0
+    new = out.read_bytes()
+    assert run(["order", "--scales", LONG_LADDER, "--format", fmt, "--output", str(out)], tmp_path) == 0
+    assert len(out.read_bytes()) > len(new)
+    return out, new
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_shorter_report_overwrites_longer_exactly(tmp_path, fmt):
+    out, new = long_then_default(tmp_path, fmt)
+    assert run(["order", "--format", fmt, "--output", str(out)], tmp_path) == 0
+    assert out.read_bytes() == new
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_output_to_dev_null_exits_zero(tmp_path, monkeypatch):
+    assert run(["order", "--output", "/dev/null"], tmp_path) == 0
+    real_fstat = os.fstat  # a device that reports a size is still not cut (it cannot be)
+    monkeypatch.setattr(cli.os, "fstat", lambda fd: os.stat_result((*real_fstat(fd)[:6], 10**6, *real_fstat(fd)[7:])))
+    assert run(["order", "--output", "/dev/null"], tmp_path) == 0
+
+
+def test_failed_write_leaves_no_old_bytes(tmp_path, capsys, monkeypatch):
+    out, new = long_then_default(tmp_path, "csv")
+    real_write, calls = os.write, []
+
+    def write_half_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(cli.os, "write", write_half_then_fail)
+    capsys.readouterr()
+    assert run(["order", "--output", str(out)], tmp_path) == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.ENOSPC}] No space left on device\n"
+    assert len(calls) == 2
+    assert out.read_bytes() == new[: len(new) // 2]
+
+
+def test_new_report_has_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain", "wb"):
+        pass
+    assert run(["order", "--output", str(tmp_path / "o.csv")], tmp_path) == 0
+    assert (tmp_path / "o.csv").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def test_csv_floats_round_trip(tmp_path):

@@ -9,14 +9,15 @@ imported and run in process. The grid is order, lemma1, lemma2, taylor and
 newton in CSV and JSON at seeds 0-3, on sphere:3 and sphere:10 under exp,
 projection and perturbed and on so3 under exp and cayley, then rate in CSV
 and JSON on each newton JSON report, newton in JSON at seed 0 with an early
-stop (``--max-iter 2`` ends ``max_iter`` on the sphere and ``converged`` on
-so3, whose seed-0 runs converge in two iterations; ``--tol 1e-6`` converges
-one iteration before the default run on the sphere and with it on so3), and
-order, lemma1, lemma2 and taylor at an over-long scale ladder. Three lemma1
-runs under the perturbed retraction fail to invert a retracted point: on
-sphere:3 and sphere:10 at a ladder that starts outside the retraction's
-range, and on sphere:3 at seed 14. One lemma1 run under cayley on so3 fails
-the point check of R_p(1e6 w).
+stop (``--max-iter 1`` ends ``max_iter`` on every combo; ``--tol 1e-4``
+ends ``converged`` on every combo in fewer iterations than the default run,
+after one on so3), and order, lemma1, lemma2 and taylor at an over-long
+scale ladder. Three lemma1 runs under the perturbed retraction fail to
+invert a retracted point: on sphere:3 and sphere:10 at a ladder that starts
+outside the retraction's range, and on sphere:3 at seed 14. One lemma1 run
+under cayley on so3 fails the point check of R_p(1e6 w). Last, a default
+order report is written over a longer one at the same path, so the grid
+holds a report that overwrote an older one.
 Each invocation leaves its report (if it wrote one) and a ``.log`` file
 with its exit code, stdout and stderr.
 
@@ -42,7 +43,8 @@ SEEDS = range(4)
 FORMATS = ("csv", "json")
 OVERLONG_SCALES = "1e200,1e-2"
 OUT_OF_RANGE_SCALES = "3,1e-2"  # the perturbed R_p(3 w) cannot be inverted back to the anchor
-EARLY_STOPS = (("maxiter", ["--max-iter", "2"]), ("tol", ["--tol", "1e-6"]))
+EARLY_STOPS = (("maxiter", ["--max-iter", "1"]), ("tol", ["--tol", "1e-4"]))
+LONG_SCALES = ",".join(f"{2.0 ** -k:g}" for k in range(1, 25))  # 24 scales, against the default 11
 
 
 def invocations():
@@ -75,6 +77,9 @@ def invocations():
     stem = "lemma1_so3_cayley_not_orthogonal"  # R_p(1e6 w) fails the Cayley kernel's point check
     yield stem, ["lemma1", "--manifold", "so3", "--retraction", "cayley", "--scales", "1e6,1e-2",
                  "--output", f"{stem}.csv"]
+    # the same output path twice: the default report is shorter than the long-ladder one it overwrites
+    yield "order_overwrite_long", ["order", "--scales", LONG_SCALES, "--output", "order_overwrite.csv"]
+    yield "order_overwrite", ["order", "--output", "order_overwrite.csv"]
 
 
 def main(argv=None) -> int:
