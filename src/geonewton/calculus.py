@@ -9,18 +9,18 @@ gives the second-order ones, returned as a :class:`TangentVector` at p and a
 this way depends on the retraction family unless the family has order >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
-(probes x ambient) array that :func:`retract_many` checks (a retraction
-not defined on p's manifold raises before any probe) and maps to the
-manifold, and the objective's optional ``values(p, points)`` evaluates,
-one call each (an objective with only ``value(p)`` is evaluated row by
-row).  The batched kernels round as the single-probe path (``retract``
-then ``value``) does, so every probe value and every extracted derivative
-is the same bit for bit.
+(probes x ambient) array that ``_retract_rows`` checks (a retraction not
+defined on p's manifold, or a row not tangent at p, raises before any
+probe) and maps to the manifold, and the objective's optional
+``values(p, points)`` evaluates, one call each (an objective with only
+``value(p)`` is evaluated row by row).  The batched kernels round as the
+single-probe path (``retract`` then ``value``) does, so every probe value
+and every extracted derivative is the same bit for bit.
 Each Hessian probe is the sum of two rows of [hE; -hE] (E the frame) from an
 index plan cached per dimension.  The two mixed probes of a diagonal entry
 both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1 probes; R_p(0)
-is a zero row at the end of the stencil's one ``retract_many`` call, and J
-is read there through ``value``.
+is a zero row at the end of the stencil, and J is read there at the centre
+row of the stencil's one ``values`` call.
 One assembly serves one point and many: its arrays may carry leading stack
 axes (one entry per point) that :func:`gradient_fd` and :func:`hessian_fd`
 leave out and :func:`derivatives_fd` uses to probe k points in one batch
@@ -95,11 +95,6 @@ def apply_many(matrices: np.ndarray, frames: np.ndarray, vectors: np.ndarray) ->
     return frame_sums((matrices @ coeffs[..., None])[..., 0], frames)
 
 
-def _check_finite(values) -> None:
-    if not np.isfinite(values).all():
-        raise EvaluationError("objective returned a non-finite value during a probe")
-
-
 def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray, dtype=float) -> np.ndarray:
     """J at every point row as ``dtype``, through ``values`` when the objective
     has it and through ``value`` row by row otherwise; each must be finite."""
@@ -110,7 +105,8 @@ def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray, dtype
             raise ContractError("objective values() must return one value per point")
     else:
         out = np.array([objective.value(unchecked(ManifoldPoint, p.manifold, row)) for row in points], dtype=dtype)
-    _check_finite(out)
+    if not np.isfinite(out).all():
+        raise EvaluationError("objective returned a non-finite value during a probe")
     return out
 
 
@@ -160,7 +156,7 @@ def gradient_fd(
     """
     if basis is None:
         basis = p.manifold.tangent_basis(p)
-    values = _evaluate(objective, p, retract_many(spec, p, _central_rows(basis.frame, step_factor)))
+    values = _evaluate(objective, p, _retract_rows(spec, p, _central_rows(basis.frame, step_factor)))
     return unchecked(TangentVector, p, _gradients(values, basis.frame, step_factor))
 
 
@@ -205,8 +201,8 @@ def hessian_fd(
     costs 2 d^2 + 1 probes in dimension d.  Each probe is the sum of two rows
     of [hE; -hE] (E the frame) picked by ``_stencil_plan``: adding a negated
     row rounds as subtracting it does, down to signed zeros.  R_p(0) is the
-    zero row after them in the one ``retract_many`` call; J is read there
-    through ``value``, and at the other rows as at every stencil's.
+    zero row after them, retracted with them and read at the centre row of
+    the stencil's one ``values`` call.
     """
     manifold = p.manifold
     if basis is None:
@@ -214,11 +210,8 @@ def hessian_fd(
     elif basis.base is not p and not np.array_equal(basis.base.coords, p.coords):
         raise ContractError("basis is based at a different point")
     stencil = np.concatenate([_hessian_rows(basis.frame), np.zeros((1, manifold.ambient_dim))])
-    points = retract_many(spec, p, stencil)
-    values = _evaluate(objective, p, points[:-1])
-    centre = objective.value(unchecked(ManifoldPoint, manifold, points[-1]))
-    _check_finite(centre)
-    return unchecked(SymmetricOperator, basis, _hessians(values, centre, len(basis)))
+    values = _evaluate(objective, p, _retract_rows(spec, p, stencil))
+    return unchecked(SymmetricOperator, basis, _hessians(values[:-1], values[-1], len(basis)))
 
 
 def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,7 +231,7 @@ def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray,
     zero = np.zeros((k, 1, ambient))
     stencil = np.concatenate([_central_rows(frames, GRADIENT_STEP_FACTOR), _hessian_rows(frames), zero], axis=1)
     bases = PointRows.of(points, stencil.shape[1]) if k > 1 else points[0]
-    values = _evaluate(objective, bases, retract_many(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
+    values = _evaluate(objective, bases, _retract_rows(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
     hessians = _hessians(values[:, 2 * dim: -1], values[:, -1:], dim)
     return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames
 
@@ -263,13 +256,15 @@ def taylor_remainder(
         gradient = gradient_fd(objective, spec, p)
     if hessian is None:
         hessian = hessian_fd(objective, spec, p)
-    return float(taylor_remainders(objective, spec, p, v.coords[None], gradient, hessian)[0])
+    rows = v.coords[None]
+    return float(taylor_remainders(objective, spec, p, rows, gradient.coords, hessian.matrix, hessian.basis.frame)[0])
 
 
-def taylor_remainders(objective, spec: RetractionSpec, p: ManifoldPoint, rows, gradient, hessian) -> np.ndarray:
-    """The Taylor remainder of each row (a tangent vector at p), from one
-    retract_many and one values call; J(p) is read from p as a last row."""
+def taylor_remainders(objective, spec: RetractionSpec, p: ManifoldPoint, rows, gradient, hessian, frame) -> np.ndarray:
+    """The Taylor remainder of each row (a tangent vector at p), given the
+    gradient's ambient coordinates and the Hessian matrix in ``frame``, from
+    one retract_many and one values call; J(p) is read from p as a last row."""
     values = _evaluate(objective, p, np.concatenate([retract_many(spec, p, rows), p.coords[None]]))
-    linear = row_dots(rows, gradient.coords)
-    quadratic = 0.5 * row_dots(rows, apply_many(hessian.matrix, hessian.basis.frame, rows))
+    linear = row_dots(rows, gradient)
+    quadratic = 0.5 * row_dots(rows, apply_many(hessian, frame, rows))
     return np.abs(values[:-1] - values[-1] - linear - quadratic)

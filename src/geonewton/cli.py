@@ -346,9 +346,13 @@ def main(argv=None) -> int:
     except GeonewtonError as exc:
         print(f"measurement failed: {exc}", file=sys.stderr)
         return 1
-    for key, value in report.summary.items():
-        print(f"{key}: {value}")
-    print(f"wrote {cfg.output}")
+    try:
+        for key, value in report.summary.items():
+            print(f"{key}: {value}")
+        print(f"wrote {cfg.output}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the report is written, and the flush at exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -2,8 +2,9 @@
 Hess s = -grad at the current point, retract, repeat.  ``newton_run`` is
 the one driver: each iteration reads the gradient, then takes one update.
 The gradient of an objective that declares ``holomorphic = True`` is read by
-complex step, and checked against the FD read at each run's first iterate;
-any other objective's, and every Hessian, by finite differences.
+complex step, and checked against the FD read at each run's first iterate,
+which comes from the first Hessian's batch (``derivatives_fd``); any other
+objective's, and every Hessian, by finite differences.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, gradient_cs, gradient_fd, hessian_fd
+from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_fd, gradient_cs, gradient_fd
+from .calculus import hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
-from .manifolds import ManifoldPoint, TangentVector
+from .manifolds import ManifoldPoint, TangentVector, unchecked
 from .retractions import RetractionSpec, retract
 
 _RESIDUAL_TOL = 1e-10
@@ -37,32 +39,34 @@ _GUARD = 1e-6  # the FD read's error: at most 2e-10 (|grad| + |J|) on the shippe
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
-def _measure_gradient(objective, spec, p, basis, first: bool) -> tuple[TangentVector, float]:
-    """The gradient read at p and its norm.
+def _measure_gradient(objective, spec, p, basis, first: bool) -> tuple[TangentVector, float, SymmetricOperator | None]:
+    """The gradient read at p, its norm, and the Hessian at p if it was read too.
 
     An objective that declares ``holomorphic = True`` is read by complex
     step; at a run's first iterate that read must agree with the FD read to
-    _GUARD (|grad| + |J|), or ``ContractError`` names the objective.  Any
+    _GUARD (|grad| + |J|), or ``ContractError`` names the objective.  That FD
+    read and the Hessian come from one ``derivatives_fd`` batch.  Any
     other objective is read by FD, which near critical points is
     quantization-limited at ~ulp(J)/(2h); a wider-step read resolves finer
     gradients there.  Keep whichever measurement is smaller."""
     if getattr(objective, "holomorphic", False):
         grad = gradient_cs(objective, spec, p, basis=basis)
-        if first:
-            fd = gradient_fd(objective, spec, p, basis=basis)
-            gap = float(np.linalg.norm(grad.coords - fd.coords))
-            if not gap <= _GUARD * (fd.norm() + abs(objective.value(p))):
-                raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
-                                    f"complex-step gradient is {gap:.3e} from the finite-difference read")
-        return grad, grad.norm()
+        if not first:
+            return grad, grad.norm(), None
+        fds, hessians, _ = derivatives_fd(objective, spec, [p])
+        gap = float(np.linalg.norm(grad.coords - fds[0]))
+        if not gap <= _GUARD * (np.linalg.norm(fds[0]) + abs(objective.value(p))):
+            raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
+                                f"complex-step gradient is {gap:.3e} from the finite-difference read")
+        return grad, grad.norm(), unchecked(SymmetricOperator, basis, hessians[0])
     grad = gradient_fd(objective, spec, p, basis=basis)
     norm = grad.norm()
     if norm < _REFINE_THRESHOLD:
         refined = gradient_fd(objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR)
         refined_norm = refined.norm()
         if refined_norm < norm:
-            return refined, refined_norm
-    return grad, norm
+            return refined, refined_norm, None
+    return grad, norm, None
 
 
 class NewtonStatus(enum.Enum):
@@ -101,11 +105,11 @@ class IterationTrace:
     is at most ``tol``; STALLED when the last step was at most ``sqrt(eps)``
     and neither of the last two gradient norms went below the earlier
     minimum (the read sits at its noise floor above ``tol``: an FD read, or
-    a complex read of a J scaled past about 1e4); MAX_ITER when
-    the budget ran out; SINGULAR_HESSIAN when the conditioning guard
-    tripped; EVALUATION_ERROR when a probe of the objective was not finite
-    (the last gradient norm is NaN if its read failed).  Only CONVERGED
-    means ``tol`` was met."""
+    a complex read of a J scaled past about 1e4); MAX_ITER when the budget
+    ran out; SINGULAR_HESSIAN when the conditioning guard tripped;
+    EVALUATION_ERROR when a probe of the objective was not finite (the last
+    gradient norm is NaN if its read failed, or at a complex-read first
+    iterate if its one FD batch did).  Only CONVERGED means ``tol`` was met."""
 
     points: tuple[ManifoldPoint, ...]
     grad_norms: tuple[float, ...]
@@ -175,7 +179,7 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     try:
         for _ in range(config.max_iter + 1):
             basis = current.manifold.tangent_basis(current)
-            grad, norm = _measure_gradient(objective, spec, current, basis, not grad_norms)
+            grad, norm, hess = _measure_gradient(objective, spec, current, basis, not grad_norms)
             grad_norms.append(norm)
             if grad_norms[-1] <= config.tol:
                 status = NewtonStatus.CONVERGED
@@ -191,7 +195,8 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
                 status = NewtonStatus.MAX_ITER
                 break
             try:
-                hess = hessian_fd(objective, spec, current, basis=basis)
+                if hess is None:
+                    hess = hessian_fd(objective, spec, current, basis=basis)
                 step = solve_tangent_system(hess, grad, cond_cap=config.cond_cap)
             except SingularHessianError:
                 status = NewtonStatus.SINGULAR_HESSIAN

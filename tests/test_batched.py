@@ -151,15 +151,16 @@ def _four_point_rows(frame, h):
 
 
 def _stencil_of_hessian_fd(monkeypatch, objective, spec, p, basis):
-    """The stencil rows hessian_fd hands to retract_many, before the centre
+    """The stencil rows hessian_fd hands to _retract_rows, before the centre
     R_p(0): a last row of +0.0 entries, checked here byte for byte."""
     seen = []
+    retract_rows = calculus._retract_rows
 
     def recording(spec, p, vectors):
         seen.append(np.array(vectors))
-        return gn.retract_many(spec, p, vectors)
+        return retract_rows(spec, p, vectors)
 
-    monkeypatch.setattr(calculus, "retract_many", recording)
+    monkeypatch.setattr(calculus, "_retract_rows", recording)
     gn.hessian_fd(objective, spec, p, basis=basis)
     monkeypatch.undo()
     (stencil,) = seen
@@ -202,24 +203,26 @@ def test_hessian_stencil_equals_written_out_rows_byte_for_byte(monkeypatch, n):
 
 @pytest.mark.parametrize("manifold", (gn.Sphere(3), gn.Sphere(10), gn.Rotations3()), ids=repr)
 def test_hessian_centre_is_the_last_row_of_its_one_retract_many(monkeypatch, manifold):
-    # R_p(0) is retracted with the stencil, not by a retract call of its own,
-    # and J is read there through value(), at the point retract would give.
+    # R_p(0) is retracted with the stencil in its one batch, not by a retract
+    # call of its own, and J is read there at the last row of the stencil's
+    # one values() call (no value() call), at the point retract would give.
     if isinstance(manifold, gn.Rotations3):
         objective, families = _so3_objectives()[0], SO3_FAMILIES
     else:
         objective, families = _sphere_objectives(manifold.ambient_dim)[0], SPHERE_FAMILIES
     p = _base_point(manifold, 9)
-    value = type(objective).value
+    value, values, retract_rows = type(objective).value, type(objective).values, calculus._retract_rows
     for family in families:
         spec = gn.RetractionSpec(family)
-        batches, singles, valued = [], [], []
-        monkeypatch.setattr(calculus, "retract_many", lambda *args: batches.append(args) or gn.retract_many(*args))
+        batches, singles, valued, read = [], [], [], []
+        monkeypatch.setattr(calculus, "_retract_rows", lambda *args: batches.append(args) or retract_rows(*args))
         monkeypatch.setattr(calculus, "retract", lambda *args: singles.append(args) or gn.retract(*args))
         monkeypatch.setattr(type(objective), "value", lambda self, q: valued.append(q) or value(self, q))
+        monkeypatch.setattr(type(objective), "values", lambda self, q, rows: read.append(rows) or values(self, q, rows))
         gn.hessian_fd(objective, spec, p)
         monkeypatch.undo()
-        assert (len(batches), len(singles), len(valued)) == (1, 0, 1)
-        assert valued[0].coords.tobytes() == gn.retract(spec, manifold.zero_tangent(p)).coords.tobytes()
+        assert (len(batches), len(singles), len(valued), len(read)) == (1, 0, 0, 1)
+        assert read[0][-1].tobytes() == gn.retract(spec, manifold.zero_tangent(p)).coords.tobytes()
 
 
 def test_stencil_plan_sums_match_written_out_rows_with_extreme_entries():
@@ -346,12 +349,9 @@ def test_non_finite_stencil_value_raises(cls):
 
 
 def test_non_finite_centre_value_raises():
-    class NaNCentre(ValueOnly):  # finite stencil rows through values, NaN through value
+    class NaNCentre(ValueOnly):  # finite at every stencil row but the centre R_p(0), the last
         def values(self, p, points):
-            return self.inner.values(p, points)
-
-        def value(self, p):
-            return float("nan")
+            return np.append(self.inner.values(p, points[:-1]), np.nan)
 
     p = _base_point(gn.Sphere(4), 4)
     with pytest.raises(gn.EvaluationError):
@@ -775,11 +775,13 @@ def test_derivatives_fd_rows_equal_one_point_extraction(monkeypatch, manifold, f
     points = [_base_point(manifold, seed) for seed in (7, 8, 9)]
     batches = []
 
+    retract_rows = calculus._retract_rows
+
     def recording(spec, p, vectors):
         batches.append(len(vectors))
-        return gn.retract_many(spec, p, vectors)
+        return retract_rows(spec, p, vectors)
 
-    monkeypatch.setattr(calculus, "retract_many", recording)
+    monkeypatch.setattr(calculus, "_retract_rows", recording)
     grads, hessians, frames = calculus.derivatives_fd(objective, spec, points)
     monkeypatch.undo()
     dim = manifold.intrinsic_dim

@@ -1,6 +1,9 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +381,26 @@ def test_failed_write_leaves_no_old_bytes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"i/o error: [Errno {errno.ENOSPC}] No space left on device\n"
     assert len(calls) == 2
     assert out.read_bytes() == new[: len(new) // 2]
+
+
+@pytest.mark.parametrize("argv,code", [(["order"], 0), (["newton", "--max-iter", "1"], 1)], ids=["order", "newton"])
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(tmp_path, argv, code):
+    # The reader of stdout is gone before the summary is printed (as in
+    # `geonewton order | (exec 0<&-; sleep 1)`): the report is still written,
+    # the command's own exit code comes back, and stderr stays empty.
+    out = tmp_path / "report.csv"
+    argv = [*argv, "--output", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "geonewton", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")
+    report, expected = cli.run_experiment(cli.parse_config(argv))
+    assert expected == code and out.read_bytes() == report.to_bytes("csv")
 
 
 def test_new_report_has_the_mode_of_a_plain_open(tmp_path):

@@ -414,11 +414,133 @@ def test_wrongly_declared_holomorphic_objective_is_refused(sphere3, fd_only):
 
 
 def test_complex_read_leaves_fd_reads_to_the_first_iterate(sphere3, rayleigh_321, monkeypatch):
-    # one FD read per run (the guard at p0), and no wider-step re-read
+    # one FD batch per run (the guard's read at p0, at the default step, with
+    # the first Hessian), and no gradient_fd read at all, so no wider-step re-read
     reads = []
-    real_gradient_fd = gn.newton.gradient_fd
-    monkeypatch.setattr(gn.newton, "gradient_fd", lambda *a, **k: reads.append(k) or real_gradient_fd(*a, **k))
+    for name in ("gradient_fd", "derivatives_fd"):
+        real = getattr(gn.newton, name)
+        monkeypatch.setattr(gn.newton, name, lambda *a, _n=name, _f=real, **k: reads.append((_n, a, k)) or _f(*a, **k))
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     trace = gn.newton_run(rayleigh_321, gn.NewtonConfig(retraction=EXP), p0)
     assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
-    assert len(reads) == 1 and "step_factor" not in reads[0]
+    assert [(name, k) for name, _, k in reads] == [("derivatives_fd", {})]
+    (points,) = [a[2] for _, a, _ in reads]
+    assert len(points) == 1 and points[0] is p0
+
+
+def reference_complex_run(objective, config, p0):
+    """newton_run for a holomorphic objective from the public pieces: the
+    guard (gradient_cs against gradient_fd at p0), then the complex read, the
+    stop tests, hessian_fd, the solve and the retraction at every iterate."""
+    spec = config.retraction
+    fd = gn.gradient_fd(objective, spec, p0)
+    gap = np.linalg.norm(gn.gradient_cs(objective, spec, p0).coords - fd.coords)
+    assert gap <= 1e-6 * (fd.norm() + abs(objective.value(p0)))
+    points, grad_norms, step_norms = [p0], [], []
+    while True:
+        p = points[-1]
+        grad = gn.gradient_cs(objective, spec, p)
+        grad_norms.append(grad.norm())
+        if grad_norms[-1] <= config.tol:
+            status = gn.NewtonStatus.CONVERGED
+        elif len(step_norms) >= 2 and step_norms[-1] <= _STALL_STEP and min(grad_norms[-2:]) >= min(grad_norms[:-2]):
+            status = gn.NewtonStatus.STALLED
+        elif len(step_norms) == config.max_iter:
+            status = gn.NewtonStatus.MAX_ITER
+        else:
+            step = gn.solve_tangent_system(gn.hessian_fd(objective, spec, p), grad, cond_cap=config.cond_cap)
+            points.append(gn.retract(spec, step))
+            step_norms.append(step.norm())
+            continue
+        return points, grad_norms, step_norms, status
+
+
+def _complex_read_cases():
+    for n in (3, 10):
+        for spec in (EXP, PROJ, PERT):
+            yield pytest.param(gn.Sphere(n), spec, id=f"sphere{n}-{spec.family}")
+    for spec in (EXP, CAY):
+        yield pytest.param(gn.Rotations3(), spec, id=f"so3-{spec.family}")
+
+
+@pytest.mark.parametrize("manifold,spec", _complex_read_cases())
+def test_first_step_uses_the_guard_batch_hessian(manifold, spec, monkeypatch):
+    # The Hessian of the first step, read in the guard's FD batch, is
+    # hessian_fd's at p0 byte for byte, and the whole trace is that of the
+    # reference run built from the public pieces.
+    for seed in (1, 2):
+        if isinstance(manifold, gn.Rotations3):
+            objective = gn.seeded_instance(seed, "procrustes")
+            p_star = objective.polar_factor()
+        else:
+            objective = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
+            p_star = gn.rayleigh_top_eigenvector(objective)
+        p0 = manifold.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
+        config = gn.NewtonConfig(retraction=spec)
+        operators = []
+        solve = gn.newton.solve_tangent_system
+        monkeypatch.setattr(gn.newton, "solve_tangent_system",
+                            lambda h, *a, **k: operators.append(h) or solve(h, *a, **k))
+        trace = gn.newton_run(objective, config, p0)
+        monkeypatch.undo()
+        assert operators[0].basis.base is p0
+        assert operators[0].matrix.tobytes() == gn.hessian_fd(objective, spec, p0).matrix.tobytes()
+        points, grad_norms, step_norms, status = reference_complex_run(objective, config, p0)
+        assert [p.coords.tobytes() for p in trace.points] == [p.coords.tobytes() for p in points]
+        assert (trace.grad_norms, trace.step_norms, trace.status) == (tuple(grad_norms), tuple(step_norms), status)
+        assert trace.iterations >= 2
+
+
+class CountingReads:
+    """A holomorphic objective that counts its value and values calls."""
+
+    holomorphic = True
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"value": 0, "values": 0}
+
+    def value(self, p):
+        self.calls["value"] += 1
+        return self.inner.value(p)
+
+    def values(self, p, points):
+        self.calls["values"] += 1
+        return self.inner.values(p, points)
+
+
+@pytest.mark.parametrize("n", (3, 10))
+def test_converged_run_reads_one_batch_per_gradient_and_hessian(n):
+    # K iterations read K + 1 complex gradients and K Hessians, the first in
+    # one batch with the guard's FD gradient: 2K + 1 values calls, and one
+    # value call (the guard's scale |J(p0)|).
+    inner = gn.seeded_instance(4, "rayleigh", n)
+    p_star = gn.rayleigh_top_eigenvector(inner)
+    p0 = gn.Sphere(n).exp_map(gn.random_tangent(p_star, gn.rng_for(4)).scaled(0.05))
+    objective = CountingReads(inner)
+    trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
+    assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
+    assert objective.calls == {"value": 1, "values": 2 * trace.iterations + 1}
+
+
+class HolomorphicNaNFromBatch(NaNFromBatch):
+    holomorphic = True
+
+
+def test_first_fd_batch_error_ends_run_with_nan_first_norm(sphere3, rayleigh_321):
+    # batch 1 is the complex read at p0 and batch 2 the guard's FD batch,
+    # which holds the first Hessian: its failure ends the run at p0 with the
+    # first gradient norm NaN, as a failed gradient read records it.
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    config = gn.NewtonConfig(retraction=EXP)
+    full = gn.newton_run(rayleigh_321, config, p0)
+    trace = gn.newton_run(HolomorphicNaNFromBatch(rayleigh_321, 2), config, p0)
+    assert trace.status == gn.NewtonStatus.EVALUATION_ERROR
+    assert trace.iterations == 0 and trace.points[0] is p0
+    assert len(trace.grad_norms) == 1 and np.isnan(trace.grad_norms[0])
+    # batch 3 is the complex read at p1: the step is kept, its read is NaN
+    trace = gn.newton_run(HolomorphicNaNFromBatch(rayleigh_321, 3), config, p0)
+    assert trace.status == gn.NewtonStatus.EVALUATION_ERROR
+    assert trace.iterations == 1
+    assert np.array_equal(trace.points[1].coords, full.points[1].coords)
+    assert trace.grad_norms[0] == full.grad_norms[0] and np.isnan(trace.grad_norms[1])
