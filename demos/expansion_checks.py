@@ -23,14 +23,14 @@ def main():
     sweep = gn.make_sweep(p, n_directions=3, seed=22)
     print("Taylor remainder of J o R_p (expect slope ~3):")
     for family in ("exp", "projection", "perturbed"):
-        est = gn.taylor_remainder_slope(objective, gn.RetractionSpec(family), sweep)
+        est = gn.fit_rows(gn.taylor_remainder_rows(objective, gn.RetractionSpec(family), sweep))
         print(f"  {family:12s} slope {est.slope:.3f}  R^2 {est.r_squared:.5f}")
 
     rng = gn.rng_for(23)
     v, w = gn.random_tangent(p, rng), gn.random_tangent(p, rng)
     print("\ndistance deviation d(R(sv), R(sw)) vs s|v-w| (expect slope >= 2):")
     for family in ("exp", "projection", "perturbed"):
-        est = gn.distance_deviation_slope(gn.RetractionSpec(family), v, w)
+        est = gn.fit_rows(gn.distance_deviation_rows(gn.RetractionSpec(family), v, w))
         print(f"  {family:12s} slope {est.slope:.3f}")
 
     anchor = sphere.point([1.0, 0.0, 0.0])  # top eigenvector of diag(3,2,1)
@@ -38,7 +38,7 @@ def main():
     print("\nresidual |grad + Hess v| walking into the critical point "
           "(guaranteed slope >= 2):")
     for family in ("exp", "projection", "perturbed"):
-        est = gn.critical_residual_slope(objective, gn.RetractionSpec(family), anchor_sweep)
+        est = gn.fit_rows(gn.critical_residual_rows(objective, gn.RetractionSpec(family), anchor_sweep))
         print(f"  {family:12s} slope {est.slope:.3f}  R^2 {est.r_squared:.5f}")
     print("\nNote the order-2 families come out cubic on this objective: the "
           "quadratic form's pullback has no third-order term at critical "

@@ -23,7 +23,7 @@ def main():
     h_exp = gn.hessian_fd(objective, exp_spec, p, basis=basis)
     h_pert = gn.hessian_fd(objective, pert_spec, p, basis=basis)
     grad = objective.analytic_gradient(p)
-    shift = 2.0 * np.dot(grad.coords, gn.perturbation_direction(p).coords)
+    shift = 2.0 * np.dot(grad.coords, p.frame[0])
 
     print("at a generic (non-critical) point:")
     print("Hessian under the exponential map:\n", h_exp.matrix.round(8))

@@ -16,7 +16,7 @@ def describe(manifold, families, seed):
     print(f"{'family':12s} {'declared':>9s} {'slope':>8s} {'order':>8s} {'R^2':>8s}")
     for family in families:
         spec = gn.RetractionSpec(family)
-        est = gn.estimate_retraction_order(spec, sweep)
+        est = gn.fit_rows(gn.retraction_order_rows(spec, sweep))
         if est.saturated:
             print(f"{family:12s} {spec.declared_order!s:>9s} {'-':>8s} {'-':>8s}   saturated "
                   "(distances at rounding noise: the map is the exponential itself)")

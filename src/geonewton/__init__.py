@@ -28,7 +28,6 @@ from .manifolds import (
     TangentBasis,
     TangentVector,
     hat,
-    rotation_about_z,
     rotation_exp,
     vee,
 )
@@ -46,18 +45,13 @@ from .rates import (
     RateReport,
     ScaleSweep,
     SlopeEstimate,
-    convergence_rate,
     critical_residual_rows,
-    critical_residual_slope,
     distance_deviation_rows,
-    distance_deviation_slope,
-    estimate_retraction_order,
     fit_loglog,
     fit_rows,
     rate_from_errors,
     retraction_order_rows,
     taylor_remainder_rows,
-    taylor_remainder_slope,
 )
 from .retractions import (
     CAYLEY,
@@ -68,7 +62,6 @@ from .retractions import (
     RetractionSpec,
     inverse_retract,
     inverse_retract_many,
-    perturbation_direction,
     retract,
     retract_many,
 )

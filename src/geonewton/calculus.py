@@ -5,8 +5,8 @@ The gradient and Hessian at p are read off the second-order expansion of the
 pulled-back objective t -> J(R_p(t e_i)) in an orthonormal tangent basis:
 central differences give the first-order coefficients, a four-point stencil
 gives the second-order ones, returned as a :class:`TangentVector` at p and a
-:class:`SymmetricOperator`.  Away from critical points the Hessian obtained
-this way depends on the retraction family unless the family has order >= 2.
+:class:`SymmetricOperator`, applied by :func:`apply_many`.  Off critical
+points the Hessian depends on the retraction family unless its order is >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
 (probes x ambient) array that ``_retract_rows`` checks (a retraction not
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EvaluationError
-from .manifolds import ManifoldPoint, PointRows, TangentBasis, TangentVector, frame_sums, row_dots, unchecked
+from .manifolds import ManifoldPoint, PointRows, TangentBasis, TangentVector, _real_array, frame_sums, row_dots, unchecked
 from .retractions import RetractionSpec, _retract_rows, retract_many
 from .retractions import retract  # noqa: F401  not called here; the benchmark tracer checks this binding
 
@@ -71,7 +71,7 @@ class SymmetricOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = _real_array(self.matrix)
         dim = len(self.basis)
         if mat.shape != (dim, dim):
             raise ContractError("operator matrix does not match the basis dimension")
@@ -80,12 +80,6 @@ class SymmetricOperator:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    def apply(self, v: TangentVector) -> TangentVector:
-        """Operator action: one row of :func:`apply_many`."""
-        if v.base is not self.basis.base and not np.array_equal(v.base.coords, self.basis.base.coords):
-            raise ContractError("tangent vector is based at a different point")
-        return unchecked(TangentVector, self.basis.base, apply_many(self.matrix, self.basis.frame, v.coords[None])[0])
 
 
 def apply_many(matrices: np.ndarray, frames: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ Each map has one kernel, written for a stack of rows: ``exp_many`` for the
 exponential map, ``log_many`` for its inverse, ``distance_many`` for the
 geodesic distance, and :func:`rotation_exp_many`, :func:`rotation_angles`,
 ``_check_points`` and ``_check_tangents``.  The single-vector forms
-(``exp_map``, ``log_map``, ``geodesic_distance``, :func:`rotation_exp`, the
-constructors' checks) run the same kernel on one row.  Each row is computed
-on its own, so a row of a stack equals the one-row call bit for bit.  A check rejects NaN
+(``exp_map``, ``geodesic_distance``, :func:`rotation_exp`, the constructors'
+checks, ``inverse_retract`` under exp) run the same kernel on one row, each
+row on its own, so a row of a stack equals the one-row call bit for bit.  A check rejects NaN
 and inf entries first, then fails unless its error is at most its tolerance.
 A kernel reads its base point only through ``manifold``, ``coords``,
 ``matrix`` and ``frame[0]``, so a :class:`PointRows` stack can stand in for
@@ -25,15 +25,15 @@ is tangent at its base or ``log_many`` raises ``CutLocusError``.
 
 Values are checked once, where they enter: coordinates given to
 :class:`ManifoldPoint`, :class:`TangentVector`, :class:`TangentBasis` or
-``tangent_project`` (coordinates that are not real numbers in a rectangular
-array raise ``ContractError`` there, as points and tangents off the manifold
-do, and so do the points of another manifold given to ``log_map`` or
-``geodesic_distance``).  A
-value the library computes from checked values (the result of ``exp_map``,
-``TangentVector.scaled``, ``TangentBasis.from_coordinates``, the basis that
-``tangent_basis`` builds from the cached frame) is built with
-:func:`unchecked` and not checked again; an exp kernel whose |v| overflows
-raises ``ContractError`` instead of returning a point.
+``tangent_project``, the scale given to ``TangentVector.scaled``, the
+coefficients given to ``TangentBasis.from_coordinates``, and the input of
+:func:`hat` and :func:`rotation_exp` raise ``ContractError`` unless they are
+real numbers in a rectangular array of the right shape, finite (``hat``
+passes NaN on), and on the manifold, tangent or skew as asked; so do the
+points of another manifold given to ``geodesic_distance``.  A value computed
+from checked values (the result of ``exp_map``, the basis ``tangent_basis``
+builds from the cached frame) is built with :func:`unchecked` and not
+checked again; an exp kernel whose |v| overflows raises ``ContractError``.
 
 The sphere's tangent frame is Gram-Schmidt of the standard basis against p in
 closed form, from the tail norms |x[k:]| (``Sphere._frame``).
@@ -54,17 +54,18 @@ _BASIS_SKIP_TOL = 1e-8  # sphere frame: e_k goes last if |x[k+1:]| <= this * |x[
 _CUT_LOCUS_MARGIN = 1e-6
 
 
-def _real_array(values) -> np.ndarray:
+def _real_array(values, shape=None) -> np.ndarray:
     """``values`` as a float array, read as ``np.asarray(values, dtype=float)``
     reads them; ``ContractError`` unless they are real numbers in a
-    rectangular array."""
+    rectangular array (of ``shape``, if given)."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind != "c":  # casting would drop the imaginary part
+        if arr.dtype.kind != "c" and shape in (None, arr.shape):  # casting would drop the imaginary part
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):  # not numeric, or ragged
         pass
-    raise ContractError("coordinates must be real numbers in a rectangular array")
+    shaped = "" if shape is None else f" of shape {shape}"
+    raise ContractError(f"coordinates must be real numbers in a rectangular array{shaped}")
 
 
 def _as_vector(coords, dim: int) -> np.ndarray:
@@ -197,8 +198,13 @@ class TangentVector:
     def norm(self) -> float:
         return math.sqrt(self.coords.dot(self.coords))  # what np.linalg.norm computes
 
+    @silent_overflow  # t v past the float range is inf, rejected below
     def scaled(self, t: float) -> "TangentVector":
-        return unchecked(TangentVector, self.base, t * self.coords)
+        """t v; ``ContractError`` unless t is one real number and t v is finite."""
+        coords = _real_array(t, ()) * self.coords
+        if not np.isfinite(coords).all():
+            raise ContractError("scaled tangent vector is not finite")
+        return unchecked(TangentVector, self.base, coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +234,6 @@ class TangentBasis:
         if not (np.abs(self.gram() - eye) <= 1e-10 + 1e-5 * eye).all():
             raise ContractError("basis vectors are not orthonormal")
 
-    @cached_property
-    def vectors(self) -> tuple[TangentVector, ...]:
-        return tuple(TangentVector(self.base, row) for row in self.frame)
-
     def __len__(self) -> int:
         return len(self.frame)
 
@@ -244,11 +246,13 @@ class TangentBasis:
             raise ContractError("tangent vector is based at a different point")
         return row_dots(self.frame, v.coords)
 
+    @silent_overflow  # NaN, inf or an overflowing sum leaves the vector non-finite, rejected below
     def from_coordinates(self, coeffs) -> TangentVector:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self.frame),):
-            raise ContractError("coefficient vector has the wrong length")
-        return unchecked(TangentVector, self.base, frame_sums(coeffs, self.frame))
+        """The vector with one real coefficient per basis vector; ``ContractError`` unless it is finite."""
+        coords = frame_sums(_real_array(coeffs, (len(self.frame),)), self.frame)
+        if not np.isfinite(coords).all():
+            raise ContractError("tangent vector from these coefficients is not finite")
+        return unchecked(TangentVector, self.base, coords)
 
 
 class Manifold:
@@ -262,15 +266,6 @@ class Manifold:
 
     def tangent(self, p: ManifoldPoint, coords) -> TangentVector:
         return TangentVector(p, coords)
-
-    def zero_tangent(self, p: ManifoldPoint) -> TangentVector:
-        return TangentVector(p, np.zeros(self.ambient_dim))
-
-    def inner(self, u: TangentVector, v: TangentVector) -> float:
-        """Riemannian inner product of two tangent vectors at the same point."""
-        if u.base is not v.base and not np.array_equal(u.base.coords, v.base.coords):
-            raise ContractError("inner product requires tangent vectors at the same base point")
-        return float(np.dot(u.coords, v.coords))
 
     def _check_members(self, *points: ManifoldPoint) -> None:
         """Raise ``ContractError`` unless every point lies on this manifold."""
@@ -302,10 +297,6 @@ class Manifold:
     def log_many(self, p: ManifoldPoint, rows: np.ndarray) -> np.ndarray:
         """Inverse exponential map of every row (a point), as tangent rows at p."""
         raise NotImplementedError
-
-    def log_map(self, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-        self._check_members(p, q)
-        return TangentVector(p, self.log_many(p, q.coords[None])[0])
 
     def distance_many(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Geodesic distance of each row of ``ps`` (points) to the matching row
@@ -433,8 +424,8 @@ SO3_GENERATORS = (
 
 
 def hat(omega) -> np.ndarray:
-    """3-vector to skew-symmetric matrix."""
-    x, y, z = np.asarray(omega, dtype=float)
+    """Three real numbers to a skew-symmetric matrix."""
+    x, y, z = _real_array(omega, (3,))
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -448,8 +439,12 @@ def vee(mat) -> np.ndarray:
 
 @silent_overflow
 def rotation_exp(omega_hat: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one skew-symmetric 3x3 matrix."""
-    return rotation_exp_many(np.asarray(omega_hat, dtype=float)[None])[0]
+    """Matrix exponential of one finite real 3x3 matrix W, skew to the tangent
+    check's relative tolerance: |W + W^T| <= POINT_TOL max(1, |W|)."""
+    w = _real_array(omega_hat, (3, 3))
+    if not (np.isfinite(w).all() and np.linalg.norm(w + w.T) <= POINT_TOL * max(1.0, np.linalg.norm(w))):
+        raise ContractError("expected a finite skew-symmetric 3x3 matrix")
+    return rotation_exp_many(w[None])[0]
 
 
 def rotation_exp_many(omega_hats: np.ndarray) -> np.ndarray:
@@ -554,8 +549,3 @@ class Rotations3(Manifold):
     def _frame(self, p):
         q = p.matrix
         return np.array([(q @ gen).reshape(9) / np.sqrt(2.0) for gen in SO3_GENERATORS])
-
-
-def rotation_about_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

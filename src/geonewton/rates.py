@@ -7,15 +7,15 @@ floor are discarded before fitting; when fewer than two points survive the
 estimate is flagged ``saturated`` rather than treated as a failure (a perfect
 retraction legitimately measures zero everywhere).
 
-Row-producing variants are exposed alongside each slope estimator so reports
-can emit the raw measurements and refitting the emitted rows reproduces the
-summary exactly.  A trace's rate is the same fit through its error pairs.
+Each sweep returns its rows and its slope is :func:`fit_rows` of them, so a
+report's summary is a refit of its rows.  A trace's rate is
+:func:`rate_from_errors` of its distances to the critical point.
 
 Every sweep makes one batched call per map over all its rows (a
-:class:`ScaleSweep` lists them with ``tangent_rows``), as does a trace's
-error read; each kernel row equals its one-row call bit for bit.  The
-residual sweep inverts each row at its own base, then probes all its points
-at once (``derivatives_fd``, one batch below its size limit).
+:class:`ScaleSweep` lists them with ``tangent_rows``); each kernel row equals
+its one-row call bit for bit.  The residual sweep inverts each row at its
+own base, then probes all its points at once (``derivatives_fd``, one batch
+below its size limit).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .calculus import apply_many, derivatives_fd, taylor_remainders
 from .calculus import gradient_fd, hessian_fd, taylor_remainder  # noqa: F401  the benchmark tracer checks these
 from .errors import ContractError, InsufficientDataError, PreconditionError
 from .manifolds import ManifoldPoint, PointRows, TangentVector, row_norms, unchecked
-from .newton import IterationTrace
 from .retractions import RetractionSpec, inverse_retract_many, retract_many
 from .retractions import inverse_retract, retract  # noqa: F401  not called; the benchmark tracer checks them
 
@@ -159,7 +158,7 @@ def fit_rows(rows: list[Row], floor: float = DEFAULT_NOISE_FLOOR) -> SlopeEstima
 
 def retraction_order_rows(spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
     """d(R_p(s w), exp_p(s w)) for every direction w and scale s, direction
-    by direction."""
+    by direction: slope k + 1 for order k, saturated for exp."""
     p = sweep.directions[0].base
     manifold = p.manifold
     labels, tangents = sweep.tangent_rows()
@@ -167,12 +166,6 @@ def retraction_order_rows(spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
     with np.errstate(over="ignore", invalid="ignore"):  # as in exp_map: a row too long to map raises
         exact = manifold.exp_many(p, tangents)
     return [(i, s, d) for (i, s), d in zip(labels, manifold.distance_many(retracted, exact).tolist())]
-
-
-def estimate_retraction_order(spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
-    """Slope of the retraction-vs-exponential distance; a family of order k
-    shows slope k + 1.  The exponential family itself saturates."""
-    return fit_rows(retraction_order_rows(spec, sweep))
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +177,7 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
     critical anchor point and v points back: anchor = R_p(v).
 
     The sweep directions must be based at the anchor, and the anchor must be
-    critical (checked against the analytic gradient).
+    critical (checked against the analytic gradient).  Slope 2 for order >= 1.
     """
     anchor = sweep.directions[0].base
     if objective.analytic_gradient(anchor).norm() > 1e-10:
@@ -197,12 +190,6 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
     return [(i, x, r) for (i, _), x, r in zip(labels, row_norms(vs).tolist(), residuals.tolist())]
 
 
-def critical_residual_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
-    """Expected slope 2: the residual shrinks quadratically in |v| for any
-    retraction of order >= 1."""
-    return fit_rows(critical_residual_rows(objective, spec, sweep))
-
-
 # --------------------------------------------------------------------------
 # distance deviation between two retracted rays
 
@@ -213,7 +200,8 @@ def distance_deviation_rows(
     w_dir: TangentVector,
     scales=DEFAULT_SCALES,
 ) -> list[Row]:
-    """| d(R_p(s v), R_p(s w)) - s |v - w| | per scale, one direction pair."""
+    """| d(R_p(s v), R_p(s w)) - s |v - w| | per scale, one direction pair;
+    slope >= 2."""
     p = v_dir.base
     manifold = p.manifold
     if not np.array_equal(w_dir.base.coords, p.coords):
@@ -225,17 +213,6 @@ def distance_deviation_rows(
     return [(0, s, abs(d - s * gap)) for s, d in zip(scales, dists.tolist())]
 
 
-def distance_deviation_slope(
-    spec: RetractionSpec,
-    v_dir: TangentVector,
-    w_dir: TangentVector,
-    scales=DEFAULT_SCALES,
-) -> SlopeEstimate:
-    """Expected slope >= 2: retracted distances match tangent distances to
-    second order."""
-    return fit_rows(distance_deviation_rows(spec, v_dir, w_dir, scales))
-
-
 # --------------------------------------------------------------------------
 # cubic remainder of the second-order expansion
 
@@ -243,18 +220,12 @@ def distance_deviation_slope(
 def taylor_remainder_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
     """Second-order Taylor remainder of J o R_p against |v|; one gradient and
     Hessian extraction (one ``derivatives_fd`` batch) is shared across the
-    whole sweep."""
+    whole sweep.  Slope 3, or saturated at a critical point."""
     p = sweep.directions[0].base
     grads, hessians, frames = derivatives_fd(objective, spec, [p])
     labels, tangents = sweep.tangent_rows()
     rems = taylor_remainders(objective, spec, p, tangents, grads[0], hessians[0], frames[0])
     return [(i, s, r) for (i, s), r in zip(labels, rems.tolist())]
-
-
-def taylor_remainder_slope(objective, spec: RetractionSpec, sweep: ScaleSweep) -> SlopeEstimate:
-    """Expected slope 3 away from critical points; may saturate at critical
-    points where the remainder collapses."""
-    return fit_rows(taylor_remainder_rows(objective, spec, sweep))
 
 
 # --------------------------------------------------------------------------
@@ -285,14 +256,3 @@ def rate_from_errors(errors, floor: float = DEFAULT_NOISE_FLOOR) -> RateReport:
         pairs_used=len(pairs),
     )
 
-
-def convergence_rate(
-    trace: IterationTrace,
-    p_star: ManifoldPoint,
-    floor: float = DEFAULT_NOISE_FLOOR,
-) -> RateReport:
-    """Contraction rate of d(p_k, p*) along a Newton trace; quadratic
-    convergence shows as fitted_rate 2.  The caller guarantees p_star is the
-    critical point the trace approaches."""
-    points = np.array([p.coords for p in trace.points])
-    return rate_from_errors(p_star.manifold.distance_many(points, p_star.coords), floor)

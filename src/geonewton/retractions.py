@@ -156,12 +156,6 @@ class RetractionSpec:
             )
 
 
-def perturbation_direction(p: ManifoldPoint) -> TangentVector:
-    """The fixed unit tangent u(p) entering the order-1 family: the first
-    tangent-basis vector at p."""
-    return TangentVector(p, p.frame[0])
-
-
 @silent_overflow
 def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
     """Map a tangent vector back to the manifold with the chosen family."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import geonewton as gn
+from geonewton.calculus import apply_many
 
 
 EXP = gn.RetractionSpec("exp")
@@ -54,7 +55,7 @@ def test_procrustes_gradient_zero_at_polar(rotations):
 
 
 def test_polar_factor_recovers_rotation():
-    rot = gn.rotation_about_z(0.7)
+    rot = gn.rotation_exp(gn.hat([0.0, 0.0, 0.7]))
     objective = gn.ProcrustesTrace(rot @ np.diag([2.0, 1.5, 1.0]))
     assert np.allclose(objective.polar_factor().matrix, rot, atol=1e-12)
 
@@ -284,7 +285,7 @@ def test_hessian_shift_under_order1_retraction(rayleigh_321):
         h_exp = gn.hessian_fd(rayleigh_321, EXP, p, basis=basis)
         h_pert = gn.hessian_fd(rayleigh_321, PERT, p, basis=basis)
         shift = 2.0 * np.dot(
-            rayleigh_321.analytic_gradient(p).coords, gn.perturbation_direction(p).coords
+            rayleigh_321.analytic_gradient(p).coords, p.frame[0]
         )
         gap = h_pert.matrix - h_exp.matrix - shift * np.eye(2)
         assert np.linalg.norm(gap, "fro") <= 1e-3
@@ -302,7 +303,7 @@ def test_operator_apply_matches_matrix(sphere3, rayleigh_321):
     p = gn.random_point(sphere3, gn.rng_for(23))
     h = gn.hessian_fd(rayleigh_321, EXP, p)
     v = gn.random_tangent(p, gn.rng_for(24))
-    out = h.apply(v)
+    out = gn.TangentVector(p, apply_many(h.matrix, h.basis.frame, v.coords[None])[0])
     assert np.allclose(
         h.basis.coordinates(out), h.matrix @ h.basis.coordinates(v), atol=1e-12
     )
@@ -320,7 +321,7 @@ def test_operator_rejects_asymmetric_matrix(sphere3):
 
 def test_remainder_zero_vector(sphere3, rayleigh_321):
     p = gn.random_point(sphere3, gn.rng_for(25))
-    assert gn.taylor_remainder(rayleigh_321, EXP, p, sphere3.zero_tangent(p)) <= 1e-12
+    assert gn.taylor_remainder(rayleigh_321, EXP, p, gn.TangentVector(p, np.zeros(3))) <= 1e-12
 
 
 def test_remainder_halving_factor(sphere3, rayleigh_321):

@@ -174,8 +174,8 @@ def test_trace_shape_invariants(sphere3, rayleigh_321):
 
 
 def test_procrustes_reference_run(rotations):
-    objective = gn.ProcrustesTrace(gn.rotation_about_z(0.4) @ np.diag([2.0, 1.5, 1.0]))
-    p0 = rotations.point_from_matrix(gn.rotation_about_z(0.3))
+    objective = gn.ProcrustesTrace(gn.rotation_exp(gn.hat([0.0, 0.0, 0.4])) @ np.diag([2.0, 1.5, 1.0]))
+    p0 = rotations.point_from_matrix(gn.rotation_exp(gn.hat([0.0, 0.0, 0.3])))
     trace = gn.newton_run(objective, gn.NewtonConfig(retraction=CAY), p0)
     assert trace.status == gn.NewtonStatus.CONVERGED
     assert trace.iterations <= 8

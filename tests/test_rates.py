@@ -65,25 +65,25 @@ def test_fit_rejects_bad_input(capfd):
 
 def test_exponential_order_saturates(sphere3):
     sweep = gn.make_sweep(gn.random_point(sphere3, gn.rng_for(41)), 5, seed=42)
-    est = gn.estimate_retraction_order(EXP, sweep)
+    est = gn.fit_rows(gn.retraction_order_rows(EXP, sweep))
     assert est.saturated
 
 
 def test_projection_order(sphere3):
     sweep = gn.make_sweep(gn.random_point(sphere3, gn.rng_for(43)), 5, seed=44)
-    est = gn.estimate_retraction_order(PROJ, sweep)
+    est = gn.fit_rows(gn.retraction_order_rows(PROJ, sweep))
     assert 2.8 <= est.slope <= 3.2
 
 
 def test_perturbed_order(sphere3):
     sweep = gn.make_sweep(gn.random_point(sphere3, gn.rng_for(45)), 5, seed=46)
-    est = gn.estimate_retraction_order(PERT, sweep)
+    est = gn.fit_rows(gn.retraction_order_rows(PERT, sweep))
     assert 1.8 <= est.slope <= 2.2
 
 
 def test_cayley_order(rotations):
     sweep = gn.make_sweep(gn.random_point(rotations, gn.rng_for(47)), 5, seed=48)
-    est = gn.estimate_retraction_order(CAY, sweep)
+    est = gn.fit_rows(gn.retraction_order_rows(CAY, sweep))
     assert 2.8 <= est.slope <= 3.2
 
 
@@ -94,7 +94,7 @@ def test_order_direction_independent(sphere3, family):
     slopes = []
     for k in range(10):
         sweep = gn.make_sweep(p, 1, seed=900 + k)
-        slopes.append(gn.estimate_retraction_order(spec, sweep).slope)
+        slopes.append(gn.fit_rows(gn.retraction_order_rows(spec, sweep)).slope)
     assert max(slopes) - min(slopes) <= 0.3
 
 
@@ -105,12 +105,12 @@ def test_residual_requires_critical_anchor(sphere3, rayleigh_321):
     p = sphere3.point(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
     sweep = gn.make_sweep(p, 1, seed=50)
     with pytest.raises(gn.PreconditionError):
-        gn.critical_residual_slope(rayleigh_321, EXP, sweep)
+        gn.critical_residual_rows(rayleigh_321, EXP, sweep)
 
 
 def test_residual_quadratic_under_order1(sphere3, rayleigh_321):
     sweep = gn.make_sweep(sphere3.point([1, 0, 0]), 3, seed=51)
-    est = gn.critical_residual_slope(rayleigh_321, PERT, sweep)
+    est = gn.fit_rows(gn.critical_residual_rows(rayleigh_321, PERT, sweep))
     assert 1.8 <= est.slope <= 2.2
     assert est.r_squared >= 0.98
 
@@ -120,7 +120,7 @@ def test_residual_superquadratic_under_exponential(sphere3, rayleigh_321):
     # critical points, so the decay beats the guaranteed exponent 2; the
     # bound |grad + Hess v| <~ |v|^2 holds with room to spare.
     sweep = gn.make_sweep(sphere3.point([1, 0, 0]), 3, seed=52)
-    est = gn.critical_residual_slope(rayleigh_321, EXP, sweep)
+    est = gn.fit_rows(gn.critical_residual_rows(rayleigh_321, EXP, sweep))
     assert est.slope >= 1.9
     assert est.slope >= 2.6  # measured: cubic decay, not quadratic
 
@@ -134,7 +134,7 @@ def test_deviation_sphere(sphere3, family):
     rng = gn.rng_for(54)
     v = gn.random_tangent(p, rng)
     w = gn.random_tangent(p, rng)
-    est = gn.distance_deviation_slope(gn.RetractionSpec(family), v, w)
+    est = gn.fit_rows(gn.distance_deviation_rows(gn.RetractionSpec(family), v, w))
     assert est.saturated or est.slope >= 1.9
 
 
@@ -144,14 +144,14 @@ def test_deviation_rotations(rotations, family):
     rng = gn.rng_for(56)
     v = gn.random_tangent(p, rng)
     w = gn.random_tangent(p, rng)
-    est = gn.distance_deviation_slope(gn.RetractionSpec(family), v, w)
+    est = gn.fit_rows(gn.distance_deviation_rows(gn.RetractionSpec(family), v, w))
     assert est.saturated or est.slope >= 1.9
 
 
 def test_deviation_same_direction_saturates(sphere3):
     p = gn.random_point(sphere3, gn.rng_for(57))
     v = gn.random_tangent(p, gn.rng_for(58))
-    est = gn.distance_deviation_slope(EXP, v, v)
+    est = gn.fit_rows(gn.distance_deviation_rows(EXP, v, v))
     assert est.saturated
 
 
@@ -162,7 +162,7 @@ def test_deviation_same_direction_saturates(sphere3):
 def test_taylor_slope_sphere(sphere3, rayleigh_321, family):
     p = gn.random_point(sphere3, gn.rng_for(59))
     sweep = gn.make_sweep(p, 3, seed=60)
-    est = gn.taylor_remainder_slope(rayleigh_321, gn.RetractionSpec(family), sweep)
+    est = gn.fit_rows(gn.taylor_remainder_rows(rayleigh_321, gn.RetractionSpec(family), sweep))
     assert 2.7 <= est.slope <= 3.3
 
 
@@ -170,7 +170,7 @@ def test_taylor_slope_rotations(rotations):
     objective = gn.seeded_instance(3, "procrustes")
     p = gn.random_point(rotations, gn.rng_for(61))
     sweep = gn.make_sweep(p, 3, seed=62)
-    est = gn.taylor_remainder_slope(objective, CAY, sweep)
+    est = gn.fit_rows(gn.taylor_remainder_rows(objective, CAY, sweep))
     assert 2.7 <= est.slope <= 3.3
 
 
@@ -178,7 +178,7 @@ def test_taylor_at_critical_point(sphere3, rayleigh_321):
     # the remainder collapses at critical points: saturation or an even
     # faster decay are both acceptable outcomes
     sweep = gn.make_sweep(sphere3.point([1, 0, 0]), 2, seed=63)
-    est = gn.taylor_remainder_slope(rayleigh_321, EXP, sweep)
+    est = gn.fit_rows(gn.taylor_remainder_rows(rayleigh_321, EXP, sweep))
     assert est.saturated or est.slope >= 2.7
 
 
@@ -258,7 +258,8 @@ def test_rate_of_reference_newton_trace(sphere3, rayleigh_321):
     # floor sits above the finite-difference distance floor of ~1.5e-10
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     trace = gn.newton_run(rayleigh_321, gn.NewtonConfig(retraction=PERT, tol=1e-9), p0)
-    report = gn.convergence_rate(trace, sphere3.point([0, 0, 1]), floor=1e-8)
+    errors = sphere3.distance_many(np.array([p.coords for p in trace.points]), np.array([0.0, 0.0, 1.0]))
+    report = gn.rate_from_errors(errors, floor=1e-8)
     assert 1.8 <= report.fitted_rate <= 2.2
     assert report.pairs_used >= 2
 
@@ -266,7 +267,8 @@ def test_rate_of_reference_newton_trace(sphere3, rayleigh_321):
 def test_rate_consistent_with_pair_slopes(sphere3, rayleigh_321):
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     trace = gn.newton_run(rayleigh_321, gn.NewtonConfig(retraction=PERT, tol=1e-9), p0)
-    report = gn.convergence_rate(trace, sphere3.point([0, 0, 1]), floor=1e-8)
+    errors = sphere3.distance_many(np.array([p.coords for p in trace.points]), np.array([0.0, 0.0, 1.0]))
+    report = gn.rate_from_errors(errors, floor=1e-8)
     assert abs(report.fitted_rate - np.mean(report.pair_slopes)) <= 0.3
 
 
