@@ -2,11 +2,12 @@
 gradient and Hessian.
 
 The gradient and Hessian at p are read off the second-order expansion of the
-pulled-back objective t -> J(R_p(t e_i)) in an orthonormal tangent basis:
-central differences give the first-order coefficients, a four-point stencil
-gives the second-order ones, returned as a :class:`TangentVector` at p and a
-:class:`SymmetricOperator`, applied by :func:`apply_many`.  Off critical
-points the Hessian depends on the retraction family unless its order is >= 2.
+pulled-back objective t -> J(R_p(t e_i)) over the rows e_i of p's cached
+orthonormal frame ``p.frame`` (no caller picks a basis): central differences
+give the first-order coefficients, a four-point stencil the second-order
+ones, returned as a :class:`TangentVector` at p and a :class:`SymmetricOperator`
+in ``tangent_basis(p)``, applied by :func:`apply_many`.  Off critical points
+the Hessian depends on the retraction family unless its order is >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
 (probes x ambient) array that ``_retract_rows`` checks (a retraction not
@@ -136,32 +137,24 @@ def _hessians(values: np.ndarray, centres, dim: int) -> np.ndarray:
 
 
 def gradient_fd(
-    objective,
-    spec: RetractionSpec,
-    p: ManifoldPoint,
-    basis: TangentBasis | None = None,
-    step_factor: float = GRADIENT_STEP_FACTOR,
+    objective, spec: RetractionSpec, p: ManifoldPoint, step_factor: float = GRADIENT_STEP_FACTOR
 ) -> TangentVector:
     """Central-difference gradient of J o R_p at 0, with step ``step_factor``.
 
-    Component i is [J(R_p(h e_i)) - J(R_p(-h e_i))] / (2h) over the basis
-    vectors; the result is assembled as an ambient tangent vector and is
-    independent of the basis choice up to finite-difference error.
+    Component i is [J(R_p(h e_i)) - J(R_p(-h e_i))] / (2h) over the rows e_i
+    of ``p.frame``; the result is assembled as an ambient tangent vector.
     """
-    if basis is None:
-        basis = p.manifold.tangent_basis(p)
-    values = _evaluate(objective, p, _retract_rows(spec, p, _central_rows(basis.frame, step_factor)))
-    return unchecked(TangentVector, p, _gradients(values, basis.frame, step_factor))
+    values = _evaluate(objective, p, _retract_rows(spec, p, _central_rows(p.frame, step_factor)))
+    return unchecked(TangentVector, p, _gradients(values, p.frame, step_factor))
 
 
-def gradient_cs(objective, spec: RetractionSpec, p: ManifoldPoint, basis: TangentBasis | None = None) -> TangentVector:
+def gradient_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> TangentVector:
     """Complex-step gradient of J o R_p at 0 in d probes: component i is
-    Im J(R_p(i h e_i)) / h.  It subtracts nothing, so it has no rounding
-    floor, but it is right only where J o R_p is holomorphic in v."""
-    if basis is None:
-        basis = p.manifold.tangent_basis(p)
-    values = _evaluate(objective, p, _retract_rows(spec, p, (1j * COMPLEX_STEP) * basis.frame), complex)
-    return unchecked(TangentVector, p, frame_sums(values.imag / COMPLEX_STEP, basis.frame))
+    Im J(R_p(i h e_i)) / h over the rows e_i of ``p.frame``.  It subtracts
+    nothing, so it has no rounding floor, but it is right only where
+    J o R_p is holomorphic in v."""
+    values = _evaluate(objective, p, _retract_rows(spec, p, (1j * COMPLEX_STEP) * p.frame), complex)
+    return unchecked(TangentVector, p, frame_sums(values.imag / COMPLEX_STEP, p.frame))
 
 
 @functools.cache
@@ -179,12 +172,7 @@ def _stencil_plan(dim: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def hessian_fd(
-    objective,
-    spec: RetractionSpec,
-    p: ManifoldPoint,
-    basis: TangentBasis | None = None,
-) -> SymmetricOperator:
+def hessian_fd(objective, spec: RetractionSpec, p: ManifoldPoint) -> SymmetricOperator:
     """Four-point-stencil Hessian of J o R_p at 0, exactly symmetric: one array
     holds H_ij and H_ji.
 
@@ -196,16 +184,12 @@ def hessian_fd(
     of [hE; -hE] (E the frame) picked by ``_stencil_plan``: adding a negated
     row rounds as subtracting it does, down to signed zeros.  R_p(0) is the
     zero row after them, retracted with them and read at the centre row of
-    the stencil's one ``values`` call.
+    the stencil's one ``values`` call.  The matrix is in ``p.frame``.
     """
-    manifold = p.manifold
-    if basis is None:
-        basis = manifold.tangent_basis(p)
-    elif basis.base is not p and not np.array_equal(basis.base.coords, p.coords):
-        raise ContractError("basis is based at a different point")
-    stencil = np.concatenate([_hessian_rows(basis.frame), np.zeros((1, manifold.ambient_dim))])
+    stencil = np.concatenate([_hessian_rows(p.frame), np.zeros((1, p.manifold.ambient_dim))])
     values = _evaluate(objective, p, _retract_rows(spec, p, stencil))
-    return unchecked(SymmetricOperator, basis, _hessians(values[:-1], values[-1], len(basis)))
+    hessian = _hessians(values[:-1], values[-1], len(p.frame))
+    return unchecked(SymmetricOperator, p.manifold.tangent_basis(p), hessian)
 
 
 def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,22 +214,18 @@ def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray,
     return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames
 
 
-def taylor_remainder(
-    objective,
-    spec: RetractionSpec,
-    p: ManifoldPoint,
-    v: TangentVector,
-    gradient: TangentVector | None = None,
-    hessian: SymmetricOperator | None = None,
-) -> float:
+def taylor_remainder(objective, spec: RetractionSpec, p: ManifoldPoint, v: TangentVector,
+                     gradient: TangentVector | None = None, hessian: SymmetricOperator | None = None) -> float:
     """|J(R_p(v)) - J(p) - <v, grad> - 1/2 <v, Hess v>|: one row of
     :func:`taylor_remainders`.
 
     The gradient and Hessian may be passed in so a sweep over many v reuses
     one extraction; they must then have been computed at p with this spec.
+    A v, gradient or Hessian based at another point raises ``ContractError``.
     """
-    if v.base is not p and not np.array_equal(v.base.coords, p.coords):
-        raise ContractError("tangent vector is based at a different point")
+    for name, value in (("tangent vector", v), ("gradient", gradient), ("Hessian", hessian and hessian.basis)):
+        if value is not None and value.base is not p and not np.array_equal(value.base.coords, p.coords):
+            raise ContractError(f"{name} is based at a different point")
     if gradient is None:
         gradient = gradient_fd(objective, spec, p)
     if hessian is None:

@@ -264,9 +264,6 @@ class Manifold:
     def point(self, coords) -> ManifoldPoint:
         return ManifoldPoint(self, coords)
 
-    def tangent(self, p: ManifoldPoint, coords) -> TangentVector:
-        return TangentVector(p, coords)
-
     def _check_members(self, *points: ManifoldPoint) -> None:
         """Raise ``ContractError`` unless every point lies on this manifold."""
         if any(pt.manifold != self for pt in points):

@@ -4,7 +4,9 @@ the one driver: each iteration reads the gradient, then takes one update.
 The gradient of an objective that declares ``holomorphic = True`` is read by
 complex step, and checked against the FD read at each run's first iterate,
 which comes from the first Hessian's batch (``derivatives_fd``); any other
-objective's, and every Hessian, by finite differences.
+objective's, and every Hessian, by finite differences.  Every read is in the
+iterate's cached frame ``p.frame``, and each Hessian's operator is in
+``tangent_basis(p)``, so the step is solved in that frame.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
@@ -39,7 +41,7 @@ _GUARD = 1e-6  # the FD read's error: at most 2e-10 (|grad| + |J|) on the shippe
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
-def _measure_gradient(objective, spec, p, basis, first: bool) -> tuple[TangentVector, float, SymmetricOperator | None]:
+def _measure_gradient(objective, spec, p, first: bool) -> tuple[TangentVector, float, SymmetricOperator | None]:
     """The gradient read at p, its norm, and the Hessian at p if it was read too.
 
     An objective that declares ``holomorphic = True`` is read by complex
@@ -50,7 +52,7 @@ def _measure_gradient(objective, spec, p, basis, first: bool) -> tuple[TangentVe
     quantization-limited at ~ulp(J)/(2h); a wider-step read resolves finer
     gradients there.  Keep whichever measurement is smaller."""
     if getattr(objective, "holomorphic", False):
-        grad = gradient_cs(objective, spec, p, basis=basis)
+        grad = gradient_cs(objective, spec, p)
         if not first:
             return grad, grad.norm(), None
         fds, hessians, _ = derivatives_fd(objective, spec, [p])
@@ -58,11 +60,11 @@ def _measure_gradient(objective, spec, p, basis, first: bool) -> tuple[TangentVe
         if not gap <= _GUARD * (np.linalg.norm(fds[0]) + abs(objective.value(p))):
             raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
                                 f"complex-step gradient is {gap:.3e} from the finite-difference read")
-        return grad, grad.norm(), unchecked(SymmetricOperator, basis, hessians[0])
-    grad = gradient_fd(objective, spec, p, basis=basis)
+        return grad, grad.norm(), unchecked(SymmetricOperator, p.manifold.tangent_basis(p), hessians[0])
+    grad = gradient_fd(objective, spec, p)
     norm = grad.norm()
     if norm < _REFINE_THRESHOLD:
-        refined = gradient_fd(objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR)
+        refined = gradient_fd(objective, spec, p, step_factor=REFINED_GRADIENT_STEP_FACTOR)
         refined_norm = refined.norm()
         if refined_norm < norm:
             return refined, refined_norm, None
@@ -144,7 +146,10 @@ def solve_tangent_system(
     Raises ``SingularHessianError`` when the estimated condition number
     exceeds ``cond_cap`` (the invertibility assumption fails numerically) or
     when the solve leaves a residual above 1e-10 * (1 + |grad|).
+    ``ContractError`` unless ``cond_cap`` exceeds 1, as in ``NewtonConfig``.
     """
+    if not cond_cap > 1:  # a NaN cap would never trip the guard
+        raise ContractError("cond_cap must exceed 1")
     rhs = -operator.basis.coordinates(gradient)  # raises if gradient is based elsewhere
     matrix = operator.matrix
     singular = np.linalg.svd(matrix, compute_uv=False)
@@ -178,8 +183,7 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     current = p0
     try:
         for _ in range(config.max_iter + 1):
-            basis = current.manifold.tangent_basis(current)
-            grad, norm, hess = _measure_gradient(objective, spec, current, basis, not grad_norms)
+            grad, norm, hess = _measure_gradient(objective, spec, current, not grad_norms)
             grad_norms.append(norm)
             if grad_norms[-1] <= config.tol:
                 status = NewtonStatus.CONVERGED
@@ -196,7 +200,7 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
                 break
             try:
                 if hess is None:
-                    hess = hessian_fd(objective, spec, current, basis=basis)
+                    hess = hessian_fd(objective, spec, current)
                 step = solve_tangent_system(hess, grad, cond_cap=config.cond_cap)
             except SingularHessianError:
                 status = NewtonStatus.SINGULAR_HESSIAN

@@ -150,7 +150,7 @@ def _four_point_rows(frame, h):
     return np.array(rows).reshape(-1, frame.shape[1])
 
 
-def _stencil_of_hessian_fd(monkeypatch, objective, spec, p, basis):
+def _stencil_of_hessian_fd(monkeypatch, objective, spec, p):
     """The stencil rows hessian_fd hands to _retract_rows, before the centre
     R_p(0): a last row of +0.0 entries, checked here byte for byte."""
     seen = []
@@ -161,24 +161,11 @@ def _stencil_of_hessian_fd(monkeypatch, objective, spec, p, basis):
         return retract_rows(spec, p, vectors)
 
     monkeypatch.setattr(calculus, "_retract_rows", recording)
-    gn.hessian_fd(objective, spec, p, basis=basis)
+    gn.hessian_fd(objective, spec, p)
     monkeypatch.undo()
     (stencil,) = seen
     assert stencil[-1].tobytes() == np.zeros(stencil.shape[1]).tobytes()
     return stencil[:-1]
-
-
-def _signed_zero_basis():
-    """A frame at e_0 of S^4 whose rows hold -0.0 entries in every column."""
-    p = gn.Sphere(5).point([1.0, 0.0, 0.0, 0.0, 0.0])
-    z = -0.0
-    frame = np.array([
-        [z, 1.0, z, 0.0, z],
-        [0.0, z, -1.0, z, 0.0],
-        [z, 0.0, z, 0.6, -0.8],
-        [0.0, z, 0.0, 0.8, 0.6],
-    ])
-    return gn.TangentBasis(p, frame)
 
 
 @pytest.mark.parametrize("n", SPHERE_SIZES)
@@ -189,16 +176,15 @@ def test_hessian_stencil_equals_written_out_rows_byte_for_byte(monkeypatch, n):
     objective = _sphere_objectives(n)[0]
     for seed in (7, 8):
         p = _base_point(manifold, seed)
-        basis = manifold.tangent_basis(p)
-        assert (basis.frame == 0.0).any() or n == 2
+        assert (p.frame == 0.0).any() or n == 2
         for family in SPHERE_FAMILIES:
-            stencil = _stencil_of_hessian_fd(monkeypatch, objective, gn.RetractionSpec(family), p, basis)
-            assert stencil.tobytes() == _four_point_rows(basis.frame, HESSIAN_STEP_FACTOR).tobytes()
-    basis = _signed_zero_basis()
-    assert np.signbit(basis.frame[basis.frame == 0.0]).any()
+            stencil = _stencil_of_hessian_fd(monkeypatch, objective, gn.RetractionSpec(family), p)
+            assert stencil.tobytes() == _four_point_rows(p.frame, HESSIAN_STEP_FACTOR).tobytes()
+    p = gn.Sphere(5).point([1.0, 0.0, 0.0, 0.0, 0.0])  # its frame holds -0.0 entries
+    assert np.signbit(p.frame[p.frame == 0.0]).any()
     stencil = _stencil_of_hessian_fd(monkeypatch, gn.Rayleigh(np.diag([5.0, 4.0, 3.0, 2.0, 1.0])),
-                                     gn.RetractionSpec("exp"), basis.base, basis)
-    assert stencil.tobytes() == _four_point_rows(basis.frame, HESSIAN_STEP_FACTOR).tobytes()
+                                     gn.RetractionSpec("exp"), p)
+    assert stencil.tobytes() == _four_point_rows(p.frame, HESSIAN_STEP_FACTOR).tobytes()
 
 
 @pytest.mark.parametrize("manifold", (gn.Sphere(3), gn.Sphere(10), gn.Rotations3()), ids=repr)
@@ -295,9 +281,9 @@ def test_fd_derivatives_match_per_probe_loop(manifold, family, objective):
     p = _base_point(manifold, 7)
     basis = manifold.tangent_basis(p)
     for h in (GRADIENT_STEP_FACTOR, REFINED_GRADIENT_STEP_FACTOR):
-        grad = gn.gradient_fd(objective, spec, p, basis=basis, step_factor=h)
+        grad = gn.gradient_fd(objective, spec, p, step_factor=h)
         assert np.array_equal(grad.coords, _scalar_gradient(objective, spec, p, basis, h))
-    hess = gn.hessian_fd(objective, spec, p, basis=basis)
+    hess = gn.hessian_fd(objective, spec, p)
     assert np.array_equal(hess.matrix, _scalar_hessian(objective, spec, p, basis))
 
 
@@ -311,14 +297,14 @@ def test_value_only_objective_uses_row_fallback(family):
     basis = manifold.tangent_basis(p)
     dim = len(basis)
 
-    grad = gn.gradient_fd(objective, spec, p, basis=basis)
+    grad = gn.gradient_fd(objective, spec, p)
     assert objective.calls == 2 * dim
-    assert np.array_equal(grad.coords, gn.gradient_fd(inner, spec, p, basis=basis).coords)
+    assert np.array_equal(grad.coords, gn.gradient_fd(inner, spec, p).coords)
 
     objective.calls = 0
-    hess = gn.hessian_fd(objective, spec, p, basis=basis)
+    hess = gn.hessian_fd(objective, spec, p)
     assert objective.calls == 2 * dim * dim + 1
-    assert np.array_equal(hess.matrix, gn.hessian_fd(inner, spec, p, basis=basis).matrix)
+    assert np.array_equal(hess.matrix, gn.hessian_fd(inner, spec, p).matrix)
     assert np.array_equal(hess.matrix, _scalar_hessian(inner, spec, p, basis))
 
 
@@ -434,7 +420,7 @@ def test_hessian_fd_is_exactly_symmetric_byte_for_byte(manifold, family, objecti
     for seed in (7, 8):
         p = _base_point(manifold, seed)
         basis = manifold.tangent_basis(p)
-        matrix = gn.hessian_fd(objective, spec, p, basis=basis).matrix
+        matrix = gn.hessian_fd(objective, spec, p).matrix
         assert matrix.tobytes() == matrix.T.copy().tobytes()
         assert matrix.tobytes() == _scalar_hessian(objective, spec, p, basis).tobytes()
 
@@ -652,9 +638,8 @@ def _scalar_residual_rows(objective, spec, sweep):
         for s in sweep.scales:
             p = gn.retract(spec, w.scaled(s))
             v = _closed_inverse_retract(spec, p, anchor)
-            basis = p.manifold.tangent_basis(p)
-            grad = gn.gradient_fd(objective, spec, p, basis=basis)
-            hess = gn.hessian_fd(objective, spec, p, basis=basis)
+            grad = gn.gradient_fd(objective, spec, p)
+            hess = gn.hessian_fd(objective, spec, p)
             applied = calculus.apply_many(hess.matrix, hess.basis.frame, v.coords[None])[0]
             assert applied.tobytes() == _old_apply(hess, v).coords.tobytes()
             rows.append((direction_id, v.norm(), float(np.linalg.norm(grad.coords + applied))))
@@ -790,8 +775,8 @@ def test_derivatives_fd_rows_equal_one_point_extraction(monkeypatch, manifold, f
     for p, grad, hess, frame in zip(points, grads, hessians, frames):
         basis = manifold.tangent_basis(p)
         assert frame.tobytes() == basis.frame.tobytes()
-        assert grad.tobytes() == gn.gradient_fd(objective, spec, p, basis=basis).coords.tobytes()
-        assert hess.tobytes() == gn.hessian_fd(objective, spec, p, basis=basis).matrix.tobytes()
+        assert grad.tobytes() == gn.gradient_fd(objective, spec, p).coords.tobytes()
+        assert hess.tobytes() == gn.hessian_fd(objective, spec, p).matrix.tobytes()
         assert hess.tobytes() == hess.T.copy().tobytes()
     if objective.kind == "rayleigh" and manifold.ambient_dim <= 3:
         wrapped = ValueOnly(objective)

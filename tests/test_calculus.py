@@ -109,11 +109,11 @@ def test_tilted_and_brockett_oracle_agreement(instance, retractions, seed_base):
         exact_grad = objective.analytic_gradient(p)
         exact_hess = objective.analytic_hessian_matrix(basis)
         for retraction in retractions:
-            fd_grad = gn.gradient_fd(objective, retraction, p, basis=basis)
+            fd_grad = gn.gradient_fd(objective, retraction, p)
             assert np.linalg.norm(fd_grad.coords - exact_grad.coords) <= 1e-6 * (
                 1.0 + exact_grad.norm()
             )
-            fd_hess = gn.hessian_fd(objective, retraction, p, basis=basis)
+            fd_hess = gn.hessian_fd(objective, retraction, p)
             assert np.linalg.norm(fd_hess.matrix - exact_hess, "fro") <= 1e-4 * (
                 1.0 + np.linalg.norm(exact_hess, "fro")
             )
@@ -220,25 +220,6 @@ def test_complex_step_gradient_checks_its_spec_first(rotations):
     assert calls == []
 
 
-def test_gradient_basis_independence(sphere3, rayleigh_321):
-    p = gn.random_point(sphere3, gn.rng_for(20))
-    basis = sphere3.tangent_basis(p)
-    b0, b1 = basis.frame
-    rotated = gn.TangentBasis(p, np.array([b0 + b1, b0 - b1]) / np.sqrt(2))
-    g_default = gn.gradient_fd(rayleigh_321, EXP, p, basis=basis)
-    g_rotated = gn.gradient_fd(rayleigh_321, EXP, p, basis=rotated)
-    assert np.linalg.norm(g_default.coords - g_rotated.coords) <= 1e-8
-    # The antipode's basis spans the same tangent space: the gradient read in
-    # it is still based at p, and a Hessian operator, based where its basis
-    # is, refuses it.
-    antipodal = sphere3.tangent_basis(sphere3.point(-p.coords))
-    g_antipodal = gn.gradient_fd(rayleigh_321, EXP, p, basis=antipodal)
-    assert g_antipodal.base is p
-    assert np.linalg.norm(g_default.coords - g_antipodal.coords) <= 1e-8
-    with pytest.raises(gn.ContractError, match="different point"):
-        gn.hessian_fd(rayleigh_321, EXP, p, basis=antipodal)
-
-
 def test_gradient_vector_is_tangent(sphere3, rayleigh_321):
     p = gn.random_point(sphere3, gn.rng_for(21))
     g = gn.gradient_fd(rayleigh_321, EXP, p)
@@ -266,7 +247,7 @@ def test_hessian_oracle_agreement(retraction):
         objective = gn.seeded_instance(seed, "rayleigh", n)
         p = gn.random_point(gn.Sphere(n), gn.rng_for(600 + seed))
         basis = gn.Sphere(n).tangent_basis(p)
-        fd = gn.hessian_fd(objective, retraction, p, basis=basis)
+        fd = gn.hessian_fd(objective, retraction, p)
         exact = objective.analytic_hessian_matrix(basis)
         assert np.linalg.norm(fd.matrix - exact, "fro") <= 1e-4 * (
             1.0 + np.linalg.norm(exact, "fro")
@@ -281,9 +262,8 @@ def test_hessian_shift_under_order1_retraction(rayleigh_321):
         p = gn.random_point(sphere, rng)
         if rayleigh_321.analytic_gradient(p).norm() < 0.1:
             continue
-        basis = sphere.tangent_basis(p)
-        h_exp = gn.hessian_fd(rayleigh_321, EXP, p, basis=basis)
-        h_pert = gn.hessian_fd(rayleigh_321, PERT, p, basis=basis)
+        h_exp = gn.hessian_fd(rayleigh_321, EXP, p)
+        h_pert = gn.hessian_fd(rayleigh_321, PERT, p)
         shift = 2.0 * np.dot(
             rayleigh_321.analytic_gradient(p).coords, p.frame[0]
         )
@@ -293,9 +273,8 @@ def test_hessian_shift_under_order1_retraction(rayleigh_321):
 
 def test_hessians_agree_at_critical_point(sphere3, rayleigh_321):
     p = sphere3.point([0, 0, 1])
-    basis = sphere3.tangent_basis(p)
-    h_exp = gn.hessian_fd(rayleigh_321, EXP, p, basis=basis)
-    h_pert = gn.hessian_fd(rayleigh_321, PERT, p, basis=basis)
+    h_exp = gn.hessian_fd(rayleigh_321, EXP, p)
+    h_pert = gn.hessian_fd(rayleigh_321, PERT, p)
     assert np.abs(h_exp.matrix - h_pert.matrix).max() <= 1e-4
 
 
@@ -354,6 +333,22 @@ def test_remainder_rejects_vector_based_elsewhere(sphere3, rayleigh_321):
     w = gn.random_tangent(p, gn.rng_for(32)).scaled(0.01)
     copy = gn.TangentVector(sphere3.point(p.coords), w.coords)
     assert gn.taylor_remainder(rayleigh_321, EXP, p, copy) == gn.taylor_remainder(rayleigh_321, EXP, p, w)
+
+
+def test_remainder_rejects_derivatives_read_elsewhere(sphere3, rayleigh_321):
+    # Read at q, they would give a remainder of 6.3e-3 here instead of 2.7e-7.
+    p = gn.random_point(sphere3, gn.rng_for(1))
+    q = gn.random_point(sphere3, gn.rng_for(2))
+    t = gn.random_tangent(p, gn.rng_for(3))
+    v = t.scaled(1e-2 / t.norm())
+    own = gn.taylor_remainder(rayleigh_321, EXP, p, v)
+    assert own <= 1e-6
+    copy = sphere3.point(p.coords)  # an equal copy of p is p
+    given = {"gradient": gn.gradient_fd(rayleigh_321, EXP, copy), "hessian": gn.hessian_fd(rayleigh_321, EXP, copy)}
+    assert gn.taylor_remainder(rayleigh_321, EXP, p, v, **given) == own
+    for name, derivative in (("gradient", gn.gradient_fd), ("hessian", gn.hessian_fd)):
+        with pytest.raises(gn.ContractError, match="based at a different point"):
+            gn.taylor_remainder(rayleigh_321, EXP, p, v, **{name: derivative(rayleigh_321, EXP, q)})
 
 
 def test_non_finite_objective_raises():

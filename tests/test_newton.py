@@ -16,13 +16,12 @@ def reference_step(objective, spec, p):
     """The pure Newton update assembled from the public pieces: the FD
     gradient, re-read at the wider step below the refine threshold (the
     smaller read is kept), the FD Hessian, the solve and the retraction."""
-    basis = p.manifold.tangent_basis(p)
-    grad = gn.gradient_fd(objective, spec, p, basis=basis)
+    grad = gn.gradient_fd(objective, spec, p)
     if grad.norm() < _REFINE_THRESHOLD:
-        refined = gn.gradient_fd(objective, spec, p, basis=basis, step_factor=REFINED_GRADIENT_STEP_FACTOR)
+        refined = gn.gradient_fd(objective, spec, p, step_factor=REFINED_GRADIENT_STEP_FACTOR)
         if refined.norm() < grad.norm():
             grad = refined
-    hess = gn.hessian_fd(objective, spec, p, basis=basis)
+    hess = gn.hessian_fd(objective, spec, p)
     return gn.retract(spec, gn.solve_tangent_system(hess, grad))
 
 
@@ -55,6 +54,16 @@ def test_solve_condition_guard(sphere3):
     g = op.basis.from_coordinates([1.0, 1.0])
     with pytest.raises(gn.SingularHessianError):
         gn.solve_tangent_system(op, g)
+
+
+@pytest.mark.parametrize("cap", [np.nan, 1.0])
+def test_solve_rejects_a_cap_not_above_one(sphere3, cap):
+    # NewtonConfig's rule: a NaN cap would never trip the guard, and this
+    # operator would be solved into a step of about 1e14.
+    op = make_operator(sphere3, sphere3.point([1, 0, 0]), [1.0, 1e-14])
+    g = op.basis.from_coordinates([1.0, 1.0])
+    with pytest.raises(gn.ContractError, match="cond_cap must exceed 1"):
+        gn.solve_tangent_system(op, g, cond_cap=cap)
 
 
 def _fd_hessians():
@@ -96,7 +105,7 @@ def test_zero_hessian_condition_is_inf(sphere3):
 
 def test_solve_rejects_other_base(sphere3):
     op = make_operator(sphere3, sphere3.point([1, 0, 0]), [1.0, 1.0])
-    g = sphere3.tangent(sphere3.point([0, 1, 0]), [1, 0, 0])
+    g = gn.TangentVector(sphere3.point([0, 1, 0]), [1, 0, 0])
     with pytest.raises(gn.ContractError):
         gn.solve_tangent_system(op, g)
 

@@ -277,7 +277,7 @@ def test_rate_consistent_with_pair_slopes(sphere3, rayleigh_321):
 
 def test_sweep_validation(sphere3):
     p = sphere3.point([1, 0, 0])
-    v = sphere3.tangent(p, [0, 1, 0])
+    v = gn.TangentVector(p, [0, 1, 0])
     with pytest.raises(gn.ContractError):
         gn.ScaleSweep(directions=())
     with pytest.raises(gn.ContractError):
@@ -293,7 +293,7 @@ def test_sweep_validation(sphere3):
 def test_one_scale_check_for_every_sweep(sphere3):
     # ScaleSweep, distance_deviation_rows and the CLI's --scales share one rule
     p = sphere3.point([0, 0, 1])
-    v, w = sphere3.tangent(p, [1, 0, 0]), sphere3.tangent(p, [0, 1, 0])
+    v, w = gn.TangentVector(p, [1, 0, 0]), gn.TangentVector(p, [0, 1, 0])
     for scales in ((np.inf,), (np.nan,), (-1.0,), (0.5, 0.5), ()):
         with pytest.raises(gn.ContractError):
             gn.distance_deviation_rows(EXP, v, w, scales)
