@@ -25,7 +25,6 @@ from .manifolds import (
     ManifoldPoint,
     Rotations3,
     Sphere,
-    TangentBasis,
     TangentVector,
     hat,
     rotation_exp,

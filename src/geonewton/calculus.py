@@ -6,8 +6,9 @@ pulled-back objective t -> J(R_p(t e_i)) over the rows e_i of p's cached
 orthonormal frame ``p.frame`` (no caller picks a basis): central differences
 give the first-order coefficients, a four-point stencil the second-order
 ones, returned as a :class:`TangentVector` at p and a :class:`SymmetricOperator`
-in ``tangent_basis(p)``, applied by :func:`apply_many`.  Off critical points
-the Hessian depends on the retraction family unless its order is >= 2.
+based at p (its matrix in ``p.frame``), applied by :func:`apply_many`.  Off
+critical points the Hessian depends on the retraction family unless its
+order is >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
 (probes x ambient) array that ``_retract_rows`` checks (a retraction not
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EvaluationError
-from .manifolds import ManifoldPoint, PointRows, TangentBasis, TangentVector, _real_array, frame_sums, row_dots, unchecked
+from .manifolds import ManifoldPoint, PointRows, TangentVector, _real_array, frame_sums, row_dots, unchecked
 from .retractions import RetractionSpec, _retract_rows, retract_many
 from .retractions import retract  # noqa: F401  not called here; the benchmark tracer checks this binding
 
@@ -66,16 +67,20 @@ _BATCH_FLOATS = 2 ** 14
 
 @dataclass(frozen=True, eq=False)
 class SymmetricOperator:
-    """Hessian at ``basis.base`` as a symmetric matrix in that orthonormal basis."""
+    """Hessian at ``base`` as a symmetric matrix in ``base.frame``; ``ContractError``
+    unless the matrix is real, d x d for the base's intrinsic dimension d,
+    finite and exactly symmetric."""
 
-    basis: TangentBasis
+    base: ManifoldPoint
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = _real_array(self.matrix)
-        dim = len(self.basis)
+        dim = self.base.manifold.intrinsic_dim
         if mat.shape != (dim, dim):
-            raise ContractError("operator matrix does not match the basis dimension")
+            raise ContractError("operator matrix does not match the tangent dimension")
+        if not np.isfinite(mat).all():
+            raise ContractError("operator matrix is not finite")
         if not np.array_equal(mat, mat.T):
             raise ContractError("operator matrix must be exactly symmetric")
         mat = mat.copy()
@@ -186,10 +191,10 @@ def hessian_fd(objective, spec: RetractionSpec, p: ManifoldPoint) -> SymmetricOp
     zero row after them, retracted with them and read at the centre row of
     the stencil's one ``values`` call.  The matrix is in ``p.frame``.
     """
-    stencil = np.concatenate([_hessian_rows(p.frame), np.zeros((1, p.manifold.ambient_dim))])
+    frame = p.manifold.tangent_basis(p)  # p.frame
+    stencil = np.concatenate([_hessian_rows(frame), np.zeros((1, p.manifold.ambient_dim))])
     values = _evaluate(objective, p, _retract_rows(spec, p, stencil))
-    hessian = _hessians(values[:-1], values[-1], len(p.frame))
-    return unchecked(SymmetricOperator, p.manifold.tangent_basis(p), hessian)
+    return unchecked(SymmetricOperator, p, _hessians(values[:-1], values[-1], len(frame)))
 
 
 def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,15 +228,14 @@ def taylor_remainder(objective, spec: RetractionSpec, p: ManifoldPoint, v: Tange
     one extraction; they must then have been computed at p with this spec.
     A v, gradient or Hessian based at another point raises ``ContractError``.
     """
-    for name, value in (("tangent vector", v), ("gradient", gradient), ("Hessian", hessian and hessian.basis)):
+    for name, value in (("tangent vector", v), ("gradient", gradient), ("Hessian", hessian)):
         if value is not None and value.base is not p and not np.array_equal(value.base.coords, p.coords):
             raise ContractError(f"{name} is based at a different point")
     if gradient is None:
         gradient = gradient_fd(objective, spec, p)
     if hessian is None:
         hessian = hessian_fd(objective, spec, p)
-    rows = v.coords[None]
-    return float(taylor_remainders(objective, spec, p, rows, gradient.coords, hessian.matrix, hessian.basis.frame)[0])
+    return float(taylor_remainders(objective, spec, p, v.coords[None], gradient.coords, hessian.matrix, p.frame)[0])
 
 
 def taylor_remainders(objective, spec: RetractionSpec, p: ManifoldPoint, rows, gradient, hessian, frame) -> np.ndarray:

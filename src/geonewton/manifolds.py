@@ -24,19 +24,19 @@ Near the cut locus the sphere's log magnifies rounding, so a sphere log row
 is tangent at its base or ``log_many`` raises ``CutLocusError``.
 
 Values are checked once, where they enter: coordinates given to
-:class:`ManifoldPoint`, :class:`TangentVector`, :class:`TangentBasis` or
-``tangent_project``, the scale given to ``TangentVector.scaled``, the
-coefficients given to ``TangentBasis.from_coordinates``, and the input of
-:func:`hat` and :func:`rotation_exp` raise ``ContractError`` unless they are
-real numbers in a rectangular array of the right shape, finite (``hat``
-passes NaN on), and on the manifold, tangent or skew as asked; so do the
-points of another manifold given to ``geodesic_distance``.  A value computed
-from checked values (the result of ``exp_map``, the basis ``tangent_basis``
-builds from the cached frame) is built with :func:`unchecked` and not
+:class:`ManifoldPoint`, :class:`TangentVector` or ``tangent_project``, the
+scale given to ``TangentVector.scaled``, and the input of :func:`hat` and
+:func:`rotation_exp` raise ``ContractError`` unless they are real numbers in
+a rectangular array of the right shape, finite (``hat`` passes NaN on), and
+on the manifold, tangent or skew as asked; so do the points of another
+manifold given to ``geodesic_distance``.  A value computed from checked
+values (the result of ``exp_map``) is built with :func:`unchecked` and not
 checked again; an exp kernel whose |v| overflows raises ``ContractError``.
 
-The sphere's tangent frame is Gram-Schmidt of the standard basis against p in
-closed form, from the tail norms |x[k:]| (``Sphere._frame``).
+Each point has one orthonormal tangent frame, ``p.frame``: every gradient
+and Hessian is read in it, and ``tangent_basis(p)`` returns it.  The sphere's
+frame is Gram-Schmidt of the standard basis against p in closed form, from
+the tail norms |x[k:]| (``Sphere._frame``).
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class ManifoldPoint:
         (intrinsic x ambient) array whose rows are the basis vectors.
 
         Built on first read and kept with the point, so a point pays for one
-        frame however many stencils, retractions and bases use it.  The frame
+        frame however many stencils, retractions and operators use it.  The frame
         is a pure function of the coordinates: two threads racing on the
         first read compute the same array.
         """
@@ -207,54 +207,6 @@ class TangentVector:
         return unchecked(TangentVector, self.base, coords)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentBasis:
-    """Orthonormal frame for T_pM; used to express gradients as coordinate
-    vectors and Hessians as symmetric matrices.
-
-    ``frame`` is one read-only (d x ambient) array whose rows are the basis
-    vectors.
-    """
-
-    base: ManifoldPoint
-    frame: np.ndarray
-
-    def __post_init__(self):
-        frame = np.array(_real_array(self.frame))
-        frame.setflags(write=False)
-        manifold = self.base.manifold
-        if frame.ndim != 2 or frame.shape[1] != manifold.ambient_dim:
-            raise ContractError(
-                f"expected a (d, {manifold.ambient_dim}) frame, got shape {frame.shape}"
-            )
-        manifold._check_tangents(self.base, frame)
-        object.__setattr__(self, "frame", frame)
-        eye = np.eye(len(frame))
-        # np.allclose(self.gram(), eye, atol=1e-10) without its overhead
-        if not (np.abs(self.gram() - eye) <= 1e-10 + 1e-5 * eye).all():
-            raise ContractError("basis vectors are not orthonormal")
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def gram(self) -> np.ndarray:
-        return self.frame @ self.frame.T
-
-    def coordinates(self, v: TangentVector) -> np.ndarray:
-        """Coefficients of v in this frame."""
-        if v.base is not self.base and not np.array_equal(v.base.coords, self.base.coords):
-            raise ContractError("tangent vector is based at a different point")
-        return row_dots(self.frame, v.coords)
-
-    @silent_overflow  # NaN, inf or an overflowing sum leaves the vector non-finite, rejected below
-    def from_coordinates(self, coeffs) -> TangentVector:
-        """The vector with one real coefficient per basis vector; ``ContractError`` unless it is finite."""
-        coords = frame_sums(_real_array(coeffs, (len(self.frame),)), self.frame)
-        if not np.isfinite(coords).all():
-            raise ContractError("tangent vector from these coefficients is not finite")
-        return unchecked(TangentVector, self.base, coords)
-
-
 class Manifold:
     """Common interface for the embedded manifolds below."""
 
@@ -304,7 +256,8 @@ class Manifold:
         self._check_members(p, q)
         return float(self.distance_many(p.coords[None], q.coords)[0])
 
-    def tangent_basis(self, p: ManifoldPoint) -> TangentBasis:
+    def tangent_basis(self, p: ManifoldPoint) -> np.ndarray:
+        """``p.frame``, a method of each manifold for the benchmark tracer to wrap."""
         raise NotImplementedError
 
     def _frame(self, p: ManifoldPoint) -> np.ndarray:
@@ -387,7 +340,7 @@ class Sphere(Manifold):
         return out
 
     def tangent_basis(self, p):
-        return unchecked(TangentBasis, p, p.frame)
+        return p.frame
 
     def _frame(self, p):
         """Row k is the unit part of e_k orthogonal to p, e_0, ..., e_{k-1}: with
@@ -541,7 +494,7 @@ class Rotations3(Manifold):
         return (p.matrix @ (factor * (0.5 * (rels - rels.transpose(0, 2, 1))))).reshape(-1, 9)
 
     def tangent_basis(self, p):
-        return unchecked(TangentBasis, p, p.frame)
+        return p.frame
 
     def _frame(self, p):
         q = p.matrix

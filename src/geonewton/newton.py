@@ -5,8 +5,8 @@ The gradient of an objective that declares ``holomorphic = True`` is read by
 complex step, and checked against the FD read at each run's first iterate,
 which comes from the first Hessian's batch (``derivatives_fd``); any other
 objective's, and every Hessian, by finite differences.  Every read is in the
-iterate's cached frame ``p.frame``, and each Hessian's operator is in
-``tangent_basis(p)``, so the step is solved in that frame.
+iterate's cached frame ``p.frame``, each Hessian is a :class:`SymmetricOperator`
+based at p, and the step is solved in its base's frame.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
@@ -28,7 +28,7 @@ import numpy as np
 from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_fd, gradient_cs, gradient_fd
 from .calculus import hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
-from .manifolds import ManifoldPoint, TangentVector, unchecked
+from .manifolds import ManifoldPoint, TangentVector, frame_sums, row_dots, unchecked
 from .retractions import RetractionSpec, retract
 
 _RESIDUAL_TOL = 1e-10
@@ -39,6 +39,18 @@ _GUARD = 1e-6  # the FD read's error: at most 2e-10 (|grad| + |J|) on the shippe
 # sqrt(eps) the next one could only move rounding-level digits; a gradient
 # read that then fails to improve twice running is at its FD noise floor.
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
+def _norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """|a| and |b|, as np.linalg.norm computes them, then the scale s they are
+    taken at: 1.0, or 2^-600 if a sum of squares overflowed (call it with
+    overflow ignored).  A power of two scales exactly, so a guard comparing
+    s-scaled terms decides as in unbounded range, and as before otherwise."""
+    aa, bb = a.dot(a), b.dot(b)
+    if aa < math.inf and bb < math.inf:
+        return math.sqrt(aa), math.sqrt(bb), 1.0
+    a, b = 2.0 ** -600 * a, 2.0 ** -600 * b
+    return math.sqrt(a.dot(a)), math.sqrt(b.dot(b)), 2.0 ** -600
 
 
 def _measure_gradient(objective, spec, p, first: bool) -> tuple[TangentVector, float, SymmetricOperator | None]:
@@ -56,11 +68,12 @@ def _measure_gradient(objective, spec, p, first: bool) -> tuple[TangentVector, f
         if not first:
             return grad, grad.norm(), None
         fds, hessians, _ = derivatives_fd(objective, spec, [p])
-        gap = float(np.linalg.norm(grad.coords - fds[0]))
-        if not gap <= _GUARD * (np.linalg.norm(fds[0]) + abs(objective.value(p))):
+        with np.errstate(over="ignore"):
+            gap, fd_norm, s = _norms(grad.coords - fds[0], fds[0])
+        if not gap <= _GUARD * (fd_norm + abs(s * objective.value(p))):
             raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
-                                f"complex-step gradient is {gap:.3e} from the finite-difference read")
-        return grad, grad.norm(), unchecked(SymmetricOperator, p.manifold.tangent_basis(p), hessians[0])
+                                f"complex-step gradient is {gap / s:.3e} from the finite-difference read")
+        return grad, grad.norm(), unchecked(SymmetricOperator, p, hessians[0])
     grad = gradient_fd(objective, spec, p)
     norm = grad.norm()
     if norm < _REFINE_THRESHOLD:
@@ -140,17 +153,21 @@ def solve_tangent_system(
     gradient: TangentVector,
     cond_cap: float = 1e12,
 ) -> TangentVector:
-    """Solve Hess s = -grad in basis coordinates and map s back to an ambient
-    tangent vector.
+    """Solve Hess s = -grad in the coordinates of the operator base's frame
+    and map s back to an ambient tangent vector.
 
     Raises ``SingularHessianError`` when the estimated condition number
     exceeds ``cond_cap`` (the invertibility assumption fails numerically) or
     when the solve leaves a residual above 1e-10 * (1 + |grad|).
-    ``ContractError`` unless ``cond_cap`` exceeds 1, as in ``NewtonConfig``.
+    ``ContractError`` unless ``cond_cap`` exceeds 1, as in ``NewtonConfig``,
+    if the gradient is based at another point, or if the step is not finite.
     """
     if not cond_cap > 1:  # a NaN cap would never trip the guard
         raise ContractError("cond_cap must exceed 1")
-    rhs = -operator.basis.coordinates(gradient)  # raises if gradient is based elsewhere
+    base = operator.base
+    if gradient.base is not base and not np.array_equal(gradient.base.coords, base.coords):
+        raise ContractError("tangent vector is based at a different point")
+    rhs = -row_dots(base.frame, gradient.coords)
     matrix = operator.matrix
     singular = np.linalg.svd(matrix, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):  # np.linalg.cond; NaN (zero matrix) reads inf
@@ -163,10 +180,14 @@ def solve_tangent_system(
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError("tangent-space solve failed") from exc
     gap = matrix @ coeffs - rhs
-    residual = math.sqrt(gap.dot(gap))  # np.linalg.norm, as in TangentVector.norm
-    if residual > _RESIDUAL_TOL * (1.0 + math.sqrt(rhs.dot(rhs))):
-        raise SingularHessianError(f"solve residual {residual:.3e} too large")
-    return operator.basis.from_coordinates(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm or a step past the float range is handled below
+        residual, rhs_norm, s = _norms(gap, rhs)
+        coords = frame_sums(coeffs, base.frame)
+    if residual > _RESIDUAL_TOL * (s + rhs_norm):
+        raise SingularHessianError(f"solve residual {residual / s:.3e} too large")
+    if not np.isfinite(coords).all():
+        raise ContractError("tangent vector from these coefficients is not finite")
+    return unchecked(TangentVector, base, coords)
 
 
 def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationTrace:

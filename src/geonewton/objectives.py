@@ -44,7 +44,6 @@ from .manifolds import (
     ManifoldPoint,
     Rotations3,
     Sphere,
-    TangentBasis,
     TangentVector,
     row_dots,
 )
@@ -103,12 +102,12 @@ class Rayleigh:
         ax = self.matrix @ x
         return TangentVector(p, 2.0 * (ax - float(x @ ax) * x))
 
-    def analytic_hessian_matrix(self, basis: TangentBasis) -> np.ndarray:
-        """Hessian 2(P A P - (x^T A x) P) restricted to T_xM, expressed in the
-        given orthonormal basis."""
-        value = self.value(basis.base)  # checks the point before the products
-        frame = basis.frame
-        out = 2.0 * (frame @ self.matrix @ frame.T - value * np.eye(len(basis)))
+    def analytic_hessian_matrix(self, p: ManifoldPoint) -> np.ndarray:
+        """Hessian 2(P A P - (x^T A x) P) restricted to T_xM, expressed in
+        ``p.frame``."""
+        value = self.values(p, p.coords[None])[0]  # checks the point before the products
+        frame = p.frame
+        out = 2.0 * (frame @ self.matrix @ frame.T - value * np.eye(len(frame)))
         return 0.5 * (out + out.T)
 
 
@@ -229,14 +228,13 @@ class TiltedRayleigh:
         x = p.coords
         return TangentVector(p, 2.0 * (self.matrix @ x + self.tilt - self._multiplier_at(x) * x))
 
-    def analytic_hessian_matrix(self, basis: TangentBasis) -> np.ndarray:
+    def analytic_hessian_matrix(self, p: ManifoldPoint) -> np.ndarray:
         """Hessian 2(P A P - (x^T A x + b^T x) P) restricted to T_xM, expressed
-        in the given orthonormal basis."""
-        p = basis.base
+        in ``p.frame``."""
         _check_sphere_point(self, p)
-        frame = basis.frame
+        frame = p.frame
         out = 2.0 * (frame @ self.matrix @ frame.T
-                     - self._multiplier_at(p.coords) * np.eye(len(basis)))
+                     - self._multiplier_at(p.coords) * np.eye(len(frame)))
         return 0.5 * (out + out.T)
 
     def minimizer(self) -> ManifoldPoint:
@@ -300,15 +298,14 @@ class Brockett:
         sn = self._body(q) * self.weights
         return TangentVector(p, (q @ (sn - sn.T)).reshape(9))
 
-    def analytic_hessian_matrix(self, basis: TangentBasis) -> np.ndarray:
-        """Hessian form trace([[S, W_i], W_j] N), symmetrized, where the
-        basis vectors are Q W_i with W_i skew.  It is the second-order
+    def analytic_hessian_matrix(self, p: ManifoldPoint) -> np.ndarray:
+        """Hessian form trace([[S, W_i], W_j] N), symmetrized, where the rows
+        of ``p.frame`` are Q W_i with W_i skew.  It is the second-order
         coefficient of trace(expm(-W) S expm(W) N)."""
-        p = basis.base
         _check_rotation_point(self, p)
         q = p.matrix
         s = self._body(q)
-        bodies = [q.T @ row.reshape(3, 3) for row in basis.frame]
+        bodies = [q.T @ row.reshape(3, 3) for row in p.frame]
         dim = len(bodies)
         out = np.empty((dim, dim))
         for i in range(dim):

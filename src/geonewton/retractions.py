@@ -213,7 +213,7 @@ def inverse_retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, tar
     p.manifold._check_tangents(p, out)
     if spec.family != EXPONENTIAL:  # exp inverts log_many's rows exactly
         gaps = row_norms(_TABLE[spec.family][1](p, out) - qs)
-        gap = gaps[np.argmax(gaps > _ROUNDTRIP_TOL)]  # the first past the tolerance, if any
-        if gap > _ROUNDTRIP_TOL:
-            raise InversionFailureError(f"inverse retraction round trip off by {gap:.3e}")
+        past = gaps[gaps > _ROUNDTRIP_TOL]
+        if past.size:
+            raise InversionFailureError(f"inverse retraction round trip off by {past[0]:.3e}")
     return out

@@ -67,9 +67,8 @@ def test_c2_derivative_extraction():
         objective = gn.seeded_instance(seed, "rayleigh", n)
         sphere = gn.Sphere(n)
         p = gn.random_point(sphere, gn.rng_for(10_000 + seed))
-        basis = sphere.tangent_basis(p)
         exact_grad = objective.analytic_gradient(p)
-        exact_hess = objective.analytic_hessian_matrix(basis)
+        exact_hess = objective.analytic_hessian_matrix(p)
         for spec in (EXP, PROJ):
             fd_grad = gn.gradient_fd(objective, spec, p)
             assert np.linalg.norm(fd_grad.coords - exact_grad.coords) <= 1e-6 * (

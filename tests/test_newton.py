@@ -3,6 +3,7 @@ import pytest
 
 import geonewton as gn
 from geonewton.calculus import REFINED_GRADIENT_STEP_FACTOR
+from geonewton.manifolds import frame_sums, row_dots
 from geonewton.newton import _REFINE_THRESHOLD, _STALL_STEP
 
 
@@ -25,8 +26,13 @@ def reference_step(objective, spec, p):
     return gn.retract(spec, gn.solve_tangent_system(hess, grad))
 
 
-def make_operator(sphere, p, diagonal):
-    return gn.SymmetricOperator(sphere.tangent_basis(p), np.diag(diagonal))
+def make_operator(p, diagonal):
+    return gn.SymmetricOperator(p, np.diag(diagonal))
+
+
+def in_frame(p, coeffs):
+    """The tangent vector at p with these coefficients in p.frame."""
+    return gn.TangentVector(p, frame_sums(np.asarray(coeffs, dtype=float), p.frame))
 
 
 # ---- tangent-space solve
@@ -34,24 +40,24 @@ def make_operator(sphere, p, diagonal):
 
 def test_solve_diagonal_example(sphere3):
     p = sphere3.point([1, 0, 0])
-    op = make_operator(sphere3, p, [-2.0, -4.0])
-    g = op.basis.from_coordinates([1.0, 2.0])
+    op = make_operator(p, [-2.0, -4.0])
+    g = in_frame(op.base, [1.0, 2.0])
     s = gn.solve_tangent_system(op, g)
-    assert np.allclose(op.basis.coordinates(s), [0.5, 0.5], atol=1e-14)
+    assert np.allclose(row_dots(p.frame, s.coords), [0.5, 0.5], atol=1e-14)
 
 
 def test_solve_identity_negates(sphere3):
     p = sphere3.point([1, 0, 0])
-    op = make_operator(sphere3, p, [1.0, 1.0])
-    g = op.basis.from_coordinates([0.3, -0.7])
+    op = make_operator(p, [1.0, 1.0])
+    g = in_frame(op.base, [0.3, -0.7])
     s = gn.solve_tangent_system(op, g)
     assert np.allclose(s.coords, -g.coords, atol=1e-14)
 
 
 def test_solve_condition_guard(sphere3):
     p = sphere3.point([1, 0, 0])
-    op = make_operator(sphere3, p, [1.0, 1e-15])
-    g = op.basis.from_coordinates([1.0, 1.0])
+    op = make_operator(p, [1.0, 1e-15])
+    g = in_frame(op.base, [1.0, 1.0])
     with pytest.raises(gn.SingularHessianError):
         gn.solve_tangent_system(op, g)
 
@@ -60,10 +66,23 @@ def test_solve_condition_guard(sphere3):
 def test_solve_rejects_a_cap_not_above_one(sphere3, cap):
     # NewtonConfig's rule: a NaN cap would never trip the guard, and this
     # operator would be solved into a step of about 1e14.
-    op = make_operator(sphere3, sphere3.point([1, 0, 0]), [1.0, 1e-14])
-    g = op.basis.from_coordinates([1.0, 1.0])
+    op = make_operator(sphere3.point([1, 0, 0]), [1.0, 1e-14])
+    g = in_frame(op.base, [1.0, 1.0])
     with pytest.raises(gn.ContractError, match="cond_cap must exceed 1"):
         gn.solve_tangent_system(op, g, cond_cap=cap)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_of_a_system_scaled_past_the_square_range_is_exact(sphere3):
+    # H and g times 2^600: every square in the residual guard overflows unless
+    # the guard scales its terms back, and the step is the unscaled one bit for bit
+    p = gn.random_point(sphere3, gn.rng_for(31))
+    matrix = np.array([[2.0, 0.3], [0.3, -1.5]])
+    g = in_frame(p, [0.7, -0.2])
+    step = gn.solve_tangent_system(gn.SymmetricOperator(p, matrix), g)
+    big = 2.0 ** 600
+    scaled = gn.solve_tangent_system(gn.SymmetricOperator(p, big * matrix), gn.TangentVector(p, big * g.coords))
+    assert scaled.coords.tobytes() == step.coords.tobytes()
 
 
 def _fd_hessians():
@@ -84,7 +103,7 @@ def test_condition_estimate_equals_numpy_cond():
     # when the cap lies below it, and its message prints it.
     for hess in _fd_hessians():
         cond = float(np.linalg.cond(hess.matrix))
-        grad = hess.basis.from_coordinates(np.ones(len(hess.basis)))
+        grad = in_frame(hess.base, np.ones(len(hess.matrix)))
         gn.solve_tangent_system(hess, grad, cond_cap=cond)
         below = float(np.nextafter(cond, 0.0))
         with pytest.raises(gn.SingularHessianError) as info:
@@ -95,16 +114,16 @@ def test_condition_estimate_equals_numpy_cond():
 def test_zero_hessian_condition_is_inf(sphere3):
     # svd gives 0/0 here; np.linalg.cond reads that NaN as inf, and so must the guard
     p = sphere3.point([1, 0, 0])
-    op = make_operator(sphere3, p, [0.0, 0.0])
+    op = make_operator(p, [0.0, 0.0])
     assert np.linalg.cond(op.matrix) == np.inf
-    g = op.basis.from_coordinates([1.0, 1.0])
+    g = in_frame(op.base, [1.0, 1.0])
     with pytest.raises(gn.SingularHessianError) as info:
         gn.solve_tangent_system(op, g)
     assert str(info.value) == "condition estimate inf exceeds cap 1.000e+12"
 
 
 def test_solve_rejects_other_base(sphere3):
-    op = make_operator(sphere3, sphere3.point([1, 0, 0]), [1.0, 1.0])
+    op = make_operator(sphere3.point([1, 0, 0]), [1.0, 1.0])
     g = gn.TangentVector(sphere3.point([0, 1, 0]), [1, 0, 0])
     with pytest.raises(gn.ContractError):
         gn.solve_tangent_system(op, g)
@@ -354,10 +373,9 @@ def test_one_step_contraction_cubic_under_exponential(sphere3):
     p_star = gn.rayleigh_top_eigenvector(objective)
 
     def analytic_step(p):
-        basis = sphere3.tangent_basis(p)
-        g = basis.coordinates(objective.analytic_gradient(p))
-        h = objective.analytic_hessian_matrix(basis)
-        return sphere3.exp_map(basis.from_coordinates(np.linalg.solve(h, -g)))
+        g = row_dots(p.frame, objective.analytic_gradient(p).coords)
+        h = objective.analytic_hessian_matrix(p)
+        return sphere3.exp_map(in_frame(p, np.linalg.solve(h, -g)))
 
     rng = gn.rng_for(123)
     cubic_constants = []
@@ -411,14 +429,17 @@ class AbsRayleigh:
         return np.abs(self.inner.values(p, points))
 
 
+@pytest.mark.filterwarnings("error")
 def test_wrongly_declared_holomorphic_objective_is_refused(sphere3, fd_only):
-    objective = AbsRayleigh(np.diag([3.0, 2.0, 1.0]))
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     config = gn.NewtonConfig(retraction=EXP)
-    with pytest.raises(gn.ContractError, match="AbsRayleigh declares holomorphic"):
-        gn.newton_run(objective, config, p0)
+    # past about 1.3e154 the squares in the guard's norms overflow; the guard
+    # must still see the gap, not compare inf with inf
+    for scale in (1.0, 1e155, 1e300):
+        with pytest.raises(gn.ContractError, match="AbsRayleigh declares holomorphic"):
+            gn.newton_run(AbsRayleigh(scale * np.diag([3.0, 2.0, 1.0])), config, p0)
     # read by finite differences, the same objective converges
-    trace = gn.newton_run(fd_only(objective), config, p0)
+    trace = gn.newton_run(fd_only(AbsRayleigh(np.diag([3.0, 2.0, 1.0]))), config, p0)
     assert sphere3.geodesic_distance(trace.final_point, sphere3.point([0, 0, 1])) <= 1e-9
 
 
@@ -492,7 +513,7 @@ def test_first_step_uses_the_guard_batch_hessian(manifold, spec, monkeypatch):
                             lambda h, *a, **k: operators.append(h) or solve(h, *a, **k))
         trace = gn.newton_run(objective, config, p0)
         monkeypatch.undo()
-        assert operators[0].basis.base is p0
+        assert operators[0].base is p0
         assert operators[0].matrix.tobytes() == gn.hessian_fd(objective, spec, p0).matrix.tobytes()
         points, grad_norms, step_norms, status = reference_complex_run(objective, config, p0)
         assert [p.coords.tobytes() for p in trace.points] == [p.coords.tobytes() for p in points]

@@ -201,7 +201,7 @@ def test_perturbed_defect_is_along_first_basis_vector(sphere3):
     # R_p(t w) of the order-1 family leaves the projection's by t^2 u + O(t^4)
     # for a unit w orthogonal to u, and u is the first tangent-basis vector
     p = gn.random_point(sphere3, gn.rng_for(15))
-    u, w = sphere3.tangent_basis(p).frame
+    u, w = p.frame
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
     t = 1e-3
     v = gn.TangentVector(p, t * w)
@@ -248,6 +248,18 @@ def test_inverse_retract_many_checks_its_rows():
         gn.inverse_retract_many(spec, _E0, [[1.0, 1.0, 0.0]])
     with pytest.raises(gn.ConfigurationError):
         gn.inverse_retract_many(gn.RetractionSpec("cayley"), _E0, [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base,family", [pytest.param(base, family, id=f"{name}-{family}")
+                                         for name, base in (("sphere3", _E0), ("so3", _I))
+                                         for family in families_for(base.manifold)])
+def test_empty_batches_map_to_empty_arrays(base, family):
+    # as retract_many does for every family, an empty batch of targets inverts to (0, ambient)
+    spec = gn.RetractionSpec(family)
+    empty = np.zeros((0, base.manifold.ambient_dim))
+    assert gn.retract_many(spec, base, empty).shape == empty.shape
+    assert gn.inverse_retract_many(spec, base, empty).shape == empty.shape
 
 
 @pytest.mark.filterwarnings("error")
