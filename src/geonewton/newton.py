@@ -2,9 +2,13 @@
 Hess s = -grad at the current point, retract, repeat.  ``newton_run`` is
 the one driver: each iteration reads the gradient, then takes one update.
 The gradient of an objective that declares ``holomorphic = True`` is read by
-complex step, and checked against the FD read at each run's first iterate,
-which comes from the first Hessian's batch (``derivatives_fd``); any other
-objective's, and every Hessian, by finite differences.  Every read is in the
+complex step, and checked against the FD read at each run's first iterate.
+Up to intrinsic dimension ``_COMPLEX_HESSIAN_MAX_DIM`` its Hessian is read
+by complex step too, with the gradient in one ``derivatives_cs`` batch per
+iterate, and the check's FD read is a ``gradient_fd`` of its own; above it
+every Hessian is ``hessian_fd``'s, the first read with the check's FD
+gradient in one ``derivatives_fd`` batch.  Any other objective's gradient,
+and its Hessian, are read by finite differences.  Every read is in the
 iterate's cached frame ``p.frame``, each Hessian is a :class:`SymmetricOperator`
 based at p, and the step is solved in its base's frame.
 
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_fd, gradient_cs, gradient_fd
-from .calculus import hessian_fd
+from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_cs, derivatives_fd, gradient_cs
+from .calculus import gradient_fd, hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
 from .manifolds import ManifoldPoint, TangentVector, frame_sums, row_dots, unchecked
 from .retractions import RetractionSpec, retract
@@ -39,6 +43,14 @@ _GUARD = 1e-6  # the FD read's error: at most 2e-10 (|grad| + |J|) on the shippe
 # sqrt(eps) the next one could only move rounding-level digits; a gradient
 # read that then fails to improve twice running is at its FD noise floor.
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
+# Crossover D* of the complex-step Hessian.  Read with the gradient in one
+# batch of d^2 + 2d complex probes, it beat the complex gradient plus the
+# 2 d^2 + 1 real FD probes per iterate on every sphere family up to d = 14
+# (median 1.06-1.54x, in process on x86_64 with one BLAS thread), was even
+# or behind at d = 15-18 and lost at d = 19 (0.52-0.84x): complex arithmetic
+# costs 2-3x real, which the saved batch stops covering as d grows.  The
+# sweep is in BENCH_one_probe_batch.json.
+_COMPLEX_HESSIAN_MAX_DIM = 14
 
 
 def _norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
@@ -57,23 +69,33 @@ def _measure_gradient(objective, spec, p, first: bool) -> tuple[TangentVector, f
     """The gradient read at p, its norm, and the Hessian at p if it was read too.
 
     An objective that declares ``holomorphic = True`` is read by complex
-    step; at a run's first iterate that read must agree with the FD read to
-    _GUARD (|grad| + |J|), or ``ContractError`` names the objective.  That FD
-    read and the Hessian come from one ``derivatives_fd`` batch.  Any
-    other objective is read by FD, which near critical points is
-    quantization-limited at ~ulp(J)/(2h); a wider-step read resolves finer
-    gradients there.  Keep whichever measurement is smaller."""
+    step: up to intrinsic dimension _COMPLEX_HESSIAN_MAX_DIM with the
+    Hessian, in one ``derivatives_cs`` batch, and above it alone.  At a run's
+    first iterate that read must agree with the FD read to _GUARD
+    (|grad| + |J|), or ``ContractError`` names the objective; that FD read is
+    ``gradient_fd``'s, or above the crossover comes with the Hessian from
+    one ``derivatives_fd`` batch.  Any other objective is read by FD, which
+    near critical points is quantization-limited at ~ulp(J)/(2h); a
+    wider-step read resolves finer gradients there.  Keep whichever
+    measurement is smaller."""
     if getattr(objective, "holomorphic", False):
-        grad = gradient_cs(objective, spec, p)
-        if not first:
-            return grad, grad.norm(), None
-        fds, hessians, _ = derivatives_fd(objective, spec, [p])
-        with np.errstate(over="ignore"):
-            gap, fd_norm, s = _norms(grad.coords - fds[0], fds[0])
-        if not gap <= _GUARD * (fd_norm + abs(s * objective.value(p))):
-            raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
-                                f"complex-step gradient is {gap / s:.3e} from the finite-difference read")
-        return grad, grad.norm(), unchecked(SymmetricOperator, p, hessians[0])
+        hess = None
+        if p.manifold.intrinsic_dim <= _COMPLEX_HESSIAN_MAX_DIM:
+            grad, hess = derivatives_cs(objective, spec, p)
+            if first:
+                fd = gradient_fd(objective, spec, p).coords
+        else:
+            grad = gradient_cs(objective, spec, p)
+            if first:
+                fds, hessians, _ = derivatives_fd(objective, spec, [p])
+                fd, hess = fds[0], unchecked(SymmetricOperator, p, hessians[0])
+        if first:
+            with np.errstate(over="ignore"):
+                gap, fd_norm, s = _norms(grad.coords - fd, fd)
+            if not gap <= _GUARD * (fd_norm + abs(s * objective.value(p))):
+                raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
+                                    f"complex-step gradient is {gap / s:.3e} from the finite-difference read")
+        return grad, grad.norm(), hess
     grad = gradient_fd(objective, spec, p)
     norm = grad.norm()
     if norm < _REFINE_THRESHOLD:
@@ -123,8 +145,10 @@ class IterationTrace:
     a complex read of a J scaled past about 1e4); MAX_ITER when the budget
     ran out; SINGULAR_HESSIAN when the conditioning guard tripped;
     EVALUATION_ERROR when a probe of the objective was not finite (the last
-    gradient norm is NaN if its read failed, or at a complex-read first
-    iterate if its one FD batch did).  Only CONVERGED means ``tol`` was met."""
+    gradient norm is NaN if its read failed, which for a complex read up to
+    the Hessian crossover includes the Hessian probes read with it, or at a
+    complex-read first iterate if its FD read did).  Only CONVERGED means
+    ``tol`` was met."""
 
     points: tuple[ManifoldPoint, ...]
     grad_norms: tuple[float, ...]

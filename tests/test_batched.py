@@ -214,14 +214,15 @@ def test_hessian_centre_is_the_last_row_of_its_one_retract_many(monkeypatch, man
 def test_stencil_plan_sums_match_written_out_rows_with_extreme_entries():
     # The plan's exactness is a property of IEEE addition, not of orthonormal
     # frames: check it on arrays with signed zeros and entries near overflow.
+    # The last probe is the centre, row 2d (+0.0) twice.
     rng = gn.rng_for(90)
     for dim in (1, 2, 3, 6):
-        first, second, _, _ = calculus._stencil_plan(dim)
+        first, second = calculus._stencil_plan(dim)[:2]
         for _ in range(100):
             frame = rng.choice([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 3.7e-310], size=(dim, 4))
             frame = frame * rng.uniform(0.5, 2.0, size=frame.shape)
-            signed = HESSIAN_STEP_FACTOR * np.concatenate([frame, -frame])
-            expected = _four_point_rows(frame, HESSIAN_STEP_FACTOR)
+            signed = np.concatenate([HESSIAN_STEP_FACTOR * np.concatenate([frame, -frame]), np.zeros((1, 4))])
+            expected = np.concatenate([_four_point_rows(frame, HESSIAN_STEP_FACTOR), np.zeros((1, 4))])
             assert (signed[first] + signed[second]).tobytes() == expected.tobytes()
 
 
@@ -229,13 +230,33 @@ def test_stencil_plan_sums_match_written_out_rows_with_extreme_entries():
 def test_stencil_plan_is_cached_and_read_only(dim):
     plan = calculus._stencil_plan(dim)
     assert calculus._stencil_plan(dim) is plan
-    first, second, upper, lower = plan
-    assert len(first) == len(second) == 2 * dim * dim
-    assert len(upper) == len(lower) == dim * (dim - 1) // 2
+    first, second, *gathers = plan
+    assert len(first) == len(second) == 2 * dim * dim + 1
+    assert len(gathers) == 4 and all(index.shape == (dim, dim) for index in gathers)
     for index in plan:
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[...] = 0
+
+
+def test_stencil_plan_gathers_pick_each_entrys_four_probes():
+    # H_ij and H_ji gather the same four probes: pp, pm, mp, mm of the pair
+    # (first form i, second j), and for i = j the doubled diagonal rows around
+    # the centre probe twice.
+    for dim in (1, 2, 3, 6):
+        first, second, *gathers = calculus._stencil_plan(dim)
+        signs = {(0, 0): "pp", (0, 1): "pm", (1, 0): "mp", (1, 1): "mm"}
+        for i in range(dim):
+            for j in range(dim):
+                picked = [(first[g[i, j]], second[g[i, j]]) for g in gathers]
+                assert picked == [(first[g[j, i]], second[g[j, i]]) for g in gathers]
+                if i == j:
+                    assert picked == [(i, i), (2 * dim, 2 * dim), (2 * dim, 2 * dim), (i + dim, i + dim)]
+                    continue
+                a, b = min(i, j), max(i, j)
+                for name, (r, c) in zip(("pp", "pm", "mp", "mm"), picked):
+                    assert (r % dim, c % dim) == (a, b)
+                    assert signs[(r // dim, c // dim)] == name
 
 
 class ValueOnly:

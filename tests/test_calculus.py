@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import geonewton as gn
-from geonewton.calculus import apply_many
+from geonewton import calculus
+from geonewton.calculus import apply_many, derivatives_cs
 from geonewton.manifolds import row_dots
 
 
@@ -218,6 +219,124 @@ def test_complex_step_gradient_checks_its_spec_first(rotations):
     with pytest.raises(gn.ConfigurationError):
         gn.gradient_cs(Counting(np.eye(3)), PROJ, rotations.identity())
     assert calls == []
+
+
+# ---- complex-step gradient and Hessian in one batch
+
+
+def _every_manifold_and_family():
+    for n in (2, 3, 10, 20):
+        for spec in (EXP, PROJ, PERT):
+            yield gn.Sphere(n), spec
+    for spec in (EXP, CAY):
+        yield gn.Rotations3(), spec
+
+
+@pytest.mark.parametrize("manifold,spec", _every_manifold_and_family(), ids=lambda x: getattr(x, "family", repr(x)))
+def test_derivatives_cs_gradient_is_gradient_cs_byte_for_byte(manifold, spec):
+    # its first d rows are gradient_cs's, and each row rounds on its own
+    for seed in range(3):
+        if isinstance(manifold, gn.Rotations3):
+            objectives = (gn.seeded_instance(seed, "procrustes"), _brockett_instance(seed))
+        else:
+            n = manifold.ambient_dim
+            tilt = gn.rng_for(1500 + seed).uniform(-1.0, 1.0, n)
+            objectives = (gn.seeded_instance(seed, "rayleigh", n),
+                          gn.TiltedRayleigh(gn.seeded_instance(seed, "rayleigh", n).matrix, tilt))
+        p = gn.random_point(manifold, gn.rng_for(1600 + seed))
+        for objective in objectives:
+            grad, hess = derivatives_cs(objective, spec, p)
+            assert grad.base is p and hess.base is p
+            assert grad.coords.tobytes() == gn.gradient_cs(objective, spec, p).coords.tobytes()
+
+
+@pytest.mark.parametrize("manifold", (gn.Sphere(2), gn.Sphere(10), gn.Rotations3()), ids=repr)
+def test_derivatives_cs_reads_one_batch_of_d2_plus_2d_rows(monkeypatch, manifold):
+    # one checked retraction and one values call, over d^2 + 2d complex rows
+    if isinstance(manifold, gn.Rotations3):
+        objective = gn.seeded_instance(5, "procrustes")
+    else:
+        objective = gn.seeded_instance(5, "rayleigh", manifold.ambient_dim)
+    p = gn.random_point(manifold, gn.rng_for(1650))
+    batches, read = [], []
+    retract_rows, values = calculus._retract_rows, type(objective).values
+    monkeypatch.setattr(calculus, "_retract_rows", lambda *args: batches.append(args[2]) or retract_rows(*args))
+    monkeypatch.setattr(type(objective), "values", lambda self, q, rows: read.append(rows) or values(self, q, rows))
+    derivatives_cs(objective, gn.RetractionSpec("exp"), p)
+    monkeypatch.undo()
+    dim = manifold.intrinsic_dim
+    assert len(batches) == len(read) == 1
+    assert batches[0].shape == (dim * dim + 2 * dim, manifold.ambient_dim) and batches[0].dtype.kind == "c"
+
+
+def test_derivatives_cs_hessian_matches_the_oracles():
+    # exactly symmetric, and good to about 1e-10 relative where hessian_fd is
+    # good to about 1e-7 (the order-2 families share the Riemannian Hessian)
+    cases = []
+    for seed in range(4):
+        n = 3 + 7 * (seed % 2) + seed
+        cases.append((gn.seeded_instance(seed, "rayleigh", n), gn.Sphere(n), (EXP, PROJ)))
+        tilted = _tilted_instance(seed)
+        cases.append((tilted, gn.Sphere(len(tilted.matrix)), (EXP, PROJ)))
+        cases.append((_brockett_instance(seed), gn.Rotations3(), (EXP, CAY)))
+    rng = gn.rng_for(1700)
+    for objective, manifold, families in cases:
+        for _ in range(3):
+            p = gn.random_point(manifold, rng)
+            exact = objective.analytic_hessian_matrix(p)
+            for spec in families:
+                _, hess = derivatives_cs(objective, spec, p)
+                assert np.array_equal(hess.matrix, hess.matrix.T)
+                assert np.linalg.norm(hess.matrix - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+class _Scaled:
+    """J times a constant, read through ``values`` only."""
+
+    holomorphic = True
+
+    def __init__(self, inner, factor):
+        self.inner, self.factor = inner, factor
+
+    def values(self, p, points):
+        return self.factor * self.inner.values(p, points)
+
+
+def test_derivatives_cs_scale_exactly_with_the_objective():
+    # the steps do not depend on J, so 2^k J gives 2^k times each derivative
+    for manifold, spec in _every_manifold_and_family():
+        if isinstance(manifold, gn.Rotations3):
+            objective = gn.seeded_instance(3, "procrustes")
+        else:
+            objective = gn.seeded_instance(3, "rayleigh", manifold.ambient_dim)
+        p = gn.random_point(manifold, gn.rng_for(1800))
+        grad, hess = derivatives_cs(objective, spec, p)
+        for k in (-20, 10, 300):
+            scaled_grad, scaled_hess = derivatives_cs(_Scaled(objective, 2.0 ** k), spec, p)
+            assert np.array_equal(scaled_grad.coords, 2.0 ** k * grad.coords)
+            assert np.array_equal(scaled_hess.matrix, 2.0 ** k * hess.matrix)
+
+
+class _NaNAtRow:
+    """Delegates to ``inner``, but one row of each ``values`` batch is NaN."""
+
+    holomorphic = True
+
+    def __init__(self, inner, row):
+        self.inner, self.row = inner, row
+
+    def values(self, p, points):
+        out = np.array(self.inner.values(p, points))
+        out[self.row] = np.nan
+        return out
+
+
+def test_derivatives_cs_non_finite_mixed_probe_raises(sphere3, rayleigh_321):
+    # on sphere3 rows 0 and 1 are the gradient's and rows 2-7 mixed probes
+    p = gn.random_point(sphere3, gn.rng_for(1900))
+    for row in (2, 4, 7):
+        with pytest.raises(gn.EvaluationError):
+            derivatives_cs(_NaNAtRow(rayleigh_321, row), EXP, p)
 
 
 def test_gradient_vector_is_tangent(sphere3, rayleigh_321):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import geonewton as gn
-from geonewton.calculus import REFINED_GRADIENT_STEP_FACTOR
+from geonewton import calculus
+from geonewton.calculus import REFINED_GRADIENT_STEP_FACTOR, derivatives_cs
 from geonewton.manifolds import frame_sums, row_dots
 from geonewton.newton import _REFINE_THRESHOLD, _STALL_STEP
 
@@ -444,32 +445,35 @@ def test_wrongly_declared_holomorphic_objective_is_refused(sphere3, fd_only):
 
 
 def test_complex_read_leaves_fd_reads_to_the_first_iterate(sphere3, rayleigh_321, monkeypatch):
-    # one FD batch per run (the guard's read at p0, at the default step, with
-    # the first Hessian), and no gradient_fd read at all, so no wider-step re-read
+    # one FD read per run (the guard's gradient_fd at p0, at the default
+    # step), and no derivatives_fd batch below the crossover, so no
+    # wider-step re-read and no FD Hessian
     reads = []
-    for name in ("gradient_fd", "derivatives_fd"):
+    for name in ("gradient_fd", "derivatives_fd", "hessian_fd"):
         real = getattr(gn.newton, name)
         monkeypatch.setattr(gn.newton, name, lambda *a, _n=name, _f=real, **k: reads.append((_n, a, k)) or _f(*a, **k))
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     trace = gn.newton_run(rayleigh_321, gn.NewtonConfig(retraction=EXP), p0)
     assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
-    assert [(name, k) for name, _, k in reads] == [("derivatives_fd", {})]
-    (points,) = [a[2] for _, a, _ in reads]
-    assert len(points) == 1 and points[0] is p0
+    assert [(name, k) for name, _, k in reads] == [("gradient_fd", {})]
+    assert reads[0][1][2] is p0
 
 
 def reference_complex_run(objective, config, p0):
     """newton_run for a holomorphic objective from the public pieces: the
-    guard (gradient_cs against gradient_fd at p0), then the complex read, the
-    stop tests, hessian_fd, the solve and the retraction at every iterate."""
+    guard (gradient_cs against gradient_fd at p0), then at every iterate the
+    complex read, the stop tests, the Hessian, the solve and the retraction.
+    Up to the crossover the gradient and Hessian are derivatives_cs's, past
+    it gradient_cs's and hessian_fd's."""
     spec = config.retraction
     fd = gn.gradient_fd(objective, spec, p0)
     gap = np.linalg.norm(gn.gradient_cs(objective, spec, p0).coords - fd.coords)
     assert gap <= 1e-6 * (fd.norm() + abs(objective.value(p0)))
+    one_batch = p0.manifold.intrinsic_dim <= gn.newton._COMPLEX_HESSIAN_MAX_DIM
     points, grad_norms, step_norms = [p0], [], []
     while True:
         p = points[-1]
-        grad = gn.gradient_cs(objective, spec, p)
+        grad, hess = derivatives_cs(objective, spec, p) if one_batch else (gn.gradient_cs(objective, spec, p), None)
         grad_norms.append(grad.norm())
         if grad_norms[-1] <= config.tol:
             status = gn.NewtonStatus.CONVERGED
@@ -478,7 +482,9 @@ def reference_complex_run(objective, config, p0):
         elif len(step_norms) == config.max_iter:
             status = gn.NewtonStatus.MAX_ITER
         else:
-            step = gn.solve_tangent_system(gn.hessian_fd(objective, spec, p), grad, cond_cap=config.cond_cap)
+            if hess is None:
+                hess = gn.hessian_fd(objective, spec, p)
+            step = gn.solve_tangent_system(hess, grad, cond_cap=config.cond_cap)
             points.append(gn.retract(spec, step))
             step_norms.append(step.norm())
             continue
@@ -493,31 +499,63 @@ def _complex_read_cases():
         yield pytest.param(gn.Rotations3(), spec, id=f"so3-{spec.family}")
 
 
+def _seeded_start(manifold, seed):
+    if isinstance(manifold, gn.Rotations3):
+        objective = gn.seeded_instance(seed, "procrustes")
+        p_star = objective.polar_factor()
+    else:
+        objective = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
+        p_star = gn.rayleigh_top_eigenvector(objective)
+    return objective, manifold.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
+
+
+def _first_operator_and_trace(objective, config, p0, monkeypatch):
+    operators = []
+    solve = gn.newton.solve_tangent_system
+    monkeypatch.setattr(gn.newton, "solve_tangent_system", lambda h, *a, **k: operators.append(h) or solve(h, *a, **k))
+    trace = gn.newton_run(objective, config, p0)
+    monkeypatch.undo()
+    assert operators[0].base is p0
+    return operators[0], trace
+
+
+def _same_trace(trace, reference):
+    points, grad_norms, step_norms, status = reference
+    assert [p.coords.tobytes() for p in trace.points] == [p.coords.tobytes() for p in points]
+    assert (trace.grad_norms, trace.step_norms, trace.status) == (tuple(grad_norms), tuple(step_norms), status)
+
+
 @pytest.mark.parametrize("manifold,spec", _complex_read_cases())
 def test_first_step_uses_the_guard_batch_hessian(manifold, spec, monkeypatch):
-    # The Hessian of the first step, read in the guard's FD batch, is
-    # hessian_fd's at p0 byte for byte, and the whole trace is that of the
-    # reference run built from the public pieces.
+    # Below the crossover the Hessian of the first step is derivatives_cs's
+    # at p0 byte for byte, read with the gradient in one batch (the guard's
+    # FD read is a gradient_fd of its own), and the whole trace is that of
+    # the reference run built from the public pieces.
+    assert manifold.intrinsic_dim <= gn.newton._COMPLEX_HESSIAN_MAX_DIM
     for seed in (1, 2):
-        if isinstance(manifold, gn.Rotations3):
-            objective = gn.seeded_instance(seed, "procrustes")
-            p_star = objective.polar_factor()
-        else:
-            objective = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
-            p_star = gn.rayleigh_top_eigenvector(objective)
-        p0 = manifold.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
+        objective, p0 = _seeded_start(manifold, seed)
         config = gn.NewtonConfig(retraction=spec)
-        operators = []
-        solve = gn.newton.solve_tangent_system
-        monkeypatch.setattr(gn.newton, "solve_tangent_system",
-                            lambda h, *a, **k: operators.append(h) or solve(h, *a, **k))
-        trace = gn.newton_run(objective, config, p0)
-        monkeypatch.undo()
-        assert operators[0].base is p0
-        assert operators[0].matrix.tobytes() == gn.hessian_fd(objective, spec, p0).matrix.tobytes()
-        points, grad_norms, step_norms, status = reference_complex_run(objective, config, p0)
-        assert [p.coords.tobytes() for p in trace.points] == [p.coords.tobytes() for p in points]
-        assert (trace.grad_norms, trace.step_norms, trace.status) == (tuple(grad_norms), tuple(step_norms), status)
+        first, trace = _first_operator_and_trace(objective, config, p0, monkeypatch)
+        assert first.matrix.tobytes() == derivatives_cs(objective, spec, p0)[1].matrix.tobytes()
+        _same_trace(trace, reference_complex_run(objective, config, p0))
+        assert trace.iterations >= 2
+
+
+@pytest.mark.parametrize("spec", (EXP, PROJ, PERT), ids=lambda spec: spec.family)
+def test_run_above_the_crossover_keeps_the_fd_hessian(spec, monkeypatch):
+    # On sphere:20 (d = 19) every Hessian is hessian_fd's, the first read in
+    # the guard's derivatives_fd batch, and the trace is the reference run's
+    # from gradient_cs, derivatives_fd and hessian_fd, byte for byte.
+    manifold = gn.Sphere(20)
+    assert manifold.intrinsic_dim > gn.newton._COMPLEX_HESSIAN_MAX_DIM
+    for seed in (1, 2):
+        objective, p0 = _seeded_start(manifold, seed)
+        config = gn.NewtonConfig(retraction=spec)
+        first, trace = _first_operator_and_trace(objective, config, p0, monkeypatch)
+        fds, hessians, _ = calculus.derivatives_fd(objective, spec, [p0])
+        assert first.matrix.tobytes() == hessians[0].tobytes() == gn.hessian_fd(objective, spec, p0).matrix.tobytes()
+        assert fds[0].tobytes() == gn.gradient_fd(objective, spec, p0).coords.tobytes()
+        _same_trace(trace, reference_complex_run(objective, config, p0))
         assert trace.iterations >= 2
 
 
@@ -541,16 +579,16 @@ class CountingReads:
 
 @pytest.mark.parametrize("n", (3, 10))
 def test_converged_run_reads_one_batch_per_gradient_and_hessian(n):
-    # K iterations read K + 1 complex gradients and K Hessians, the first in
-    # one batch with the guard's FD gradient: 2K + 1 values calls, and one
-    # value call (the guard's scale |J(p0)|).
+    # Below the crossover K iterations read K + 1 complex batches, each a
+    # gradient and a Hessian, and one guard FD gradient at p0: K + 2 values
+    # calls, and one value call (the guard's scale |J(p0)|).
     inner = gn.seeded_instance(4, "rayleigh", n)
     p_star = gn.rayleigh_top_eigenvector(inner)
     p0 = gn.Sphere(n).exp_map(gn.random_tangent(p_star, gn.rng_for(4)).scaled(0.05))
     objective = CountingReads(inner)
     trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
     assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
-    assert objective.calls == {"value": 1, "values": 2 * trace.iterations + 1}
+    assert objective.calls == {"value": 1, "values": trace.iterations + 2}
 
 
 class HolomorphicNaNFromBatch(NaNFromBatch):
@@ -558,9 +596,9 @@ class HolomorphicNaNFromBatch(NaNFromBatch):
 
 
 def test_first_fd_batch_error_ends_run_with_nan_first_norm(sphere3, rayleigh_321):
-    # batch 1 is the complex read at p0 and batch 2 the guard's FD batch,
-    # which holds the first Hessian: its failure ends the run at p0 with the
-    # first gradient norm NaN, as a failed gradient read records it.
+    # batch 1 is the complex read at p0, with its Hessian, and batch 2 the
+    # guard's FD gradient: its failure ends the run at p0 with the first
+    # gradient norm NaN, as a failed gradient read records it.
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
     config = gn.NewtonConfig(retraction=EXP)
     full = gn.newton_run(rayleigh_321, config, p0)

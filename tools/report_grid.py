@@ -7,20 +7,24 @@ Usage:
 SRC is the ``src`` directory of a checkout; its ``geonewton`` package is
 imported and run in process. The grid is order, lemma1, lemma2, taylor and
 newton in CSV and JSON at seeds 0-3, on the circle sphere:2 (d = 1, a
-one-entry Hessian), sphere:3 and sphere:10 under exp, projection and
-perturbed and on so3 under exp and cayley, then rate in CSV and JSON on
-each newton JSON report, newton in JSON at seed 0 with an early stop
-(``--max-iter 1`` ends ``max_iter`` on every combo; ``--tol 1e-4`` ends
-``converged`` on every combo in fewer iterations than the default run,
-after one on so3), and order, lemma1, lemma2 and taylor at an over-long
-scale ladder, each of which fails at its 1e200 scale. Seven
-lemma1 runs under the perturbed retraction fail to invert a retracted
-point: on sphere:3 and sphere:10 at a ladder that starts outside the
-retraction's range (on sphere:2 that ladder inverts), on sphere:2 at seeds
-1 and 3 in both formats, and on sphere:3 at seed 14. One lemma1 run under
-cayley on so3 fails the point check of R_p(1e6 w). Last, a default
-order report is written over a longer one at the same path, so the grid
-holds a report that overwrote an older one.
+one-entry Hessian), sphere:3, sphere:10 and sphere:20 (d = 19, past the
+complex-step Hessian crossover of newton_run, so its Newton runs read the
+FD Hessian) under exp, projection and perturbed and on so3 under exp and
+cayley, then rate in CSV and JSON on each newton JSON report, newton in
+JSON at seed 0 with an early stop (``--max-iter 1`` ends ``max_iter`` on
+every combo; ``--tol 1e-4`` ends ``converged`` on every combo in fewer
+iterations than the default run, after one on so3), and order, lemma1,
+lemma2 and taylor at an over-long scale ladder, each of which fails at its
+1e200 scale. Eight lemma1 runs under the perturbed retraction fail to
+invert a retracted point: on sphere:3, sphere:10 and sphere:20 at a ladder
+that starts outside the retraction's range (on sphere:2 that ladder
+inverts), on sphere:2 at seeds 1 and 3 in both formats, and on sphere:3 at
+seed 14. One lemma1 run under cayley on so3 fails the point check of
+R_p(1e6 w). The 16 rate reports on so3 exit 1 with "insufficient usable
+error pairs": the last of the three errors of those Newton runs is about
+1e-15, below the fit's 1e-13 floor, which leaves one usable pair. Last, a
+default order report is written over a longer one at the same path, so the
+grid holds a report that overwrote an older one.
 Each invocation leaves its report (if it wrote one) and a ``.log`` file
 with its exit code, stdout and stderr.
 
@@ -40,6 +44,7 @@ COMBOS = (
     ("sphere:2", "exp"), ("sphere:2", "projection"), ("sphere:2", "perturbed"),
     ("sphere:3", "exp"), ("sphere:3", "projection"), ("sphere:3", "perturbed"),
     ("sphere:10", "exp"), ("sphere:10", "projection"), ("sphere:10", "perturbed"),
+    ("sphere:20", "exp"), ("sphere:20", "projection"), ("sphere:20", "perturbed"),
     ("so3", "exp"), ("so3", "cayley"),
 )
 COMMANDS = ("order", "lemma1", "lemma2", "taylor", "newton")
