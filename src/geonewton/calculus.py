@@ -13,11 +13,13 @@ order is >= 2.
 Each stencil is evaluated as one batch: the probe directions form a
 (probes x ambient) array that ``_retract_rows`` checks (a retraction not
 defined on p's manifold, or a row not tangent at p, raises before any
-probe) and maps to the manifold, and the objective's optional
-``values(p, points)`` evaluates, one call each (an objective with only
-``value(p)`` is evaluated row by row).  The batched kernels round as the
-single-probe path (``retract`` then ``value``) does, so every probe value
-and every extracted derivative is the same bit for bit.
+probe) and maps to the manifold, and the objective's ``values(p, points)``
+evaluates, one call each.  Every objective needs ``values``: there is no
+row-by-row ``value`` path (:mod:`geonewton.objectives` shows the two-line
+adapter for an objective that has only ``value``).  The batched kernels
+round as the single-probe path (``retract`` then a one-row ``values``)
+does, so every probe value and every extracted derivative is the same bit
+for bit.
 Each Hessian probe is the sum of two rows of [hE; -hE; 0] (E the frame)
 from an index plan cached per dimension.  The two mixed probes of a
 diagonal entry both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1
@@ -100,15 +102,11 @@ def apply_many(matrices: np.ndarray, frames: np.ndarray, vectors: np.ndarray) ->
 
 
 def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray, dtype=float) -> np.ndarray:
-    """J at every point row as ``dtype``, through ``values`` when the objective
-    has it and through ``value`` row by row otherwise; each must be finite."""
-    batched = getattr(objective, "values", None)
-    if batched is not None:
-        out = np.asarray(batched(p, points), dtype=dtype)
-        if out.shape != (len(points),):
-            raise ContractError("objective values() must return one value per point")
-    else:
-        out = np.array([objective.value(unchecked(ManifoldPoint, p.manifold, row)) for row in points], dtype=dtype)
+    """J at every point row as ``dtype``, from one ``values`` call; each must
+    be finite."""
+    out = np.asarray(objective.values(p, points), dtype=dtype)
+    if out.shape != (len(points),):
+        raise ContractError("objective values() must return one value per point")
     if not np.isfinite(out).all():
         raise EvaluationError("objective returned a non-finite value during a probe")
     return out
@@ -261,23 +259,15 @@ def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray,
     return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames
 
 
-def taylor_remainder(objective, spec: RetractionSpec, p: ManifoldPoint, v: TangentVector,
-                     gradient: TangentVector | None = None, hessian: SymmetricOperator | None = None) -> float:
-    """|J(R_p(v)) - J(p) - <v, grad> - 1/2 <v, Hess v>|: one row of
-    :func:`taylor_remainders`.
-
-    The gradient and Hessian may be passed in so a sweep over many v reuses
-    one extraction; they must then have been computed at p with this spec.
-    A v, gradient or Hessian based at another point raises ``ContractError``.
-    """
-    for name, value in (("tangent vector", v), ("gradient", gradient), ("Hessian", hessian)):
-        if value is not None and value.base is not p and not np.array_equal(value.base.coords, p.coords):
-            raise ContractError(f"{name} is based at a different point")
-    if gradient is None:
-        gradient = gradient_fd(objective, spec, p)
-    if hessian is None:
-        hessian = hessian_fd(objective, spec, p)
-    return float(taylor_remainders(objective, spec, p, v.coords[None], gradient.coords, hessian.matrix, p.frame)[0])
+def taylor_remainder(objective, spec: RetractionSpec, p: ManifoldPoint, v: TangentVector) -> float:
+    """|J(R_p(v)) - J(p) - <v, grad> - 1/2 <v, Hess v>| with the FD gradient
+    and Hessian read at p: one row of :func:`taylor_remainders`, as
+    ``taylor_remainder_rows`` computes it.  A v based at another point raises
+    ``ContractError``."""
+    if v.base is not p and not np.array_equal(v.base.coords, p.coords):
+        raise ContractError("tangent vector is based at a different point")
+    grads, hessians, frames = derivatives_fd(objective, spec, [p])
+    return float(taylor_remainders(objective, spec, p, v.coords[None], grads[0], hessians[0], frames[0])[0])
 
 
 def taylor_remainders(objective, spec: RetractionSpec, p: ManifoldPoint, rows, gradient, hessian, frame) -> np.ndarray:

@@ -20,19 +20,22 @@ built with a nonzero cubic pullback term at the minimizer, which is where the
 quadratic rate is sharp; their constructors reject the instances where that
 term vanishes.
 
-Any object exposing ``value(p)`` (and optionally ``analytic_gradient(p)``)
-works with the finite-difference and Newton machinery; these four are simply
-the families with oracles.  An objective may also expose ``values(p, points)``:
-given a base point p (or a PointRows stack) and a (k x ambient) array of
-points on p's manifold, it returns the k values as an array.  The
-finite-difference stencils call it
-once per stencil instead of ``value`` once per probe, and they rely on it
-returning exactly what ``value`` returns for each row.  The four families
-here have one kernel each, ``values``; ``value`` evaluates its one row.
+Any object exposing ``values(p, points)`` (and optionally
+``analytic_gradient(p)``) works with the finite-difference and Newton
+machinery; these four are simply the families with oracles.  Given a base
+point p (or a PointRows stack) and a (k x ambient) array of points on p's
+manifold, ``values`` returns the k values as an array; every stencil calls
+it once.  An object with only ``value(p)`` gets ``values`` in two lines::
 
-These four declare ``holomorphic = True``: Newton reads their gradient by
-complex step, so ``values`` must be complex-analytic in complex points (no
-``abs``, ``conj``, ``max`` or real casts).  Other objectives are read by FD.
+    def values(self, p, points):
+        return np.array([self.value(p.manifold.point(row)) for row in points])
+
+The four families here have one kernel each, ``values``; ``value`` evaluates
+its one row.  These four declare ``holomorphic = True``: Newton reads their
+gradient by complex step, so ``values`` must be complex-analytic in complex
+points (no ``abs``, ``conj``, ``max`` or real casts), and a holomorphic
+objective also needs ``value(p)``, with which Newton's first-iterate guard
+reads |J(p0)|.  Other objectives are read by FD.
 """
 
 from __future__ import annotations

@@ -438,14 +438,13 @@ def test_remainder_rejects_vector_based_elsewhere(sphere3, rayleigh_321):
     probes = []
 
     class Counting:
-        def value(self, point):
-            probes.append(point)
-            return rayleigh_321.value(point)
+        def values(self, base, points):
+            probes.append(points)
+            return rayleigh_321.values(base, points)
 
-    grad, hess = gn.gradient_fd(rayleigh_321, EXP, p), gn.hessian_fd(rayleigh_321, EXP, p)
     with pytest.raises(gn.ContractError, match="based at a different point"):
-        gn.taylor_remainder(Counting(), EXP, p, v, gradient=grad, hessian=hess)
-    assert probes == []  # rejected before v is retracted
+        gn.taylor_remainder(Counting(), EXP, p, v)
+    assert probes == []  # rejected before any probe
     # a vector at an equal copy of p is based at p
     w = gn.random_tangent(p, gn.rng_for(32)).scaled(0.01)
     copy = gn.TangentVector(sphere3.point(p.coords), w.coords)
@@ -453,25 +452,29 @@ def test_remainder_rejects_vector_based_elsewhere(sphere3, rayleigh_321):
 
 
 def test_remainder_rejects_derivatives_read_elsewhere(sphere3, rayleigh_321):
-    # Read at q, they would give a remainder of 6.3e-3 here instead of 2.7e-7.
+    # taylor_remainder reads the gradient and Hessian at p itself and takes
+    # none from the caller: read at q, they give a remainder of 6.3e-3 here
+    # instead of 2.7e-7.
     p = gn.random_point(sphere3, gn.rng_for(1))
     q = gn.random_point(sphere3, gn.rng_for(2))
     t = gn.random_tangent(p, gn.rng_for(3))
     v = t.scaled(1e-2 / t.norm())
     own = gn.taylor_remainder(rayleigh_321, EXP, p, v)
     assert own <= 1e-6
-    copy = sphere3.point(p.coords)  # an equal copy of p is p
-    given = {"gradient": gn.gradient_fd(rayleigh_321, EXP, copy), "hessian": gn.hessian_fd(rayleigh_321, EXP, copy)}
-    assert gn.taylor_remainder(rayleigh_321, EXP, p, v, **given) == own
-    for name, derivative in (("gradient", gn.gradient_fd), ("hessian", gn.hessian_fd)):
-        with pytest.raises(gn.ContractError, match="based at a different point"):
-            gn.taylor_remainder(rayleigh_321, EXP, p, v, **{name: derivative(rayleigh_321, EXP, q)})
+    grad, hess = gn.gradient_fd(rayleigh_321, EXP, p), gn.hessian_fd(rayleigh_321, EXP, p)
+    rows = v.coords[None]
+    assert calculus.taylor_remainders(rayleigh_321, EXP, p, rows, grad.coords, hess.matrix, p.frame)[0] == own
+    grad, hess = gn.gradient_fd(rayleigh_321, EXP, q), gn.hessian_fd(rayleigh_321, EXP, q)
+    assert calculus.taylor_remainders(rayleigh_321, EXP, p, rows, grad.coords, hess.matrix, q.frame)[0] >= 1e-3
+    for name, derivative in (("gradient", grad), ("hessian", hess)):
+        with pytest.raises(TypeError):
+            gn.taylor_remainder(rayleigh_321, EXP, p, v, **{name: derivative})
 
 
 def test_non_finite_objective_raises():
     class Exploding:
-        def value(self, p):
-            return float("inf")
+        def values(self, p, points):
+            return np.full(len(points), np.inf)
 
     p = gn.Sphere(3).point([1, 0, 0])
     with pytest.raises(gn.EvaluationError):

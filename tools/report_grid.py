@@ -30,7 +30,9 @@ with its exit code, stdout and stderr.
 
 Reports echo their output path, so the invocations run inside OUTDIR with
 relative paths: two checkouts give byte-identical grids exactly when every
-report, exit code and message is the same. Compare them with ``diff -r``.
+report, exit code and message is the same. Compare them with ``diff -r``
+over the whole grid: no file is exempt, so a change that moves report
+digits on purpose says which, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
