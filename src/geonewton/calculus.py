@@ -14,9 +14,10 @@ Each stencil is evaluated as one batch: the probe directions form a
 (probes x ambient) array that ``_retract_rows`` checks (a retraction not
 defined on p's manifold, or a row not tangent at p, raises before any
 probe) and maps to the manifold, and the objective's ``values(p, points)``
-evaluates, one call each.  Every objective needs ``values``: there is no
-row-by-row ``value`` path (:mod:`geonewton.objectives` shows the two-line
-adapter for an objective that has only ``value``).  The batched kernels
+evaluates, one call each.  Every objective needs ``values`` (one without
+it raises ``ContractError``): there is no row-by-row ``value`` path
+(:mod:`geonewton.objectives` shows the two-line adapter for an objective
+that has only ``value``).  The batched kernels
 round as the single-probe path (``retract`` then a one-row ``values``)
 does, so every probe value and every extracted derivative is the same bit
 for bit.
@@ -28,8 +29,9 @@ plan's four (d x d) gathers assemble the matrix from the stencil's values.
 One assembly serves one point and many: its arrays may carry leading stack
 axes (one entry per point) that :func:`gradient_fd` and :func:`hessian_fd`
 leave out and :func:`derivatives_fd` uses to probe k points in one batch
-over a :class:`PointRows` stack (one per group of points at large
-dimension).
+(one per group of points at large dimension): the stencil is retracted over
+a :class:`PointRows` stack, and ``values`` gets the first point as its p,
+so an objective is only ever handed a :class:`ManifoldPoint`.
 
 Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
@@ -101,10 +103,18 @@ def apply_many(matrices: np.ndarray, frames: np.ndarray, vectors: np.ndarray) ->
     return frame_sums((matrices @ coeffs[..., None])[..., 0], frames)
 
 
-def _evaluate(objective, p: ManifoldPoint | PointRows, points: np.ndarray, dtype=float) -> np.ndarray:
+def _method(objective, name: str):
+    """The objective's method ``name``; ``ContractError`` naming it if there is none."""
+    method = getattr(objective, name, None)
+    if method is None:
+        raise ContractError(f"{type(objective).__name__} objective has no {name} method")
+    return method
+
+
+def _evaluate(objective, p: ManifoldPoint, points: np.ndarray, dtype=float) -> np.ndarray:
     """J at every point row as ``dtype``, from one ``values`` call; each must
     be finite."""
-    out = np.asarray(objective.values(p, points), dtype=dtype)
+    out = np.asarray(_method(objective, "values")(p, points), dtype=dtype)
     if out.shape != (len(points),):
         raise ContractError("objective values() must return one value per point")
     if not np.isfinite(out).all():
@@ -172,7 +182,7 @@ def derivatives_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> tuple[T
     delta e_j))] / (2 h delta), with error O(delta^2); H_ji is the same
     value, so the matrix is exactly symmetric.  The matrix is in ``p.frame``.
     """
-    frame = p.manifold.tangent_basis(p)  # p.frame
+    frame = p.frame
     dim = len(frame)
     rows, cols = _triangle(dim)
     imaginary = (1j * COMPLEX_STEP) * frame
@@ -233,7 +243,7 @@ def hessian_fd(objective, spec: RetractionSpec, p: ManifoldPoint) -> SymmetricOp
     is the last probe, the zero row twice, retracted with the others and
     read in the stencil's one ``values`` call.  The matrix is in ``p.frame``.
     """
-    frame = p.manifold.tangent_basis(p)  # p.frame
+    frame = p.frame
     values = _evaluate(objective, p, _retract_rows(spec, p, _hessian_rows(frame)))
     return unchecked(SymmetricOperator, p, _hessians(values, len(frame)))
 
@@ -254,7 +264,7 @@ def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray,
     k = len(points)
     stencil = np.concatenate([_central_rows(frames, GRADIENT_STEP_FACTOR), _hessian_rows(frames)], axis=1)
     bases = PointRows.of(points, stencil.shape[1]) if k > 1 else points[0]
-    values = _evaluate(objective, bases, _retract_rows(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
+    values = _evaluate(objective, points[0], _retract_rows(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
     hessians = _hessians(values[:, 2 * dim:], dim)
     return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames
 

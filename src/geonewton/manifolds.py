@@ -34,9 +34,9 @@ values (the result of ``exp_map``) is built with :func:`unchecked` and not
 checked again; an exp kernel whose |v| overflows raises ``ContractError``.
 
 Each point has one orthonormal tangent frame, ``p.frame``: every gradient
-and Hessian is read in it, and ``tangent_basis(p)`` returns it.  The sphere's
-frame is Gram-Schmidt of the standard basis against p in closed form, from
-the tail norms |x[k:]| (``Sphere._frame``).
+and Hessian is read in it, and ``tangent_basis(p)`` builds what it caches.
+The sphere's frame is Gram-Schmidt of the standard basis against p in closed
+form, from the tail norms |x[k:]| (``Sphere.tangent_basis``).
 """
 
 from __future__ import annotations
@@ -146,12 +146,13 @@ class ManifoldPoint:
         """Orthonormal tangent frame at this point, a read-only
         (intrinsic x ambient) array whose rows are the basis vectors.
 
-        Built on first read and kept with the point, so a point pays for one
-        frame however many stencils, retractions and operators use it.  The frame
-        is a pure function of the coordinates: two threads racing on the
-        first read compute the same array.
+        Built by ``manifold.tangent_basis`` on first read and kept with the
+        point, so a point pays for one frame however many stencils,
+        retractions and operators use it.  The frame is a pure function of
+        the coordinates: two threads racing on the first read compute the
+        same array.
         """
-        frame = self.manifold._frame(self)
+        frame = self.manifold.tangent_basis(self)
         frame.setflags(write=False)
         return frame
 
@@ -257,11 +258,7 @@ class Manifold:
         return float(self.distance_many(p.coords[None], q.coords)[0])
 
     def tangent_basis(self, p: ManifoldPoint) -> np.ndarray:
-        """``p.frame``, a method of each manifold for the benchmark tracer to wrap."""
-        raise NotImplementedError
-
-    def _frame(self, p: ManifoldPoint) -> np.ndarray:
-        """The (intrinsic x ambient) orthonormal frame behind ``p.frame``."""
+        """The (intrinsic x ambient) orthonormal frame at p, built anew: ``p.frame`` caches it."""
         raise NotImplementedError
 
 
@@ -340,9 +337,6 @@ class Sphere(Manifold):
         return out
 
     def tangent_basis(self, p):
-        return p.frame
-
-    def _frame(self, p):
         """Row k is the unit part of e_k orthogonal to p, e_0, ..., e_{k-1}: with
         s_k = |x[k:]|, zero before column k, s_{k+1}/s_k at column k and
         -(x_k/s_k)(x_j/s_{k+1}) at column j > k.  The first e_k with s_{k+1} at
@@ -494,8 +488,5 @@ class Rotations3(Manifold):
         return (p.matrix @ (factor * (0.5 * (rels - rels.transpose(0, 2, 1))))).reshape(-1, 9)
 
     def tangent_basis(self, p):
-        return p.frame
-
-    def _frame(self, p):
         q = p.matrix
         return np.array([(q @ gen).reshape(9) / np.sqrt(2.0) for gen in SO3_GENERATORS])

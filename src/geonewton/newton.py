@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_cs, derivatives_fd, gradient_cs
-from .calculus import gradient_fd, hessian_fd
+from .calculus import _method, gradient_fd, hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
 from .manifolds import ManifoldPoint, TangentVector, frame_sums, row_dots, unchecked
 from .retractions import RetractionSpec, retract
@@ -92,7 +92,7 @@ def _measure_gradient(objective, spec, p, first: bool) -> tuple[TangentVector, f
         if first:
             with np.errstate(over="ignore"):
                 gap, fd_norm, s = _norms(grad.coords - fd, fd)
-            if not gap <= _GUARD * (fd_norm + abs(s * objective.value(p))):
+            if not gap <= _GUARD * (fd_norm + abs(s * _method(objective, "value")(p))):
                 raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
                                     f"complex-step gradient is {gap / s:.3e} from the finite-difference read")
         return grad, grad.norm(), hess

@@ -23,9 +23,9 @@ term vanishes.
 Any object exposing ``values(p, points)`` (and optionally
 ``analytic_gradient(p)``) works with the finite-difference and Newton
 machinery; these four are simply the families with oracles.  Given a base
-point p (or a PointRows stack) and a (k x ambient) array of points on p's
-manifold, ``values`` returns the k values as an array; every stencil calls
-it once.  An object with only ``value(p)`` gets ``values`` in two lines::
+point p and a (k x ambient) array of points on p's manifold, ``values``
+returns the k values as an array; every stencil calls it once.  An object
+with only ``value(p)`` gets ``values`` in two lines::
 
     def values(self, p, points):
         return np.array([self.value(p.manifold.point(row)) for row in points])

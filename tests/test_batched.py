@@ -333,6 +333,56 @@ class Wrapped:
         return self.inner.values(p, points)
 
 
+class Recording(Wrapped):
+    """Records the type of every base point ``values`` is handed."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.bases = []
+
+    def values(self, p, points):
+        self.bases.append(type(p))
+        return super().values(p, points)
+
+    def analytic_gradient(self, p):
+        return self.inner.analytic_gradient(p)
+
+
+def test_values_is_handed_only_manifold_points():
+    # a sphere:3 lemma1 sweep probes its 11 points in one derivatives_fd batch,
+    # retracted over a PointRows stack; values still gets one ManifoldPoint
+    inner = gn.Rayleigh(np.diag([3.0, 2.0, 1.0]))
+    anchor = gn.Sphere(3).point([0.0, 0.0, 1.0])
+    sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, gn.rng_for(3))])
+    objective = Recording(inner)
+    rows = gn.critical_residual_rows(objective, gn.RetractionSpec("exp"), sweep)
+    assert objective.bases and set(objective.bases) == {gn.ManifoldPoint}
+    assert rows == gn.critical_residual_rows(inner, gn.RetractionSpec("exp"), sweep)
+
+
+class ValueOnly:
+    """An objective with ``value`` but no ``values``."""
+
+    def value(self, p):
+        return float(p.coords[0])
+
+
+class HolomorphicWithoutValue(Wrapped):
+    holomorphic = True
+
+
+def test_missing_objective_method_is_contract_error():
+    spec = gn.RetractionSpec("exp")
+    p = _base_point(gn.Sphere(3), 5)
+    with pytest.raises(gn.ContractError, match="ValueOnly objective has no values method"):
+        gn.newton_run(ValueOnly(), gn.NewtonConfig(spec), p)
+    with pytest.raises(gn.ContractError, match="ValueOnly objective has no values method"):
+        gn.taylor_remainder(ValueOnly(), spec, p, gn.random_tangent(p, gn.rng_for(5)))
+    objective = HolomorphicWithoutValue(gn.Rayleigh(np.diag([3.0, 2.0, 1.0])))
+    with pytest.raises(gn.ContractError, match="HolomorphicWithoutValue objective has no value method"):
+        gn.newton_run(objective, gn.NewtonConfig(spec), p)
+
+
 class NaNAwayBatched:
     """NaN at every probe."""
 
