@@ -42,7 +42,8 @@ probes R_p(i h e_i) subtract nothing, so it has no rounding floor.
 :func:`derivatives_cs` reads it with the Hessian in one batch of d^2 + 2d
 complex probes, each Hessian entry a difference of two complex-step
 gradient components at +-delta e_j: about 1e-10 relative where the FD
-Hessian reaches about 1e-7, and exactly c-homogeneous too.
+Hessian reaches about 1e-7, and exactly c-homogeneous too.  Its index plan,
+cached per dimension, gathers the probe rows and both triangles of H.
 """
 
 from __future__ import annotations
@@ -180,27 +181,34 @@ def derivatives_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> tuple[T
     for bit.  For i <= j the rows i h e_i +- delta e_j (delta the default FD
     gradient step) give H_ij = Im[J(R(i h e_i + delta e_j)) - J(R(i h e_i -
     delta e_j))] / (2 h delta), with error O(delta^2); H_ji is the same
-    value, so the matrix is exactly symmetric.  The matrix is in ``p.frame``.
-    """
+    value, so the matrix is exactly symmetric.  The matrix is in ``p.frame``."""
     frame = p.frame
     dim = len(frame)
-    rows, cols = _triangle(dim)
+    first, second, mirror = _complex_plan(dim)
     imaginary = (1j * COMPLEX_STEP) * frame
-    real = GRADIENT_STEP_FACTOR * frame
-    stencil = np.concatenate([imaginary, imaginary[rows] + real[cols], imaginary[rows] - real[cols]])
+    signed = np.concatenate([imaginary.real, GRADIENT_STEP_FACTOR * frame, -GRADIENT_STEP_FACTOR * frame])
+    stencil = np.empty((len(first), frame.shape[1]), dtype=complex)
+    np.add(signed.take(first, axis=0), signed.take(second, axis=0), out=stencil.real)
+    stencil.imag = imaginary.imag.take(first, axis=0)
     values = _evaluate(objective, p, _retract_rows(spec, p, stencil), complex).imag
-    n = len(rows)
-    hessian = np.empty((dim, dim))
-    hessian[rows, cols] = hessian[cols, rows] = (
-        (values[dim: dim + n] - values[dim + n:]) / (2.0 * COMPLEX_STEP * GRADIENT_STEP_FACTOR))
+    plus, minus = values[dim:].reshape(2, -1)
+    hessian = ((plus - minus) / (2.0 * COMPLEX_STEP * GRADIENT_STEP_FACTOR)).take(mirror)
     gradient = unchecked(TangentVector, p, frame_sums(values[:dim] / COMPLEX_STEP, frame))
     return gradient, unchecked(SymmetricOperator, p, hessian)
 
 
 @functools.cache
-def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the upper triangle, diagonal included."""
-    plan = np.triu_indices(dim)
+def _complex_plan(dim: int) -> tuple[np.ndarray, ...]:
+    """Read-only index plan of the complex stencil in dimension ``dim``: probe r
+    is i Im(i h E)[first[r]] plus rows ``first[r]`` and ``second[r]`` of
+    [Re(i h E); delta E; -delta E] (a gradient row's signed zeros twice, which
+    adds exactly), and ``mirror`` gives H_ij and H_ji one upper-triangle entry."""
+    rows, cols = np.triu_indices(dim)
+    first = np.concatenate([np.arange(dim), rows, rows])
+    second = np.concatenate([np.arange(dim), cols + dim, cols + 2 * dim])
+    mirror = np.empty((dim, dim), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
+    plan = (first, second, mirror)
     for index in plan:
         index.setflags(write=False)
     return plan

@@ -5,12 +5,12 @@ The gradient of an objective that declares ``holomorphic = True`` is read by
 complex step, and checked against the FD read at each run's first iterate.
 Up to intrinsic dimension ``_COMPLEX_HESSIAN_MAX_DIM`` its Hessian is read
 by complex step too, with the gradient in one ``derivatives_cs`` batch per
-iterate, and the check's FD read is a ``gradient_fd`` of its own; above it
-every Hessian is ``hessian_fd``'s, the first read with the check's FD
-gradient in one ``derivatives_fd`` batch.  Any other objective's gradient,
-and its Hessian, are read by finite differences.  Every read is in the
-iterate's cached frame ``p.frame``, each Hessian is a :class:`SymmetricOperator`
-based at p, and the step is solved in its base's frame.
+iterate (one that the run's error law predicts to stop it reads
+``gradient_cs`` alone first), and the check's FD read is a ``gradient_fd``
+of its own; above it every Hessian is ``hessian_fd``'s, the first read with
+the check's FD gradient in one ``derivatives_fd`` batch.  Any other
+objective is read by finite differences.  Every read, each Hessian (a
+:class:`SymmetricOperator` based at p) and the step's solve are in ``p.frame``.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
@@ -51,6 +51,9 @@ _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 # costs 2-3x real, which the saved batch stops covering as d grows.  The
 # sweep is in BENCH_one_probe_batch.json.
 _COMPLEX_HESSIAN_MAX_DIM = 14
+# A predicted stop: e_k+1 ~ C e_k^2 puts |g_k+1| near |g_k| (|s_k| / |s_k-1|)^2,
+# at most _STOP_MARGIN * tol (multiplied out, as float ** raises OverflowError).
+_STOP_MARGIN = 1e-2
 
 
 def _norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
@@ -65,23 +68,25 @@ def _norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     return math.sqrt(a.dot(a)), math.sqrt(b.dot(b)), 2.0 ** -600
 
 
-def _measure_gradient(objective, spec, p, first: bool) -> tuple[TangentVector, float, SymmetricOperator | None]:
+def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVector, float, SymmetricOperator | None]:
     """The gradient read at p, its norm, and the Hessian at p if it was read too.
 
     An objective that declares ``holomorphic = True`` is read by complex
     step: up to intrinsic dimension _COMPLEX_HESSIAN_MAX_DIM with the
-    Hessian, in one ``derivatives_cs`` batch, and above it alone.  At a run's
-    first iterate that read must agree with the FD read to _GUARD
+    Hessian, in one ``derivatives_cs`` batch (given a ``stop`` tol, only if
+    ``gradient_cs`` alone misses it), and above it alone.  At a run's first
+    iterate (no stop) that read must agree with the FD read to _GUARD
     (|grad| + |J|), or ``ContractError`` names the objective; that FD read is
-    ``gradient_fd``'s, or above the crossover comes with the Hessian from
-    one ``derivatives_fd`` batch.  Any other objective is read by FD, which
-    near critical points is quantization-limited at ~ulp(J)/(2h); a
-    wider-step read resolves finer gradients there.  Keep whichever
-    measurement is smaller."""
+    ``gradient_fd``'s, or above the crossover comes with the Hessian from one
+    ``derivatives_fd`` batch.  Any other objective is read by FD, which near
+    critical points is quantization-limited at ~ulp(J)/(2h); a wider-step
+    read resolves finer gradients there.  Keep whichever is smaller."""
     if getattr(objective, "holomorphic", False):
         hess = None
         if p.manifold.intrinsic_dim <= _COMPLEX_HESSIAN_MAX_DIM:
-            grad, hess = derivatives_cs(objective, spec, p)
+            grad = gradient_cs(objective, spec, p) if stop else None
+            if grad is None or not grad.norm() <= stop:
+                grad, hess = derivatives_cs(objective, spec, p)
             if first:
                 fd = gradient_fd(objective, spec, p).coords
         else:
@@ -146,9 +151,9 @@ class IterationTrace:
     ran out; SINGULAR_HESSIAN when the conditioning guard tripped;
     EVALUATION_ERROR when a probe of the objective was not finite (the last
     gradient norm is NaN if its read failed, which for a complex read up to
-    the Hessian crossover includes the Hessian probes read with it, or at a
-    complex-read first iterate if its FD read did).  Only CONVERGED means
-    ``tol`` was met."""
+    the Hessian crossover includes the Hessian probes read with it unless a
+    predicted stop's ``gradient_cs`` met ``tol``, or at a complex-read first
+    iterate if its FD read did).  Only CONVERGED means ``tol`` was met."""
 
     points: tuple[ManifoldPoint, ...]
     grad_norms: tuple[float, ...]
@@ -225,10 +230,10 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     step_norms: list[float] = []
     status = NewtonStatus.MAX_ITER
 
-    current = p0
+    current, stop = p0, None
     try:
         for _ in range(config.max_iter + 1):
-            grad, norm, hess = _measure_gradient(objective, spec, current, not grad_norms)
+            grad, norm, hess = _measure_gradient(objective, spec, current, not grad_norms, stop)
             grad_norms.append(norm)
             if grad_norms[-1] <= config.tol:
                 status = NewtonStatus.CONVERGED
@@ -253,6 +258,8 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
             current = retract(spec, step)
             points.append(current)
             step_norms.append(step.norm())
+            ratio = step_norms[-1] / step_norms[-2] if len(step_norms) >= 2 and step_norms[-2] > 0 else math.nan
+            stop = config.tol if grad_norms[-1] * ratio * ratio <= _STOP_MARGIN * config.tol else None
     except EvaluationError:  # the trace ends at the last point reached
         grad_norms += [math.nan] * (len(points) - len(grad_norms))  # its gradient read failed
         status = NewtonStatus.EVALUATION_ERROR

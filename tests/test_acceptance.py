@@ -329,10 +329,12 @@ def test_c9_cli_determinism(tmp_path, monkeypatch):
 
 def test_c10_singular_hessian_surfaced():
     # Repeated eigenvalue 2: the whole circle through e2 and e3 is critical,
-    # so the tangent Hessian at the target has a zero eigenvalue.  The FD
-    # Hessian floors that zero near 1e-8, hence the guard cap is set to 1e6
-    # (below 2/1e-8) for the degeneracy to be detectable at all; with the cap
-    # at its 1e12 default the zero hides inside finite-difference noise.
+    # so the tangent Hessian there has a zero eigenvalue.  After one step the
+    # complex-step Hessian reads it as about 3e-12 against 2, a condition
+    # estimate near 7e11: the cap of 1e6 trips there, and the run ends
+    # singular_hessian after 1 iteration.  At the 1e12 default the estimate
+    # passes, and the run ends converged after 2 iterations on the critical
+    # circle, with nothing in its trace to show the degeneracy.
     objective = gn.Rayleigh(np.diag([3.0, 2.0, 2.0]))
     start = np.array([0.01, 1.0, 0.015])
     p0 = SPHERE.point(start / np.linalg.norm(start))

@@ -224,8 +224,8 @@ def test_complex_step_gradient_checks_its_spec_first(rotations):
 # ---- complex-step gradient and Hessian in one batch
 
 
-def _every_manifold_and_family():
-    for n in (2, 3, 10, 20):
+def _every_manifold_and_family(sizes=(2, 3, 10, 20)):
+    for n in sizes:
         for spec in (EXP, PROJ, PERT):
             yield gn.Sphere(n), spec
     for spec in (EXP, CAY):
@@ -315,6 +315,65 @@ def test_derivatives_cs_scale_exactly_with_the_objective():
             scaled_grad, scaled_hess = derivatives_cs(_Scaled(objective, 2.0 ** k), spec, p)
             assert np.array_equal(scaled_grad.coords, 2.0 ** k * grad.coords)
             assert np.array_equal(scaled_hess.matrix, 2.0 ** k * hess.matrix)
+
+
+def _reference_stencil(frame):
+    """derivatives_cs's stencil written out as before its index plan: the
+    gradient rows i h e_i, then i h e_i + delta e_j and i h e_i - delta e_j
+    for i <= j, each as a complex-plus-real sum of fancy-indexed rows."""
+    rows, cols = np.triu_indices(len(frame))
+    imaginary = (1j * calculus.COMPLEX_STEP) * frame
+    real = calculus.GRADIENT_STEP_FACTOR * frame
+    return np.concatenate([imaginary, imaginary[rows] + real[cols], imaginary[rows] - real[cols]])
+
+
+def _reference_derivatives_cs(objective, spec, p):
+    """derivatives_cs as before its index plan: the written-out stencil, and
+    the Hessian scattered into both triangles."""
+    dim = len(p.frame)
+    rows, cols = np.triu_indices(dim)
+    values = calculus._evaluate(objective, p, calculus._retract_rows(spec, p, _reference_stencil(p.frame)), complex).imag
+    n = len(rows)
+    hessian = np.empty((dim, dim))
+    hessian[rows, cols] = hessian[cols, rows] = (
+        (values[dim: dim + n] - values[dim + n:]) / (2.0 * calculus.COMPLEX_STEP * calculus.GRADIENT_STEP_FACTOR))
+    return calculus.frame_sums(values[:dim] / calculus.COMPLEX_STEP, p.frame), hessian
+
+
+# d = 1 up to d = 14, the Newton crossover
+@pytest.mark.parametrize("manifold,spec", _every_manifold_and_family((2, 3, 10, 15)),
+                         ids=lambda x: getattr(x, "family", repr(x)))
+def test_derivatives_cs_plan_reproduces_the_written_out_stencil(manifold, spec, monkeypatch):
+    # the plan's gathers write the same probe rows, signed zeros included,
+    # and its mirror gather the same Hessian, byte for byte
+    stencils = []
+    retract_rows = calculus._retract_rows
+    monkeypatch.setattr(calculus, "_retract_rows", lambda *args: stencils.append(args[2]) or retract_rows(*args))
+    for seed in range(5):
+        if isinstance(manifold, gn.Rotations3):
+            objective = gn.seeded_instance(seed, "procrustes")
+        else:
+            objective = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
+        p = gn.random_point(manifold, gn.rng_for(1950 + seed))
+        gradient, hessian = _reference_derivatives_cs(objective, spec, p)
+        stencils.clear()
+        grad, hess = derivatives_cs(objective, spec, p)
+        assert stencils.pop().tobytes() == _reference_stencil(p.frame).tobytes()
+        assert grad.coords.tobytes() == gradient.tobytes()
+        assert hess.matrix.tobytes() == hessian.tobytes()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 9, 14))
+def test_complex_plan_is_cached_and_read_only(dim):
+    plan = calculus._complex_plan(dim)
+    assert calculus._complex_plan(dim) is plan
+    first, second, mirror = plan
+    assert len(first) == len(second) == dim * dim + 2 * dim
+    assert mirror.shape == (dim, dim) and np.array_equal(mirror, mirror.T)
+    for index in plan:
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[...] = 0
 
 
 class _NaNAtRow:

@@ -516,14 +516,14 @@ def _complex_read_cases():
         yield pytest.param(gn.Rotations3(), spec, id=f"so3-{spec.family}")
 
 
-def _seeded_start(manifold, seed):
+def _seeded_start(manifold, seed, dist=0.05):
     if isinstance(manifold, gn.Rotations3):
         objective = gn.seeded_instance(seed, "procrustes")
         p_star = objective.polar_factor()
     else:
         objective = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
         p_star = gn.rayleigh_top_eigenvector(objective)
-    return objective, manifold.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(0.05))
+    return objective, manifold.exp_map(gn.random_tangent(p_star, gn.rng_for(seed)).scaled(dist))
 
 
 def _first_operator_and_trace(objective, config, p0, monkeypatch):
@@ -577,13 +577,15 @@ def test_run_above_the_crossover_keeps_the_fd_hessian(spec, monkeypatch):
 
 
 class CountingReads:
-    """A holomorphic objective that counts its value and values calls."""
+    """A holomorphic objective that counts its value and values calls, and
+    records the row count of each values batch."""
 
     holomorphic = True
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = {"value": 0, "values": 0}
+        self.rows = []
 
     def value(self, p):
         self.calls["value"] += 1
@@ -591,14 +593,16 @@ class CountingReads:
 
     def values(self, p, points):
         self.calls["values"] += 1
+        self.rows.append(len(points))
         return self.inner.values(p, points)
 
 
 @pytest.mark.parametrize("n", (3, 10))
 def test_converged_run_reads_one_batch_per_gradient_and_hessian(n):
     # Below the crossover K iterations read K + 1 complex batches, each a
-    # gradient and a Hessian, and one guard FD gradient at p0: K + 2 values
-    # calls, and one value call (the guard's scale |J(p0)|).
+    # gradient and a Hessian but for the predicted stop's gradient alone,
+    # and one guard FD gradient at p0: K + 2 values calls, and one value
+    # call (the guard's scale |J(p0)|).
     inner = gn.seeded_instance(4, "rayleigh", n)
     p_star = gn.rayleigh_top_eigenvector(inner)
     p0 = gn.Sphere(n).exp_map(gn.random_tangent(p_star, gn.rng_for(4)).scaled(0.05))
@@ -629,3 +633,99 @@ def test_first_fd_batch_error_ends_run_with_nan_first_norm(sphere3, rayleigh_321
     assert trace.iterations == 1
     assert np.array_equal(trace.points[1].coords, full.points[1].coords)
     assert trace.grad_norms[0] == full.grad_norms[0] and np.isnan(trace.grad_norms[1])
+
+
+@pytest.mark.parametrize("n", (3, 10))
+def test_predicted_stop_reads_the_gradient_alone(n):
+    # Below the crossover: the complex batch at p0 (d^2 + 2d rows), the
+    # guard's FD gradient (2d), a complex batch at each later iterate, and
+    # at the iterate the error law predicts to stop the run, gradient_cs's
+    # d rows alone.  The trace is the reference run's, which reads the full
+    # batch there too.
+    d = n - 1
+    for seed in range(3):
+        inner, p0 = _seeded_start(gn.Sphere(n), seed)
+        objective = CountingReads(inner)
+        config = gn.NewtonConfig(retraction=EXP)
+        trace = gn.newton_run(objective, config, p0)
+        assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
+        assert objective.rows == [d * d + 2 * d, 2 * d] + [d * d + 2 * d] * (trace.iterations - 1) + [d]
+        _same_trace(trace, reference_complex_run(inner, config, p0))
+
+
+@pytest.mark.parametrize("n", (3, 10))
+def test_missed_stop_prediction_costs_one_gradient_batch(n, monkeypatch):
+    # With the margin forced up, every iterate after the first two steps is
+    # predicted to stop the run: each one that does not meet tol reads
+    # gradient_cs's d rows and then the full complex batch, one d-row batch
+    # more than before, and no step, norm or status moves.
+    monkeypatch.setattr(gn.newton, "_STOP_MARGIN", 1e300)
+    d, full = n - 1, (n - 1) ** 2 + 2 * (n - 1)
+    for seed in range(3):
+        inner, p0 = _seeded_start(gn.Sphere(n), seed, 0.3)
+        objective = CountingReads(inner)
+        config = gn.NewtonConfig(retraction=EXP)
+        trace = gn.newton_run(objective, config, p0)
+        misses = trace.iterations - 2
+        assert trace.status == gn.NewtonStatus.CONVERGED and misses >= 1
+        assert objective.rows == [full, 2 * d, full] + [d, full] * misses + [d]
+        _same_trace(trace, reference_complex_run(inner, config, p0))
+
+
+class NaNAtHessianProbesOf:
+    """Delegates to ``inner``, but at ``base`` every batch longer than the
+    gradient's d rows has its first Hessian probe (row d) NaN."""
+
+    holomorphic = True
+
+    def __init__(self, inner, base):
+        self.inner, self.base = inner, base
+
+    def value(self, p):
+        return self.inner.value(p)
+
+    def values(self, p, points):
+        out = np.array(self.inner.values(p, points))
+        dim = p.manifold.intrinsic_dim
+        if len(points) > dim and np.array_equal(p.coords, self.base.coords):
+            out[dim] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("n", (3, 10, 20))
+def test_nan_hessian_probe_at_the_stopping_iterate_ends_converged(n, monkeypatch):
+    # No step uses the stopping iterate's Hessian, so a NaN there is never
+    # read: below the crossover the predicted stop reads gradient_cs alone,
+    # above it the complex read never had the Hessian.  Read with the
+    # gradient when no stop is predicted, the same NaN ends the run
+    # evaluation_error with the last gradient norm NaN.
+    inner, p0 = _seeded_start(gn.Sphere(n), 1)
+    config = gn.NewtonConfig(retraction=EXP)
+    full = gn.newton_run(inner, config, p0)
+    assert full.status == gn.NewtonStatus.CONVERGED
+    trace = gn.newton_run(NaNAtHessianProbesOf(inner, full.final_point), config, p0)
+    _same_trace(trace, (full.points, full.grad_norms, full.step_norms, full.status))
+    if n <= gn.newton._COMPLEX_HESSIAN_MAX_DIM:
+        monkeypatch.setattr(gn.newton, "_STOP_MARGIN", 0.0)
+        trace = gn.newton_run(NaNAtHessianProbesOf(inner, full.final_point), config, p0)
+        assert trace.status == gn.NewtonStatus.EVALUATION_ERROR
+        assert trace.grad_norms[:-1] == full.grad_norms[:-1] and np.isnan(trace.grad_norms[-1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_stop_prediction_past_the_float_range_raises_nothing(sphere3, monkeypatch):
+    # Gradient norms up to about 1e300, and a forced margin whose product
+    # with tol passes the float range: the prediction, multiplied out, raises
+    # nothing, and each run ends as it does when no stop is ever predicted
+    # (margin 0), iterate for iterate.
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    for scale in (1e155, 1e300):
+        objective = gn.Rayleigh(scale * np.diag([3.0, 2.0, 1.0]))
+        for tol in (1e-12, scale * 1e-12):
+            config = gn.NewtonConfig(retraction=EXP, tol=tol)
+            traces = []
+            for margin in (0.0, 1e-2, 1e300):
+                monkeypatch.setattr(gn.newton, "_STOP_MARGIN", margin)
+                traces.append(gn.newton_run(objective, config, p0))
+            for trace in traces[1:]:
+                _same_trace(trace, (traces[0].points, traces[0].grad_norms, traces[0].step_norms, traces[0].status))
