@@ -11,11 +11,12 @@ critical points the Hessian depends on the retraction family unless its
 order is >= 2.
 
 Each stencil is evaluated as one batch: the probe directions form a
-(probes x ambient) array that ``_retract_rows`` checks (a retraction not
-defined on p's manifold, or a row not tangent at p, raises before any
-probe) and maps to the manifold, and the objective's ``values(p, points)``
-evaluates, one call each.  Every objective needs ``values`` (one without
-it raises ``ContractError``): there is no row-by-row ``value`` path
+(probes x ambient) array of sums of ``p.frame``'s rows, tangent at the
+checked point p, that ``_retract_rows`` maps to the manifold unchecked (a
+retraction not defined on p's manifold raises before any probe), and the
+objective's ``values(p, points)`` evaluates, one call each.  Every objective
+needs ``values`` (one without it raises ``ContractError``): there is no
+row-by-row ``value`` path
 (:mod:`geonewton.objectives` shows the two-line adapter for an objective
 that has only ``value``).  The batched kernels
 round as the single-probe path (``retract`` then a one-row ``values``)
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import ContractError, EvaluationError
 from .manifolds import ManifoldPoint, PointRows, TangentVector, _real_array, frame_sums, row_dots, unchecked
-from .retractions import RetractionSpec, _retract_rows, retract_many
+from .retractions import RetractionSpec, _retract_rows
 from .retractions import retract  # noqa: F401  not called here; the benchmark tracer checks this binding
 
 _EPS = float(np.finfo(float).eps)
@@ -289,10 +290,10 @@ def taylor_remainder(objective, spec: RetractionSpec, p: ManifoldPoint, v: Tange
 
 
 def taylor_remainders(objective, spec: RetractionSpec, p: ManifoldPoint, rows, gradient, hessian, frame) -> np.ndarray:
-    """The Taylor remainder of each row (a tangent vector at p), given the
-    gradient's ambient coordinates and the Hessian matrix in ``frame``, from
-    one retract_many and one values call; J(p) is read from p as a last row."""
-    values = _evaluate(objective, p, np.concatenate([retract_many(spec, p, rows), p.coords[None]]))
+    """The Taylor remainder of each row (a checked tangent vector at p, not
+    checked again), given the gradient's ambient coordinates and the Hessian
+    matrix in ``frame``, from one batch retraction and one values call."""
+    values = _evaluate(objective, p, np.concatenate([_retract_rows(spec, p, rows), p.coords[None]]))
     linear = row_dots(rows, gradient)
     quadratic = 0.5 * row_dots(rows, apply_many(hessian, frame, rows))
     return np.abs(values[:-1] - values[-1] - linear - quadratic)

@@ -2,15 +2,14 @@
 Hess s = -grad at the current point, retract, repeat.  ``newton_run`` is
 the one driver: each iteration reads the gradient, then takes one update.
 The gradient of an objective that declares ``holomorphic = True`` is read by
-complex step, and checked against the FD read at each run's first iterate.
-Up to intrinsic dimension ``_COMPLEX_HESSIAN_MAX_DIM`` its Hessian is read
-by complex step too, with the gradient in one ``derivatives_cs`` batch per
-iterate (one that the run's error law predicts to stop it reads
-``gradient_cs`` alone first), and the check's FD read is a ``gradient_fd``
-of its own; above it every Hessian is ``hessian_fd``'s, the first read with
-the check's FD gradient in one ``derivatives_fd`` batch.  Any other
-objective is read by finite differences.  Every read, each Hessian (a
-:class:`SymmetricOperator` based at p) and the step's solve are in ``p.frame``.
+complex step, and checked against a ``gradient_fd`` read at each run's
+first iterate.  Up to intrinsic dimension ``_COMPLEX_HESSIAN_MAX_DIM`` its
+Hessian is read by complex step too, with the gradient in one
+``derivatives_cs`` batch per iterate (one that the run's error law predicts
+to stop it reads ``gradient_cs`` alone first); above it every Hessian is
+``hessian_fd``'s.  Any other objective is read by finite differences.
+Every read, each Hessian (a :class:`SymmetricOperator` based at p) and the
+step's solve are in ``p.frame``.
 
 The method is deliberately pure -- no line search, no damping, no
 quasi-Newton reuse -- so its local behavior can be measured as-is.  Two stop
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_cs, derivatives_fd, gradient_cs
+from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_cs, gradient_cs
 from .calculus import _method, gradient_fd, hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
 from .manifolds import ManifoldPoint, TangentVector, frame_sums, row_dots, unchecked
@@ -56,16 +55,22 @@ _COMPLEX_HESSIAN_MAX_DIM = 14
 _STOP_MARGIN = 1e-2
 
 
-def _norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    """|a| and |b|, as np.linalg.norm computes them, then the scale s they are
-    taken at: 1.0, or 2^-600 if a sum of squares overflowed (call it with
-    overflow ignored).  A power of two scales exactly, so a guard comparing
-    s-scaled terms decides as in unbounded range, and as before otherwise."""
-    aa, bb = a.dot(a), b.dot(b)
-    if aa < math.inf and bb < math.inf:
-        return math.sqrt(aa), math.sqrt(bb), 1.0
-    a, b = 2.0 ** -600 * a, 2.0 ** -600 * b
-    return math.sqrt(a.dot(a)), math.sqrt(b.dot(b)), 2.0 ** -600
+def _norms(*vectors: np.ndarray) -> tuple[float, ...]:
+    """Each norm as np.linalg.norm computes it, then the scale s of them all:
+    1.0, or 2^-600 if a sum of squares overflowed (call it with overflow
+    ignored).  A power of two scales exactly, so a guard comparing s-scaled
+    terms decides as in unbounded range, and as before otherwise."""
+    squares = [v.dot(v) for v in vectors]
+    if all(square < math.inf for square in squares):
+        return (*map(math.sqrt, squares), 1.0)
+    return (*(math.sqrt(w.dot(w)) for w in (2.0 ** -600 * v for v in vectors)), 2.0 ** -600)
+
+
+def _norm(v: TangentVector) -> float:
+    """|v| as ``v.norm()`` computes it, or 2^600 |2^-600 v| where that overflows."""
+    with np.errstate(over="ignore"):
+        norm, s = _norms(v.coords)
+    return norm / s
 
 
 def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVector, float, SymmetricOperator | None]:
@@ -75,37 +80,29 @@ def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVec
     step: up to intrinsic dimension _COMPLEX_HESSIAN_MAX_DIM with the
     Hessian, in one ``derivatives_cs`` batch (given a ``stop`` tol, only if
     ``gradient_cs`` alone misses it), and above it alone.  At a run's first
-    iterate (no stop) that read must agree with the FD read to _GUARD
-    (|grad| + |J|), or ``ContractError`` names the objective; that FD read is
-    ``gradient_fd``'s, or above the crossover comes with the Hessian from one
-    ``derivatives_fd`` batch.  Any other objective is read by FD, which near
-    critical points is quantization-limited at ~ulp(J)/(2h); a wider-step
-    read resolves finer gradients there.  Keep whichever is smaller."""
+    iterate (no stop) that read must agree with ``gradient_fd``'s to _GUARD
+    (|grad| + |J|), or ``ContractError`` names the objective.  Any other
+    objective is read by FD, which near critical points is
+    quantization-limited at ~ulp(J)/(2h); a wider-step read resolves finer
+    gradients there.  Keep whichever is smaller (by ``_norm``, finite)."""
     if getattr(objective, "holomorphic", False):
-        hess = None
-        if p.manifold.intrinsic_dim <= _COMPLEX_HESSIAN_MAX_DIM:
-            grad = gradient_cs(objective, spec, p) if stop else None
-            if grad is None or not grad.norm() <= stop:
-                grad, hess = derivatives_cs(objective, spec, p)
-            if first:
-                fd = gradient_fd(objective, spec, p).coords
-        else:
-            grad = gradient_cs(objective, spec, p)
-            if first:
-                fds, hessians, _ = derivatives_fd(objective, spec, [p])
-                fd, hess = fds[0], unchecked(SymmetricOperator, p, hessians[0])
+        with_hessian = p.manifold.intrinsic_dim <= _COMPLEX_HESSIAN_MAX_DIM
+        grad, hess = (gradient_cs(objective, spec, p) if stop or not with_hessian else None), None
+        if with_hessian and (grad is None or not grad.norm() <= stop):
+            grad, hess = derivatives_cs(objective, spec, p)
         if first:
+            fd = gradient_fd(objective, spec, p).coords
             with np.errstate(over="ignore"):
                 gap, fd_norm, s = _norms(grad.coords - fd, fd)
             if not gap <= _GUARD * (fd_norm + abs(s * _method(objective, "value")(p))):
                 raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
                                     f"complex-step gradient is {gap / s:.3e} from the finite-difference read")
-        return grad, grad.norm(), hess
+        return grad, _norm(grad), hess
     grad = gradient_fd(objective, spec, p)
-    norm = grad.norm()
+    norm = _norm(grad)
     if norm < _REFINE_THRESHOLD:
         refined = gradient_fd(objective, spec, p, step_factor=REFINED_GRADIENT_STEP_FACTOR)
-        refined_norm = refined.norm()
+        refined_norm = _norm(refined)
         if refined_norm < norm:
             return refined, refined_norm, None
     return grad, norm, None

@@ -30,7 +30,7 @@ from .calculus import apply_many, derivatives_fd, taylor_remainders
 from .calculus import gradient_fd, hessian_fd, taylor_remainder  # noqa: F401  the benchmark tracer checks these
 from .errors import ContractError, InsufficientDataError, PreconditionError
 from .manifolds import ManifoldPoint, PointRows, TangentVector, row_norms, unchecked
-from .retractions import RetractionSpec, inverse_retract_many, retract_many
+from .retractions import RetractionSpec, _retract_rows, inverse_retract_many
 from .retractions import inverse_retract, retract  # noqa: F401  not called; the benchmark tracer checks them
 
 DEFAULT_SCALES = tuple(2.0 ** (-k) for k in range(2, 13))
@@ -162,7 +162,7 @@ def retraction_order_rows(spec: RetractionSpec, sweep: ScaleSweep) -> list[Row]:
     p = sweep.directions[0].base
     manifold = p.manifold
     labels, tangents = sweep.tangent_rows()
-    retracted = retract_many(spec, p, tangents)
+    retracted = _retract_rows(spec, p, tangents)
     with np.errstate(over="ignore", invalid="ignore"):  # as in exp_map: a row too long to map raises
         exact = manifold.exp_many(p, tangents)
     return [(i, s, d) for (i, s), d in zip(labels, manifold.distance_many(retracted, exact).tolist())]
@@ -183,7 +183,7 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
     if objective.analytic_gradient(anchor).norm() > 1e-10:
         raise PreconditionError("residual sweep must be anchored at a critical point")
     labels, tangents = sweep.tangent_rows()
-    points = [unchecked(ManifoldPoint, anchor.manifold, row) for row in retract_many(spec, anchor, tangents)]
+    points = [unchecked(ManifoldPoint, anchor.manifold, row) for row in _retract_rows(spec, anchor, tangents)]
     vs = inverse_retract_many(spec, PointRows.of(points, 1), np.tile(anchor.coords, (len(points), 1)))
     grads, hessians, frames = derivatives_fd(objective, spec, points)
     residuals = row_norms(grads + apply_many(hessians, frames, vs))
@@ -209,7 +209,7 @@ def distance_deviation_rows(
     gap = float(np.linalg.norm(v_dir.coords - w_dir.coords))
     scales = checked_scales(scales)
     tangents = np.array([s * d.coords for d in (v_dir, w_dir) for s in scales]).reshape(-1, manifold.ambient_dim)
-    dists = manifold.distance_many(*np.split(retract_many(spec, p, tangents), 2))
+    dists = manifold.distance_many(*np.split(_retract_rows(spec, p, tangents), 2))
     return [(0, s, abs(d - s * gap)) for s, d in zip(scales, dists.tolist())]
 
 

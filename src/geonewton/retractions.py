@@ -16,9 +16,11 @@ at one base point (or row i at base i of a :class:`PointRows`) to k point
 rows, computing each row on its own, and one inverse kernel that maps point
 rows back.  One table gives each family's declared order, kernel, manifold
 class and inverse (the exponential's is ``log_many``).  :func:`retract_many`
-and :func:`inverse_retract_many` check their rows and run a kernel;
-:func:`retract` and :func:`inverse_retract` run one row, so each agrees with
-its row of the batch bit for bit.  Each kernel returns points or raises
+and :func:`inverse_retract_many` check a caller's rows and run a kernel (the
+library's own probe and sweep rows, built from checked values, go to it
+unchecked through ``_retract_rows``); :func:`retract` and
+:func:`inverse_retract` run one row, so each agrees with its row of the
+batch bit for bit.  Each kernel returns points or raises
 ``ContractError``, with no numpy warning; each inverse raises
 ``InversionFailureError`` on a row outside the range it inverts.  The
 projection, perturbed and exponential kernels end in a division by the row
@@ -156,12 +158,9 @@ class RetractionSpec:
             )
 
 
-@silent_overflow
 def retract(spec: RetractionSpec, v: TangentVector) -> ManifoldPoint:
     """Map a tangent vector back to the manifold with the chosen family."""
-    p = v.base
-    spec.validate_for(p.manifold)
-    return unchecked(ManifoldPoint, p.manifold, _TABLE[spec.family][1](p, v.coords[None])[0])
+    return unchecked(ManifoldPoint, v.base.manifold, _retract_rows(spec, v.base, v.coords[None])[0])
 
 
 @silent_overflow
@@ -172,16 +171,18 @@ def retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, vectors) ->
 
     Each row is checked as :class:`TangentVector` would check it.
     """
-    return _retract_rows(spec, p, _rows(spec, p, vectors, "tangent vectors"))
+    rows = _rows(spec, p, vectors, "tangent vectors")
+    p.manifold._check_tangents(p, rows)
+    return _retract_rows(spec, p, rows)
 
 
 @silent_overflow
 def _retract_rows(spec: RetractionSpec, p: ManifoldPoint | PointRows, rows: np.ndarray) -> np.ndarray:
-    """:func:`retract_many` of a (k x ambient) array the library built, real
-    or complex (the complex-step probes at one point): every kernel is
-    holomorphic in the rows, and a complex row is tangent if both parts are."""
+    """The family's kernel on a (k x ambient) array of rows tangent at p that
+    the library built from checked values (frame stencils, sweep rows s w,
+    :func:`retract`'s vector), not checked again.  They may be complex: every
+    kernel maps the complex-step probes at one point holomorphically."""
     spec.validate_for(p.manifold)
-    p.manifold._check_tangents(p, np.concatenate([rows.real, rows.imag]) if rows.dtype.kind == "c" else rows)
     return _TABLE[spec.family][1](p, rows)
 
 

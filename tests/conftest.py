@@ -36,3 +36,15 @@ class FDOnly:
 @pytest.fixture
 def fd_only():
     return FDOnly
+
+
+@pytest.fixture
+def tangency_checks(monkeypatch):
+    """The row count of every ``_check_tangents`` call on either manifold
+    class, in call order, for the rest of the test."""
+    calls = []
+    for cls in (gn.Sphere, gn.Rotations3):
+        check = cls._check_tangents
+        monkeypatch.setattr(cls, "_check_tangents",
+                            lambda self, p, rows, _check=check: calls.append(len(rows)) or _check(self, p, rows))
+    return calls

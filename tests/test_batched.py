@@ -440,6 +440,19 @@ def test_retract_many_rejects_non_tangent_row(manifold, family):
         gn.retract_many(gn.RetractionSpec("projection" if manifold == gn.Rotations3() else "cayley"), p, rows)
 
 
+@pytest.mark.parametrize(
+    "manifold,family", [(gn.Sphere(6), f) for f in SPHERE_FAMILIES] + [(gn.Rotations3(), f) for f in SO3_FAMILIES]
+)
+def test_retract_many_checks_a_callers_rows_once(manifold, family, tangency_checks):
+    # the one tangency check of the public entry point covers every row; the
+    # kernel behind it checks nothing again
+    p = _base_point(manifold, 6)
+    rows = _tangent_rows(p, 61, count=4)
+    tangency_checks.clear()
+    gn.retract_many(gn.RetractionSpec(family), p, rows)
+    assert tangency_checks == [len(rows)]
+
+
 def test_perturbed_inverse_is_closed_form():
     # R_p is injective on the half space a > -1/2 of v = a u + w, which holds
     # up to |v| = 1/2; at v = -u it maps back to p.
@@ -908,14 +921,14 @@ def test_inverse_retract_many_raises_when_any_row_is_out_of_range():
 
 
 def test_residual_sweep_makes_one_call_per_map(monkeypatch):
-    # one retract_many, one inverse_retract_many, one derivatives_fd, and no
-    # per-row retract or inverse_retract
+    # one batch retraction, one inverse_retract_many, one derivatives_fd, and
+    # no per-row retract or inverse_retract
     calls = []
 
     def counting(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for name in ("retract_many", "inverse_retract_many", "derivatives_fd", "retract", "inverse_retract"):
+    for name in ("_retract_rows", "inverse_retract_many", "derivatives_fd", "retract", "inverse_retract"):
         monkeypatch.setattr(rates, name, counting(name, getattr(rates, name)))
     for manifold, family in SWEEP_PAIRS:
         objective = _sweep_objectives(manifold)[0]
@@ -924,7 +937,7 @@ def test_residual_sweep_makes_one_call_per_map(monkeypatch):
         sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, rng) for _ in range(3)], scales=gn.DEFAULT_SCALES[1:])
         calls.clear()
         gn.critical_residual_rows(objective, gn.RetractionSpec(family), sweep)
-        assert calls == ["retract_many", "inverse_retract_many", "derivatives_fd"]
+        assert calls == ["_retract_rows", "inverse_retract_many", "derivatives_fd"]
 
 
 LEMMA1_FAILURES = [

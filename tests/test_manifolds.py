@@ -498,6 +498,31 @@ def test_sphere_frame_equals_reference_gram_schmidt(n):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 10, 20, 50])
+def test_every_sphere_frame_passes_the_tangency_check(n):
+    # probe stencils are sums of frame rows and go to the retraction kernel
+    # unchecked, so each frame must pass the check a caller's rows get: at
+    # the skip boundary, with underflowing squares and with a subnormal tail
+    # too
+    points = _frame_points(n)
+    points += [gn.Sphere(len(e)).point(np.array(e) / np.linalg.norm(e))
+               for e in ([1.0, 1e-8], [1.0, 0.0, 1e-8], [1.0, 1e-8, 0.0]) if len(e) == n]
+    if n == 50:
+        x = 10.0 ** (-7.0 * np.arange(50))
+        points.append(gn.Sphere(50).point(x / np.linalg.norm(x)))
+    for p in points:
+        p.manifold._check_tangents(p, p.frame)
+
+
+def test_every_rotation_frame_passes_the_tangency_check(rotations):
+    points = [rotations.point(np.eye(3).reshape(9))]
+    points += [gn.random_point(rotations, gn.rng_for(seed)) for seed in range(20)]
+    points.append(rotations.point(gn.rotation_exp(gn.hat(np.array([0.0, 0.0, np.pi - 1e-9]))).reshape(9)))
+    for p in points:
+        rotations._check_tangents(p, p.frame)
+
+
+@pytest.mark.filterwarnings("error")
 def test_sphere_frame_with_subnormal_tail():
     # |x[k:]| falls by 1e-7 per entry, so the last entries are subnormal or
     # zero and 1e-8 |x[k:]| underflows; the first zero tail is skipped

@@ -463,10 +463,9 @@ def test_wrongly_declared_holomorphic_objective_is_refused(sphere3, fd_only):
 
 def test_complex_read_leaves_fd_reads_to_the_first_iterate(sphere3, rayleigh_321, monkeypatch):
     # one FD read per run (the guard's gradient_fd at p0, at the default
-    # step), and no derivatives_fd batch below the crossover, so no
-    # wider-step re-read and no FD Hessian
+    # step), so no wider-step re-read and, below the crossover, no FD Hessian
     reads = []
-    for name in ("gradient_fd", "derivatives_fd", "hessian_fd"):
+    for name in ("gradient_fd", "hessian_fd"):
         real = getattr(gn.newton, name)
         monkeypatch.setattr(gn.newton, name, lambda *a, _n=name, _f=real, **k: reads.append((_n, a, k)) or _f(*a, **k))
     p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
@@ -560,9 +559,9 @@ def test_first_step_uses_the_guard_batch_hessian(manifold, spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", (EXP, PROJ, PERT), ids=lambda spec: spec.family)
 def test_run_above_the_crossover_keeps_the_fd_hessian(spec, monkeypatch):
-    # On sphere:20 (d = 19) every Hessian is hessian_fd's, the first read in
-    # the guard's derivatives_fd batch, and the trace is the reference run's
-    # from gradient_cs, derivatives_fd and hessian_fd, byte for byte.
+    # On sphere:20 (d = 19) every Hessian is hessian_fd's, the first too (the
+    # one derivatives_fd batch reads the same bytes), and the trace is the
+    # reference run's from gradient_cs and hessian_fd, byte for byte.
     manifold = gn.Sphere(20)
     assert manifold.intrinsic_dim > gn.newton._COMPLEX_HESSIAN_MAX_DIM
     for seed in (1, 2):
@@ -610,6 +609,62 @@ def test_converged_run_reads_one_batch_per_gradient_and_hessian(n):
     trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
     assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
     assert objective.calls == {"value": 1, "values": trace.iterations + 2}
+
+
+def test_run_above_the_crossover_reads_one_guard_shape():
+    # On sphere:20 the first iterate reads as the later ones do, gradient_cs's
+    # d rows and hessian_fd's 2d^2 + 1, with the guard's gradient_fd (2d
+    # rows) between them, as below the crossover; the predicted stop reads
+    # gradient_cs alone: 2K + 2 values calls in K iterations.
+    n = 20
+    d = n - 1
+    inner, p0 = _seeded_start(gn.Sphere(n), 1)
+    objective = CountingReads(inner)
+    trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
+    assert trace.status == gn.NewtonStatus.CONVERGED and trace.iterations >= 2
+    assert objective.rows == [d, 2 * d] + [2 * d * d + 1, d] * trace.iterations
+    assert objective.calls == {"value": 1, "values": 2 * trace.iterations + 2}
+
+
+def _tangency_check_cases():
+    for n in (3, 10, 20):
+        for spec in (EXP, PROJ, PERT):
+            yield pytest.param(gn.Sphere(n), spec, id=f"sphere{n}-{spec.family}")
+    for spec in (EXP, CAY):
+        yield pytest.param(gn.Rotations3(), spec, id=f"so3-{spec.family}")
+
+
+@pytest.mark.parametrize("manifold,spec", _tangency_check_cases())
+def test_converged_run_makes_no_tangency_check(manifold, spec, tangency_checks):
+    # every probe row of a run is built from a checked point's frame, and
+    # every step from the solve in that frame: none is checked tangent again
+    objective, p0 = _seeded_start(manifold, 1)
+    tangency_checks.clear()
+    trace = gn.newton_run(objective, gn.NewtonConfig(retraction=spec), p0)
+    assert trace.status == gn.NewtonStatus.CONVERGED
+    assert tangency_checks == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_gradient_norm_past_the_float_range_is_recorded_finite(sphere3):
+    # The squares of a gradient past about 1.3e154 overflow: the trace records
+    # its norm taken at scale 2^-600, 2^600 |2^-600 g|, finite, and every
+    # other norm as np.linalg.norm computes it.  Both runs read by complex
+    # step, whose gradient is gradient_cs's bit for bit.
+    p0 = sphere3.point(np.array([0.1, 0.1, 1.0]) / np.linalg.norm([0.1, 0.1, 1.0]))
+    for scale, status in ((1e155, gn.NewtonStatus.CONVERGED), (1e300, gn.NewtonStatus.STALLED)):
+        objective = gn.Rayleigh(scale * np.diag([3.0, 2.0, 1.0]))
+        trace = gn.newton_run(objective, gn.NewtonConfig(retraction=EXP), p0)
+        assert trace.status == status
+        expected = []
+        for p in trace.points:
+            g = gn.gradient_cs(objective, EXP, p).coords
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(g)
+            expected.append(float(norm if np.isfinite(norm) else 2.0 ** 600 * np.linalg.norm(2.0 ** -600 * g)))
+        assert np.isfinite(trace.grad_norms).all()
+        assert trace.grad_norms == tuple(expected)
+        assert trace.grad_norms[0] > 1e154
 
 
 class HolomorphicNaNFromBatch(NaNFromBatch):

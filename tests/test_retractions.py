@@ -264,10 +264,10 @@ def test_empty_batches_map_to_empty_arrays(base, family):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family", ["exp", "projection", "perturbed"])
-def test_complex_probe_rows_are_checked_then_mapped_holomorphically(family):
+def test_complex_probe_rows_are_mapped_holomorphically(family):
     # The complex-step path behind gradient_cs: rows i h v with v tangent map to
-    # R_p(0) + i h v to far below rounding (DR_p(0) = id), and a row with a
-    # non-tangent part, real or imaginary, is refused as retract_many refuses it.
+    # R_p(0) + i h v to far below rounding (DR_p(0) = id).  The rows are built
+    # from p.frame and not checked again; only the family is, as retract_many checks it.
     from geonewton.retractions import _retract_rows
 
     spec, h = gn.RetractionSpec(family), 1e-30
@@ -276,8 +276,5 @@ def test_complex_probe_rows_are_checked_then_mapped_holomorphically(family):
     out = _retract_rows(spec, p, rows)
     assert np.abs(out.real - p.coords).max() <= 1e-15
     assert np.allclose(out.imag / h, p.frame, rtol=0.0, atol=1e-15)
-    for bad in (rows + 1e-3j * p.coords, rows + 1e-3 * p.coords):
-        with pytest.raises(gn.ContractError, match="not tangent"):
-            _retract_rows(spec, p, bad)
     with pytest.raises(gn.ConfigurationError):
         _retract_rows(gn.RetractionSpec("cayley"), p, rows)

@@ -49,8 +49,8 @@ def test_full_tracer_installs_and_uninstalls():
 def test_tracer_sees_every_frame_build():
     # Each point's frame is built once, by tangent_basis, whichever read asks
     # for it first: a Newton run builds one per iterate (sphere:20 is above
-    # the complex-step Hessian crossover, so its first Hessian comes from the
-    # guard's derivatives_fd batch), and a lemma1 sweep one per swept point.
+    # the complex-step Hessian crossover, so every Hessian is hessian_fd's),
+    # and a lemma1 sweep one per swept point.
     tracer = _load_tracer()
     traced = tracer.Tracer()
     traced.install()
