@@ -1,7 +1,5 @@
-"""Test objectives with closed-form derivative oracles.
-
-Four analytic families are shipped so that every finite-difference quantity in
-the package can be checked against an independent formula:
+"""Four analytic objective families, each with its critical points (or
+minimizer) and its Riemannian gradient ``analytic_gradient`` in closed form:
 
 * :class:`Rayleigh` -- J(x) = x^T A x on the sphere, A symmetric.  Critical
   points are the eigenvectors of A; the value there is the eigenvalue.
@@ -20,12 +18,12 @@ built with a nonzero cubic pullback term at the minimizer, which is where the
 quadratic rate is sharp; their constructors reject the instances where that
 term vanishes.
 
-Any object exposing ``values(p, points)`` (and optionally
-``analytic_gradient(p)``) works with the finite-difference and Newton
-machinery; these four are simply the families with oracles.  Given a base
-point p and a (k x ambient) array of points on p's manifold, ``values``
-returns the k values as an array; every stencil calls it once.  An object
-with only ``value(p)`` gets ``values`` in two lines::
+Any object exposing ``values(p, points)`` works with the finite-difference
+and Newton machinery, which reads nothing else of it but ``value`` and
+``holomorphic`` (below); a residual sweep also reads ``analytic_gradient``.
+Given a base point p and a (k x ambient) array of points on p's manifold,
+``values`` returns the k values as an array; every stencil calls it once.
+An object with only ``value(p)`` gets ``values`` in two lines::
 
     def values(self, p, points):
         return np.array([self.value(p.manifold.point(row)) for row in points])
@@ -104,14 +102,6 @@ class Rayleigh:
         x = p.coords
         ax = self.matrix @ x
         return TangentVector(p, 2.0 * (ax - float(x @ ax) * x))
-
-    def analytic_hessian_matrix(self, p: ManifoldPoint) -> np.ndarray:
-        """Hessian 2(P A P - (x^T A x) P) restricted to T_xM, expressed in
-        ``p.frame``."""
-        value = self.values(p, p.coords[None])[0]  # checks the point before the products
-        frame = p.frame
-        out = 2.0 * (frame @ self.matrix @ frame.T - value * np.eye(len(frame)))
-        return 0.5 * (out + out.T)
 
 
 class ProcrustesTrace:
@@ -222,23 +212,12 @@ class TiltedRayleigh:
         _check_sphere_point(self, p)
         return _quadratic_forms(self.matrix, points) + 2.0 * row_dots(points, self.tilt)
 
-    def _multiplier_at(self, x: np.ndarray) -> float:
-        return float(x @ self.matrix @ x + self.tilt @ x)
-
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(x) = 2 (A x + b - (x^T A x + b^T x) x)."""
         _check_sphere_point(self, p)
         x = p.coords
-        return TangentVector(p, 2.0 * (self.matrix @ x + self.tilt - self._multiplier_at(x) * x))
-
-    def analytic_hessian_matrix(self, p: ManifoldPoint) -> np.ndarray:
-        """Hessian 2(P A P - (x^T A x + b^T x) P) restricted to T_xM, expressed
-        in ``p.frame``."""
-        _check_sphere_point(self, p)
-        frame = p.frame
-        out = 2.0 * (frame @ self.matrix @ frame.T
-                     - self._multiplier_at(p.coords) * np.eye(len(frame)))
-        return 0.5 * (out + out.T)
+        multiplier = float(x @ self.matrix @ x + self.tilt @ x)
+        return TangentVector(p, 2.0 * (self.matrix @ x + self.tilt - multiplier * x))
 
     def minimizer(self) -> ManifoldPoint:
         """Global minimizer -(A - lam I)^{-1} b from the secular equation."""
@@ -281,10 +260,6 @@ class Brockett:
         self.weights = n.copy()
         self.weights.setflags(write=False)
 
-    def _body(self, q: np.ndarray) -> np.ndarray:
-        """S = Q^T M Q, the cost matrix seen from Q."""
-        return q.T @ self.matrix @ q
-
     def value(self, p: ManifoldPoint) -> float:
         return float(self.values(p, p.coords[None])[0])
 
@@ -298,25 +273,8 @@ class Brockett:
         """grad J(Q) = Q [S, N] with S = Q^T M Q."""
         _check_rotation_point(self, p)
         q = p.matrix
-        sn = self._body(q) * self.weights
+        sn = (q.T @ self.matrix @ q) * self.weights
         return TangentVector(p, (q @ (sn - sn.T)).reshape(9))
-
-    def analytic_hessian_matrix(self, p: ManifoldPoint) -> np.ndarray:
-        """Hessian form trace([[S, W_i], W_j] N), symmetrized, where the rows
-        of ``p.frame`` are Q W_i with W_i skew.  It is the second-order
-        coefficient of trace(expm(-W) S expm(W) N)."""
-        _check_rotation_point(self, p)
-        q = p.matrix
-        s = self._body(q)
-        bodies = [q.T @ row.reshape(3, 3) for row in p.frame]
-        dim = len(bodies)
-        out = np.empty((dim, dim))
-        for i in range(dim):
-            comm = s @ bodies[i] - bodies[i] @ s
-            for j in range(dim):
-                double = comm @ bodies[j] - bodies[j] @ comm
-                out[i, j] = float(np.diag(double) @ self.weights)
-        return 0.5 * (out + out.T)
 
     def minimizer(self) -> ManifoldPoint:
         """The frame U of M, minimizer by the rearrangement inequality."""

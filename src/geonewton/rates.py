@@ -30,7 +30,7 @@ from .calculus import apply_many, derivatives_fd, taylor_remainders
 from .calculus import gradient_fd, hessian_fd, taylor_remainder  # noqa: F401  the benchmark tracer checks these
 from .errors import ContractError, InsufficientDataError, PreconditionError
 from .manifolds import ManifoldPoint, PointRows, TangentVector, row_norms, unchecked
-from .retractions import RetractionSpec, _retract_rows, inverse_retract_many
+from .retractions import RetractionSpec, _inverse_rows, _retract_rows
 from .retractions import inverse_retract, retract  # noqa: F401  not called; the benchmark tracer checks them
 
 DEFAULT_SCALES = tuple(2.0 ** (-k) for k in range(2, 13))
@@ -184,7 +184,7 @@ def critical_residual_rows(objective, spec: RetractionSpec, sweep: ScaleSweep) -
         raise PreconditionError("residual sweep must be anchored at a critical point")
     labels, tangents = sweep.tangent_rows()
     points = [unchecked(ManifoldPoint, anchor.manifold, row) for row in _retract_rows(spec, anchor, tangents)]
-    vs = inverse_retract_many(spec, PointRows.of(points, 1), np.tile(anchor.coords, (len(points), 1)))
+    vs = _inverse_rows(spec, PointRows.of(points, 1), anchor.coords[None])
     grads, hessians, frames = derivatives_fd(objective, spec, points)
     residuals = row_norms(grads + apply_many(hessians, frames, vs))
     return [(i, x, r) for (i, _), x, r in zip(labels, row_norms(vs).tolist(), residuals.tolist())]

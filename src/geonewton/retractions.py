@@ -17,9 +17,9 @@ rows, computing each row on its own, and one inverse kernel that maps point
 rows back.  One table gives each family's declared order, kernel, manifold
 class and inverse (the exponential's is ``log_many``).  :func:`retract_many`
 and :func:`inverse_retract_many` check a caller's rows and run a kernel (the
-library's own probe and sweep rows, built from checked values, go to it
-unchecked through ``_retract_rows``); :func:`retract` and
-:func:`inverse_retract` run one row, so each agrees with its row of the
+library's own rows and points, built from checked values, go to the kernels
+unchecked through ``_retract_rows`` and ``_inverse_rows``); :func:`retract`
+and :func:`inverse_retract` run one row, so each agrees with its row of the
 batch bit for bit.  Each kernel returns points or raises
 ``ContractError``, with no numpy warning; each inverse raises
 ``InversionFailureError`` on a row outside the range it inverts.  The
@@ -199,17 +199,26 @@ def _rows(spec: RetractionSpec, p: ManifoldPoint | PointRows, values, what: str)
 def inverse_retract(spec: RetractionSpec, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
     """Find v in T_pM with retract(spec, v) = q: one row of :func:`inverse_retract_many`."""
     p.manifold._check_members(q)
-    return unchecked(TangentVector, p, inverse_retract_many(spec, p, q.coords[None])[0])
+    return unchecked(TangentVector, p, _inverse_rows(spec, p, q.coords[None])[0])
 
 
 @silent_overflow
 def inverse_retract_many(spec: RetractionSpec, p: ManifoldPoint | PointRows, targets) -> np.ndarray:
     """The tangent rows v with R_p(v) = q for every row q of ``targets``, a
     (k x ambient) array of points (row i from base i of a k-row
-    :class:`PointRows`).  Every row is checked tangent, and the rows of the
-    families other than exp by a round trip, which names the first gap past 1e-10."""
+    :class:`PointRows`).  Each row is checked as :class:`ManifoldPoint` would
+    check it."""
     qs = _rows(spec, p, targets, "points")
     p.manifold._check_points(qs)
+    return _inverse_rows(spec, p, qs)
+
+
+@silent_overflow
+def _inverse_rows(spec: RetractionSpec, p: ManifoldPoint | PointRows, qs: np.ndarray) -> np.ndarray:
+    """The inverse kernel on checked point rows (one may serve every base),
+    not checked again.  Every output row is checked tangent and, except
+    under exp, by a round trip that names the first gap past 1e-10."""
+    spec.validate_for(p.manifold)
     out = _TABLE[spec.family][3](p, qs)
     p.manifold._check_tangents(p, out)
     if spec.family != EXPONENTIAL:  # exp inverts log_many's rows exactly

@@ -24,6 +24,7 @@ from .objectives import ProcrustesTrace, Rayleigh
 from .rates import DEFAULT_SCALES, ScaleSweep
 
 EIGENGAP_MIN = 1e-3
+_TANGENT_DRAWS = 8
 PROCRUSTES_SINGULAR_VALUES = (2.0, 1.5, 1.0)
 
 
@@ -44,10 +45,18 @@ def random_point(manifold: Manifold, rng: np.random.Generator) -> ManifoldPoint:
 
 
 def random_tangent(p: ManifoldPoint, rng: np.random.Generator, unit: bool = True) -> TangentVector:
-    v = p.manifold.tangent_project(p, rng.standard_normal(p.manifold.ambient_dim))
-    if unit:
-        v = v.scaled(1.0 / v.norm())
-    return v
+    """A standard normal draw projected to T_pM, scaled to unit norm unless
+    ``unit`` is false.  A draw whose projection is rounding noise (a sphere
+    point's own draw) is drawn again; ``ContractError`` after _TANGENT_DRAWS."""
+    for _ in range(_TANGENT_DRAWS):
+        v = p.manifold.tangent_project(p, rng.standard_normal(p.manifold.ambient_dim))
+        if not unit:
+            return v
+        try:
+            return TangentVector(p, (1.0 / v.norm()) * v.coords)  # checked: scaled-up rounding noise is not tangent
+        except (ZeroDivisionError, ContractError):
+            pass
+    raise ContractError(f"no tangent direction in {_TANGENT_DRAWS} draws")
 
 
 def make_sweep(

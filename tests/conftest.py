@@ -38,6 +38,23 @@ def fd_only():
     return FDOnly
 
 
+class Scaled:
+    """J times a constant, read through ``values`` only."""
+
+    holomorphic = True
+
+    def __init__(self, inner, factor):
+        self.inner, self.factor = inner, factor
+
+    def values(self, p, points):
+        return self.factor * self.inner.values(p, points)
+
+
+@pytest.fixture(scope="session")
+def scaled():
+    return Scaled
+
+
 @pytest.fixture
 def tangency_checks(monkeypatch):
     """The row count of every ``_check_tangents`` call on either manifold

@@ -18,6 +18,7 @@ import numpy as np
 
 import geonewton as gn
 from geonewton import cli
+from oracles import riemannian_hessian
 
 EXP = gn.RetractionSpec("exp")
 PROJ = gn.RetractionSpec("projection")
@@ -68,7 +69,7 @@ def test_c2_derivative_extraction():
         sphere = gn.Sphere(n)
         p = gn.random_point(sphere, gn.rng_for(10_000 + seed))
         exact_grad = objective.analytic_gradient(p)
-        exact_hess = objective.analytic_hessian_matrix(p)
+        exact_hess = riemannian_hessian(objective, p)
         for spec in (EXP, PROJ):
             fd_grad = gn.gradient_fd(objective, spec, p)
             assert np.linalg.norm(fd_grad.coords - exact_grad.coords) <= 1e-6 * (

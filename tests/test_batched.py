@@ -921,14 +921,14 @@ def test_inverse_retract_many_raises_when_any_row_is_out_of_range():
 
 
 def test_residual_sweep_makes_one_call_per_map(monkeypatch):
-    # one batch retraction, one inverse_retract_many, one derivatives_fd, and
+    # one batch retraction, one batch inversion, one derivatives_fd, and
     # no per-row retract or inverse_retract
     calls = []
 
     def counting(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for name in ("_retract_rows", "inverse_retract_many", "derivatives_fd", "retract", "inverse_retract"):
+    for name in ("_retract_rows", "_inverse_rows", "derivatives_fd", "retract", "inverse_retract"):
         monkeypatch.setattr(rates, name, counting(name, getattr(rates, name)))
     for manifold, family in SWEEP_PAIRS:
         objective = _sweep_objectives(manifold)[0]
@@ -937,7 +937,31 @@ def test_residual_sweep_makes_one_call_per_map(monkeypatch):
         sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, rng) for _ in range(3)], scales=gn.DEFAULT_SCALES[1:])
         calls.clear()
         gn.critical_residual_rows(objective, gn.RetractionSpec(family), sweep)
-        assert calls == ["_retract_rows", "inverse_retract_many", "derivatives_fd"]
+        assert calls == ["_retract_rows", "_inverse_rows", "derivatives_fd"]
+
+
+@pytest.mark.parametrize("manifold,family", [pytest.param(m, f, id=f"{m!r}-{f}") for m, f in SWEEP_PAIRS if f != "cayley"])
+def test_residual_sweep_checks_no_point_rows(manifold, family, monkeypatch):
+    # The anchor was checked when it was built: the sweep hands it to the
+    # inverse kernel as one row shared by every base, with no point check
+    # (the Cayley kernel checks its own output, so it is left out).  A
+    # caller's off-manifold row is still refused by inverse_retract_many.
+    checks = []
+    check = type(manifold)._check_points
+    monkeypatch.setattr(type(manifold), "_check_points", lambda self, rows: checks.append(len(rows)) or check(self, rows))
+    objective = _sweep_objectives(manifold)[0]
+    anchor = _anchor(objective)
+    rng = gn.rng_for(17)
+    sweep = gn.ScaleSweep(directions=[gn.random_tangent(anchor, rng) for _ in range(3)], scales=gn.DEFAULT_SCALES[1:])
+    spec = gn.RetractionSpec(family)
+    checks.clear()
+    rows = gn.critical_residual_rows(objective, spec, sweep)
+    assert checks == [] and len(rows) == 3 * len(sweep.scales)
+    points = [gn.retract(spec, d.scaled(0.1)) for d in sweep.directions]
+    off = np.tile(anchor.coords, (len(points), 1))
+    off[1] *= 1.0 + 1e-9
+    with pytest.raises(gn.ContractError):
+        gn.inverse_retract_many(spec, PointRows.of(points, 1), off)
 
 
 LEMMA1_FAILURES = [

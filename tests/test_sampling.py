@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import geonewton as gn
+from geonewton.manifolds import POINT_TOL
 
 
 def test_same_seed_same_instance():
@@ -54,6 +55,35 @@ def test_random_tangent_unit_and_tangent(sphere3):
     p = gn.random_point(sphere3, rng)
     v = gn.random_tangent(p, rng)
     assert v.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_random_tangent_at_a_point_drawn_from_the_same_seed_is_tangent():
+    # make_sweep(p, k, s) with p drawn from seed s: the first normal draw is
+    # the one that made p, so its projection is rounding noise (or exactly
+    # zero); that draw is replaced by the next one, never scaled up
+    for n in (3, 10, 20):
+        sphere = gn.Sphere(n)
+        for seed in range(40):
+            p = gn.random_point(sphere, gn.rng_for(seed))
+            try:
+                v = gn.random_tangent(p, gn.rng_for(seed))
+            except gn.ContractError:
+                continue
+            assert abs(float(p.coords @ v.coords)) <= POINT_TOL
+            assert v.norm() == pytest.approx(1.0, abs=1e-12)
+            w = sphere.tangent_project(p, gn.rng_for(seed).standard_normal((2, n))[1])
+            assert np.array_equal(v.coords, (1.0 / w.norm()) * w.coords)
+
+
+def test_random_tangent_raises_when_every_draw_is_normal(sphere3):
+    class Normal:
+        def standard_normal(self, size):
+            return 2.0 * p.coords
+
+    p = gn.random_point(sphere3, gn.rng_for(3))
+    with pytest.raises(gn.ContractError, match="no tangent direction"):
+        gn.random_tangent(p, Normal())
+    assert gn.random_tangent(p, Normal(), unit=False).norm() <= 1e-15
 
 
 def test_top_eigenvector_is_critical():
