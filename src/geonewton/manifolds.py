@@ -4,7 +4,8 @@ group SO(3).
 Points and tangent vectors are stored as ambient coordinate vectors: length
 n for the sphere, length 9 (row-major flattened 3x3 matrix) for rotations.
 The metric is the ambient Euclidean dot product, which for rotations equals
-the trace inner product trace(U^T V) on the reshaped matrices.
+the trace inner product trace(U^T V) on the reshaped matrices, and
+``TangentVector.norm`` is the one length, finite wherever |v| is in range.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.
@@ -30,8 +31,8 @@ scale given to ``TangentVector.scaled``, and the input of :func:`hat` and
 a rectangular array of the right shape, finite (``hat`` passes NaN on), and
 on the manifold, tangent or skew as asked; so do the points of another
 manifold given to ``geodesic_distance``.  A value computed from checked
-values (the result of ``exp_map``) is built with :func:`unchecked` and not
-checked again; an exp kernel whose |v| overflows raises ``ContractError``.
+values (``exp_map``'s point, an ``analytic_gradient``) is :func:`unchecked`
+and not checked again; an exp kernel whose |v| overflows raises ``ContractError``.
 
 Each point has one orthonormal tangent frame, ``p.frame``: every gradient
 and Hessian is read in it, and ``tangent_basis(p)`` builds what it caches.
@@ -124,6 +125,17 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
 silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
+@silent_overflow
+def scaled_norms(*vectors: np.ndarray) -> tuple[float, ...]:
+    """Each norm as np.linalg.norm computes it, then their scale s: 1.0, or
+    2^-600 if a sum of squares overflowed.  A power of two scales exactly, so
+    a guard comparing s-scaled terms decides as in unbounded range."""
+    squares = [v.dot(v) for v in vectors]
+    if all(square < math.inf for square in squares):
+        return (*map(math.sqrt, squares), 1.0)
+    return (*(math.sqrt(w.dot(w)) for w in (2.0 ** -600 * v for v in vectors)), 2.0 ** -600)
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A point on an embedded manifold, held in ambient coordinates."""
@@ -195,9 +207,10 @@ class TangentVector:
     def matrix(self) -> np.ndarray:
         return self.coords.reshape(3, 3)
 
-    @silent_overflow  # a finite vector past ~1.3e154 has norm inf, without a warning
     def norm(self) -> float:
-        return math.sqrt(self.coords.dot(self.coords))  # what np.linalg.norm computes
+        """|v| as np.linalg.norm computes it, or 2^600 |2^-600 v| where its squares overflow."""
+        norm, s = scaled_norms(self.coords)
+        return norm / s
 
     @silent_overflow  # t v past the float range is inf, rejected below
     def scaled(self, t: float) -> "TangentVector":

@@ -31,7 +31,7 @@ import numpy as np
 from .calculus import REFINED_GRADIENT_STEP_FACTOR, SymmetricOperator, derivatives_cs, gradient_cs
 from .calculus import _method, gradient_fd, hessian_fd
 from .errors import ContractError, EvaluationError, SingularHessianError
-from .manifolds import ManifoldPoint, TangentVector, frame_sums, row_dots, unchecked
+from .manifolds import ManifoldPoint, TangentVector, frame_sums, row_dots, scaled_norms, unchecked
 from .retractions import RetractionSpec, retract
 
 _RESIDUAL_TOL = 1e-10
@@ -44,37 +44,19 @@ _GUARD = 1e-6  # the FD read's error: at most 2e-10 (|grad| + |J|) on the shippe
 _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 # Crossover D* of the complex-step Hessian.  Read with the gradient in one
 # batch of d^2 + 2d complex probes, it beat the complex gradient plus the
-# 2 d^2 + 1 real FD probes per iterate on every sphere family up to d = 14
-# (median 1.06-1.54x, in process on x86_64 with one BLAS thread), was even
-# or behind at d = 15-18 and lost at d = 19 (0.52-0.84x): complex arithmetic
-# costs 2-3x real, which the saved batch stops covering as d grows.  The
-# sweep is in BENCH_one_probe_batch.json.
+# 2 d^2 + 1 real FD probes on every sphere family up to d = 14 (median
+# 1.06-1.54x, x86_64, one BLAS thread; BENCH_one_probe_batch.json).  At d = 19
+# isolated reads put the FD pair at 0.89-1.05x the batch's time, and runs
+# without D* took 0.97x the sphere:20 ms/iter under exp, 1.05x under
+# projection and 1.42x under perturbed: D* now rests on the perturbed family.
 _COMPLEX_HESSIAN_MAX_DIM = 14
 # A predicted stop: e_k+1 ~ C e_k^2 puts |g_k+1| near |g_k| (|s_k| / |s_k-1|)^2,
 # at most _STOP_MARGIN * tol (multiplied out, as float ** raises OverflowError).
 _STOP_MARGIN = 1e-2
 
 
-def _norms(*vectors: np.ndarray) -> tuple[float, ...]:
-    """Each norm as np.linalg.norm computes it, then the scale s of them all:
-    1.0, or 2^-600 if a sum of squares overflowed (call it with overflow
-    ignored).  A power of two scales exactly, so a guard comparing s-scaled
-    terms decides as in unbounded range, and as before otherwise."""
-    squares = [v.dot(v) for v in vectors]
-    if all(square < math.inf for square in squares):
-        return (*map(math.sqrt, squares), 1.0)
-    return (*(math.sqrt(w.dot(w)) for w in (2.0 ** -600 * v for v in vectors)), 2.0 ** -600)
-
-
-def _norm(v: TangentVector) -> float:
-    """|v| as ``v.norm()`` computes it, or 2^600 |2^-600 v| where that overflows."""
-    with np.errstate(over="ignore"):
-        norm, s = _norms(v.coords)
-    return norm / s
-
-
-def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVector, float, SymmetricOperator | None]:
-    """The gradient read at p, its norm, and the Hessian at p if it was read too.
+def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVector, SymmetricOperator | None]:
+    """The gradient read at p, and the Hessian at p if it was read too.
 
     An objective that declares ``holomorphic = True`` is read by complex
     step: up to intrinsic dimension _COMPLEX_HESSIAN_MAX_DIM with the
@@ -84,7 +66,7 @@ def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVec
     (|grad| + |J|), or ``ContractError`` names the objective.  Any other
     objective is read by FD, which near critical points is
     quantization-limited at ~ulp(J)/(2h); a wider-step read resolves finer
-    gradients there.  Keep whichever is smaller (by ``_norm``, finite)."""
+    gradients there.  Keep whichever is smaller."""
     if getattr(objective, "holomorphic", False):
         with_hessian = p.manifold.intrinsic_dim <= _COMPLEX_HESSIAN_MAX_DIM
         grad, hess = (gradient_cs(objective, spec, p) if stop or not with_hessian else None), None
@@ -93,19 +75,17 @@ def _measure_gradient(objective, spec, p, first: bool, stop) -> tuple[TangentVec
         if first:
             fd = gradient_fd(objective, spec, p).coords
             with np.errstate(over="ignore"):
-                gap, fd_norm, s = _norms(grad.coords - fd, fd)
+                gap, fd_norm, s = scaled_norms(grad.coords - fd, fd)
             if not gap <= _GUARD * (fd_norm + abs(s * _method(objective, "value")(p))):
                 raise ContractError(f"{type(objective).__name__} declares holomorphic = True, but its "
                                     f"complex-step gradient is {gap / s:.3e} from the finite-difference read")
-        return grad, _norm(grad), hess
+        return grad, hess
     grad = gradient_fd(objective, spec, p)
-    norm = _norm(grad)
-    if norm < _REFINE_THRESHOLD:
+    if grad.norm() < _REFINE_THRESHOLD:
         refined = gradient_fd(objective, spec, p, step_factor=REFINED_GRADIENT_STEP_FACTOR)
-        refined_norm = _norm(refined)
-        if refined_norm < norm:
-            return refined, refined_norm, None
-    return grad, norm, None
+        if refined.norm() < grad.norm():
+            return refined, None
+    return grad, None
 
 
 class NewtonStatus(enum.Enum):
@@ -207,7 +187,7 @@ def solve_tangent_system(
         raise SingularHessianError("tangent-space solve failed") from exc
     gap = matrix @ coeffs - rhs
     with np.errstate(over="ignore", invalid="ignore"):  # a norm or a step past the float range is handled below
-        residual, rhs_norm, s = _norms(gap, rhs)
+        residual, rhs_norm, s = scaled_norms(gap, rhs)
         coords = frame_sums(coeffs, base.frame)
     if residual > _RESIDUAL_TOL * (s + rhs_norm):
         raise SingularHessianError(f"solve residual {residual / s:.3e} too large")
@@ -230,8 +210,8 @@ def newton_run(objective, config: NewtonConfig, p0: ManifoldPoint) -> IterationT
     current, stop = p0, None
     try:
         for _ in range(config.max_iter + 1):
-            grad, norm, hess = _measure_gradient(objective, spec, current, not grad_norms, stop)
-            grad_norms.append(norm)
+            grad, hess = _measure_gradient(objective, spec, current, not grad_norms, stop)
+            grad_norms.append(grad.norm())
             if grad_norms[-1] <= config.tol:
                 status = NewtonStatus.CONVERGED
                 break

@@ -1,5 +1,5 @@
-"""Four analytic objective families, each with its critical points (or
-minimizer) and its Riemannian gradient ``analytic_gradient`` in closed form:
+"""Four analytic objective families, each with its critical points (or minimizer)
+and its Riemannian gradient ``analytic_gradient``, built unchecked, in closed form:
 
 * :class:`Rayleigh` -- J(x) = x^T A x on the sphere, A symmetric.  Critical
   points are the eigenvectors of A; the value there is the eigenvalue.
@@ -47,6 +47,7 @@ from .manifolds import (
     Sphere,
     TangentVector,
     row_dots,
+    unchecked,
 )
 
 
@@ -80,6 +81,17 @@ def _quadratic_forms(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (points[:, None, :] @ matrix @ points[:, :, None])[:, 0, 0]
 
 
+def _sphere_gradient(objective, p: ManifoldPoint, tilt=0.0) -> TangentVector:
+    """grad J(x) of x^T A x + 2 b^T x: 2 (A x + b) projected onto T_x twice, as
+    at a critical point the first leaves its rounding along x (|x . g| ~ |g|)."""
+    _check_sphere_point(objective, p)
+    x = p.coords
+    g = 2.0 * (objective.matrix @ x + tilt)
+    for _ in range(2):
+        g = g - np.dot(x, g) * x
+    return unchecked(TangentVector, p, g)
+
+
 class Rayleigh:
     """Quadratic form x^T A x restricted to the unit sphere."""
 
@@ -98,10 +110,7 @@ class Rayleigh:
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(x) = 2 (A x - (x^T A x) x); vanishes exactly at eigenvectors."""
-        _check_sphere_point(self, p)
-        x = p.coords
-        ax = self.matrix @ x
-        return TangentVector(p, 2.0 * (ax - float(x @ ax) * x))
+        return _sphere_gradient(self, p)
 
 
 class ProcrustesTrace:
@@ -130,7 +139,7 @@ class ProcrustesTrace:
         q = p.matrix
         body = q.T @ self.matrix
         skew = 0.5 * (body - body.T)
-        return TangentVector(p, -(q @ skew).reshape(9))
+        return unchecked(TangentVector, p, -(q @ skew).reshape(9))
 
     def polar_factor(self) -> ManifoldPoint:
         """Orthogonal polar factor of A: the critical point the iteration
@@ -214,10 +223,7 @@ class TiltedRayleigh:
 
     def analytic_gradient(self, p: ManifoldPoint) -> TangentVector:
         """grad J(x) = 2 (A x + b - (x^T A x + b^T x) x)."""
-        _check_sphere_point(self, p)
-        x = p.coords
-        multiplier = float(x @ self.matrix @ x + self.tilt @ x)
-        return TangentVector(p, 2.0 * (self.matrix @ x + self.tilt - multiplier * x))
+        return _sphere_gradient(self, p, self.tilt)
 
     def minimizer(self) -> ManifoldPoint:
         """Global minimizer -(A - lam I)^{-1} b from the secular equation."""
@@ -274,7 +280,7 @@ class Brockett:
         _check_rotation_point(self, p)
         q = p.matrix
         sn = (q.T @ self.matrix @ q) * self.weights
-        return TangentVector(p, (q @ (sn - sn.T)).reshape(9))
+        return unchecked(TangentVector, p, (q @ (sn - sn.T)).reshape(9))
 
     def minimizer(self) -> ManifoldPoint:
         """The frame U of M, minimizer by the rearrangement inequality."""

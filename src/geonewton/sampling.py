@@ -44,14 +44,12 @@ def random_point(manifold: Manifold, rng: np.random.Generator) -> ManifoldPoint:
     raise ConfigurationError(f"cannot sample points on {manifold!r}")
 
 
-def random_tangent(p: ManifoldPoint, rng: np.random.Generator, unit: bool = True) -> TangentVector:
-    """A standard normal draw projected to T_pM, scaled to unit norm unless
-    ``unit`` is false.  A draw whose projection is rounding noise (a sphere
-    point's own draw) is drawn again; ``ContractError`` after _TANGENT_DRAWS."""
+def random_tangent(p: ManifoldPoint, rng: np.random.Generator) -> TangentVector:
+    """A standard normal draw projected to T_pM and scaled to unit norm.  A
+    draw whose projection is rounding noise (a sphere point's own draw) is
+    drawn again; ``ContractError`` after _TANGENT_DRAWS."""
     for _ in range(_TANGENT_DRAWS):
         v = p.manifold.tangent_project(p, rng.standard_normal(p.manifold.ambient_dim))
-        if not unit:
-            return v
         try:
             return TangentVector(p, (1.0 / v.norm()) * v.coords)  # checked: scaled-up rounding noise is not tangent
         except (ZeroDivisionError, ContractError):

@@ -99,6 +99,24 @@ def test_brockett_minimizer_is_critical(rotations):
             assert objective.value(u) <= objective.value(gn.random_point(rotations, rng))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
+def test_sphere_gradients_at_the_optimum_are_tangent_at_every_scale(c):
+    # one projection of 2 (A x + b) leaves its rounding along x, about
+    # eps c |A| at a critical point, which fails the tangency check once c
+    # passes about 1e3; the second projection removes it
+    cases = []
+    for seed in range(20):
+        unscaled = gn.seeded_instance(seed, "rayleigh", 10)
+        cases.append((gn.Rayleigh(c * unscaled.matrix), gn.rayleigh_top_eigenvector(unscaled)))
+    for seed in range(12):
+        unscaled = _tilted_instance(seed)
+        cases.append((gn.TiltedRayleigh(c * unscaled.matrix, c * unscaled.tilt), unscaled.minimizer()))
+    for objective, p in cases:
+        g = objective.analytic_gradient(p)
+        gn.TangentVector(p, g.coords)  # checked: tangent at p
+        assert g.norm() <= 1e-13 * abs(objective.value(p))
+
+
 @pytest.mark.parametrize(
     "instance, retractions, seed_base",
     [(_tilted_instance, (EXP, PROJ), 1300), (_brockett_instance, (EXP, CAY), 1400)],

@@ -149,16 +149,30 @@ def _norm_cases():
 
 
 def _same_norm(v):
-    # a squared norm past 1.8e308 overflows to inf in both; numpy's own norm
-    # warns there, v.norm() must not
+    # numpy's norm, or where its squared norm passes 1.8e308 and it reads inf
+    # (with a warning, which v.norm() must not give) 2^600 |2^-600 v|
     with np.errstate(over="ignore"):
         expected = np.linalg.norm(v.coords)
+        if expected == np.inf:
+            expected = 2.0 ** 600 * np.linalg.norm(2.0 ** -600 * v.coords)
     return np.float64(v.norm()).tobytes() == np.float64(expected).tobytes()
 
 
 def test_tangent_norm_equals_numpy_norm_bit_for_bit():
     for v in _norm_cases():
         assert _same_norm(v)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tangent_norm_past_the_float_range_is_finite():
+    # the squares of a vector past about 1.34e154 overflow; its norm is taken
+    # at scale 2^-600 and scaled back, exactly, as a power of two scales
+    p = gn.Sphere(3).point([1.0, 0.0, 0.0])
+    for coords in ([0.0, 1e155, 0.0], [0.0, 3e200, -4e200], [0.0, 1e307, 1e307]):
+        v = gn.TangentVector(p, coords)
+        assert np.isfinite(v.norm()) and v.norm() > 1.34e154
+        assert v.norm() == 2.0 ** 600 * np.linalg.norm(2.0 ** -600 * np.array(coords))
+    assert gn.TangentVector(p, [0.0, 3e200, -4e200]).norm() == pytest.approx(5e200, rel=1e-15)
 
 
 def test_tangent_norm_property():
@@ -408,7 +422,7 @@ def test_basis_deterministic(sphere3):
 
 def test_basis_coordinates_round_trip(sphere3):
     p = gn.random_point(sphere3, gn.rng_for(5))
-    v = gn.random_tangent(p, gn.rng_for(6), unit=False)
+    v = sphere3.tangent_project(p, gn.rng_for(6).standard_normal(3))
     coeffs = row_dots(p.frame, v.coords)
     back = frame_sums(coeffs, p.frame)
     assert np.allclose(back, v.coords, atol=1e-13)
@@ -586,7 +600,7 @@ def test_basis_coordinates_equal_vector_loops(n):
     p = gn.random_point(manifold, rng)
     frame = p.frame
     for _ in range(5):
-        v = gn.random_tangent(p, rng, unit=False)
+        v = manifold.tangent_project(p, rng.standard_normal(n))
         loop = np.array([float(np.dot(b, v.coords)) for b in frame])
         assert np.array_equal(row_dots(frame, v.coords), loop)
         coeffs = rng.standard_normal(len(frame))

@@ -125,6 +125,44 @@ def test_residual_superquadratic_under_exponential(sphere3, rayleigh_321):
     assert est.slope >= 2.6  # measured: cubic decay, not quadratic
 
 
+@pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 10, 2.0 ** 20])
+def test_residual_rows_scale_with_the_objective(c):
+    # the anchor's bound scales with J (the sweep's Hessians), so J and c J
+    # accept the same anchors; c a power of two scales every probe exactly, so
+    # the rows of c J are (x, c y) of J's bit for bit, and a point 1e-2 off is
+    # refused at every c
+    cases = []
+    for seed in range(20):
+        unscaled = gn.seeded_instance(seed, "rayleigh", 10)
+        cases.append((unscaled, gn.Rayleigh(c * unscaled.matrix), gn.rayleigh_top_eigenvector(unscaled)))
+    a = gn.seeded_instance(20, "rayleigh", 10).matrix
+    tilted = gn.TiltedRayleigh(a, gn.rng_for(53).uniform(-1.0, 1.0, 10))
+    cases.append((tilted, gn.TiltedRayleigh(c * a, c * tilted.tilt), tilted.minimizer()))
+    for unscaled, scaled, anchor in cases:
+        sweep = gn.make_sweep(anchor, 2, seed=54)
+        rows = gn.critical_residual_rows(unscaled, EXP, sweep)
+        assert gn.critical_residual_rows(scaled, EXP, sweep) == [(i, x, c * y) for i, x, y in rows]
+        off = anchor.manifold.exp_map(sweep.directions[0].scaled(1e-2))
+        with pytest.raises(gn.PreconditionError):
+            gn.critical_residual_rows(scaled, EXP, gn.make_sweep(off, 1, seed=55))
+
+
+def test_residual_anchor_test_ignores_a_constant_added_to_j():
+    # on the sphere A + k I is J + k: the same critical points and Hessians.
+    # The anchor test reads the Hessians' scale, not |J|, so the optimum is
+    # accepted where the shifted J reads 0 (k = -lambda_max) and where it reads
+    # 1e6, and a point 1e-5 off it is refused at every k
+    unscaled = gn.seeded_instance(0, "rayleigh", 3)
+    anchor = gn.rayleigh_top_eigenvector(unscaled)
+    sweep = gn.make_sweep(anchor, 3, seed=52)
+    off = gn.make_sweep(anchor.manifold.exp_map(sweep.directions[0].scaled(1e-5)), 1, seed=55)
+    for k in (0.0, -np.linalg.eigvalsh(unscaled.matrix)[-1], 1e6):
+        objective = gn.Rayleigh(unscaled.matrix + k * np.eye(3))
+        assert len(gn.critical_residual_rows(objective, EXP, sweep)) == 3 * len(sweep.scales)
+        with pytest.raises(gn.PreconditionError):
+            gn.critical_residual_rows(objective, EXP, off)
+
+
 # ---- distance deviations
 
 

@@ -83,7 +83,7 @@ def test_random_tangent_raises_when_every_draw_is_normal(sphere3):
     p = gn.random_point(sphere3, gn.rng_for(3))
     with pytest.raises(gn.ContractError, match="no tangent direction"):
         gn.random_tangent(p, Normal())
-    assert gn.random_tangent(p, Normal(), unit=False).norm() <= 1e-15
+    assert p.manifold.tangent_project(p, Normal().standard_normal(3)).norm() <= 1e-15
 
 
 def test_top_eigenvector_is_critical():
