@@ -43,8 +43,8 @@ probes R_p(i h e_i) subtract nothing, so it has no rounding floor.
 :func:`derivatives_cs` reads it with the Hessian in one batch of d^2 + 2d
 complex probes, each Hessian entry a difference of two complex-step
 gradient components at +-delta e_j: about 1e-10 relative where the FD
-Hessian reaches about 1e-7, and exactly c-homogeneous too.  Its index plan,
-cached per dimension, gathers the probe rows and both triangles of H.
+Hessian reaches about 1e-7, and exactly c-homogeneous too.  A plan cached
+per dimension gathers its rows from (i h, delta, -delta) E and H's triangles.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ _EPS = float(np.finfo(float).eps)
 GRADIENT_STEP_FACTOR = _EPS ** (1.0 / 3.0)  # ~6.1e-6
 HESSIAN_STEP_FACTOR = _EPS ** 0.25  # ~1.2e-4
 COMPLEX_STEP = 1e-30  # gradient_cs's h: h^2 vanishes against 1 in every real part
+_COMPLEX_STEPS = np.array([1j * COMPLEX_STEP, GRADIENT_STEP_FACTOR, -GRADIENT_STEP_FACTOR])[:, None, None]
+_COMPLEX_STEPS.setflags(write=False)  # times a frame E, derivatives_cs's rows [i h E; delta E; -delta E]
 
 # Central differences quantize to ulp(J)/(2h); the wider step trades truncation
 # for resolution and is what the Newton driver switches to near critical points,
@@ -182,15 +184,15 @@ def derivatives_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> tuple[T
     for bit.  For i <= j the rows i h e_i +- delta e_j (delta the default FD
     gradient step) give H_ij = Im[J(R(i h e_i + delta e_j)) - J(R(i h e_i -
     delta e_j))] / (2 h delta), with error O(delta^2); H_ji is the same
-    value, so the matrix is exactly symmetric.  The matrix is in ``p.frame``."""
+    value, so the matrix is exactly symmetric.  The matrix is in ``p.frame``.
+    Its rows come from one product [i h E; delta E; -delta E]: one gather, then
+    each Hessian row adds its +-delta e_j in place, byte for byte as written."""
     frame = p.frame
     dim = len(frame)
     first, second, mirror = _complex_plan(dim)
-    imaginary = (1j * COMPLEX_STEP) * frame
-    signed = np.concatenate([imaginary.real, GRADIENT_STEP_FACTOR * frame, -GRADIENT_STEP_FACTOR * frame])
-    stencil = np.empty((len(first), frame.shape[1]), dtype=complex)
-    np.add(signed.take(first, axis=0), signed.take(second, axis=0), out=stencil.real)
-    stencil.imag = imaginary.imag.take(first, axis=0)
+    signed = (_COMPLEX_STEPS * frame).reshape(-1, frame.shape[1])
+    stencil = signed.take(first, axis=0)
+    stencil[dim:] += signed.take(second, axis=0)
     values = _evaluate(objective, p, _retract_rows(spec, p, stencil), complex).imag
     plus, minus = values[dim:].reshape(2, -1)
     hessian = ((plus - minus) / (2.0 * COMPLEX_STEP * GRADIENT_STEP_FACTOR)).take(mirror)
@@ -201,12 +203,12 @@ def derivatives_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> tuple[T
 @functools.cache
 def _complex_plan(dim: int) -> tuple[np.ndarray, ...]:
     """Read-only index plan of the complex stencil in dimension ``dim``: probe r
-    is i Im(i h E)[first[r]] plus rows ``first[r]`` and ``second[r]`` of
-    [Re(i h E); delta E; -delta E] (a gradient row's signed zeros twice, which
-    adds exactly), and ``mirror`` gives H_ij and H_ji one upper-triangle entry."""
+    is row ``first[r]`` of [i h E; delta E; -delta E], plus row ``second[r - dim]``
+    for a Hessian probe (r >= dim), and ``mirror`` gives H_ij and H_ji one
+    upper-triangle entry."""
     rows, cols = np.triu_indices(dim)
     first = np.concatenate([np.arange(dim), rows, rows])
-    second = np.concatenate([np.arange(dim), cols + dim, cols + 2 * dim])
+    second = np.concatenate([cols + dim, cols + 2 * dim])
     mirror = np.empty((dim, dim), dtype=np.intp)
     mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
     plan = (first, second, mirror)

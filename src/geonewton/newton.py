@@ -45,10 +45,10 @@ _STALL_STEP = float(np.sqrt(np.finfo(float).eps))
 # Crossover D* of the complex-step Hessian.  Read with the gradient in one
 # batch of d^2 + 2d complex probes, it beat the complex gradient plus the
 # 2 d^2 + 1 real FD probes on every sphere family up to d = 14 (median
-# 1.06-1.54x, x86_64, one BLAS thread; BENCH_one_probe_batch.json).  At d = 19
-# isolated reads put the FD pair at 0.89-1.05x the batch's time, and runs
-# without D* took 0.97x the sphere:20 ms/iter under exp, 1.05x under
-# projection and 1.42x under perturbed: D* now rests on the perturbed family.
+# 1.06-1.54x, x86_64, one BLAS thread; BENCH_one_probe_batch.json).  Re-timed
+# with the one-product stencil, the FD pair takes 1.16-1.24x the batch's time
+# at d = 14, 0.98-1.18x at d = 19, 0.84-0.87x at d = 29; without D*, sphere:20
+# takes 1.04x the ms/iter under exp, 1.03x projection, 1.48x perturbed, so D* stays.
 _COMPLEX_HESSIAN_MAX_DIM = 14
 # A predicted stop: e_k+1 ~ C e_k^2 puts |g_k+1| near |g_k| (|s_k| / |s_k-1|)^2,
 # at most _STOP_MARGIN * tol (multiplied out, as float ** raises OverflowError).
@@ -154,11 +154,7 @@ class IterationTrace:
         return self.points[-1]
 
 
-def solve_tangent_system(
-    operator: SymmetricOperator,
-    gradient: TangentVector,
-    cond_cap: float = 1e12,
-) -> TangentVector:
+def solve_tangent_system(operator: SymmetricOperator, gradient: TangentVector, cond_cap: float = 1e12) -> TangentVector:
     """Solve Hess s = -grad in the coordinates of the operator base's frame
     and map s back to an ambient tangent vector.
 
@@ -175,19 +171,21 @@ def solve_tangent_system(
         raise ContractError("tangent vector is based at a different point")
     rhs = -row_dots(base.frame, gradient.coords)
     matrix = operator.matrix
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):  # np.linalg.cond; NaN (zero matrix) reads inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # x/0 and overflow are read below
+        singular = np.linalg.svd(matrix, compute_uv=False)
         cond = float(singular[0] / singular[-1])
-    cond = math.inf if math.isnan(cond) else cond
-    if not math.isfinite(cond) or cond > cond_cap:
-        raise SingularHessianError(f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}")
-    try:
-        coeffs = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessianError("tangent-space solve failed") from exc
-    gap = matrix @ coeffs - rhs
-    with np.errstate(over="ignore", invalid="ignore"):  # a norm or a step past the float range is handled below
-        residual, rhs_norm, s = scaled_norms(gap, rhs)
+        cond = math.inf if math.isnan(cond) else cond  # np.linalg.cond's NaN (zero matrix) reads inf
+        if not math.isfinite(cond) or cond > cond_cap:
+            raise SingularHessianError(f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}")
+        try:
+            coeffs = np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessianError("tangent-space solve failed") from exc
+        gap = matrix @ coeffs - rhs
+        gap_square, rhs_square = gap.dot(gap), rhs.dot(rhs)  # scaled_norms' squares, without its call
+        residual, rhs_norm, s = math.sqrt(gap_square), math.sqrt(rhs_square), 1.0
+        if not (gap_square < math.inf and rhs_square < math.inf):  # NaN too, as in scaled_norms
+            residual, rhs_norm, s = scaled_norms(gap, rhs)
         coords = frame_sums(coeffs, base.frame)
     if residual > _RESIDUAL_TOL * (s + rhs_norm):
         raise SingularHessianError(f"solve residual {residual / s:.3e} too large")

@@ -348,7 +348,7 @@ def _reference_derivatives_cs(objective, spec, p):
 
 
 # d = 1 up to d = 14, the Newton crossover
-@pytest.mark.parametrize("manifold,spec", _every_manifold_and_family((2, 3, 10, 15)),
+@pytest.mark.parametrize("manifold,spec", _every_manifold_and_family((2, 3, 5, 10, 15)),
                          ids=lambda x: getattr(x, "family", repr(x)))
 def test_derivatives_cs_plan_reproduces_the_written_out_stencil(manifold, spec, monkeypatch):
     # the plan's gathers write the same probe rows, signed zeros included,
@@ -356,12 +356,15 @@ def test_derivatives_cs_plan_reproduces_the_written_out_stencil(manifold, spec, 
     stencils = []
     retract_rows = calculus._retract_rows
     monkeypatch.setattr(calculus, "_retract_rows", lambda *args: stencils.append(args[2]) or retract_rows(*args))
-    for seed in range(5):
+    points = [gn.random_point(manifold, gn.rng_for(1950 + seed)) for seed in range(5)]
+    if manifold == gn.Sphere(5):
+        points.append(manifold.point([1.0, 0.0, 0.0, 0.0, 0.0]))  # its frame holds -0.0 entries
+        assert np.signbit(points[-1].frame[points[-1].frame == 0.0]).any()
+    for seed, p in enumerate(points):
         if isinstance(manifold, gn.Rotations3):
             objective = gn.seeded_instance(seed, "procrustes")
         else:
             objective = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
-        p = gn.random_point(manifold, gn.rng_for(1950 + seed))
         gradient, hessian = _reference_derivatives_cs(objective, spec, p)
         stencils.clear()
         grad, hess = derivatives_cs(objective, spec, p)
@@ -375,9 +378,9 @@ def test_complex_plan_is_cached_and_read_only(dim):
     plan = calculus._complex_plan(dim)
     assert calculus._complex_plan(dim) is plan
     first, second, mirror = plan
-    assert len(first) == len(second) == dim * dim + 2 * dim
+    assert len(first) == dim * dim + 2 * dim and len(second) == dim * dim + dim  # the Hessian rows' second gather
     assert mirror.shape == (dim, dim) and np.array_equal(mirror, mirror.T)
-    for index in plan:
+    for index in (*plan, calculus._COMPLEX_STEPS):  # and the step column of the rows' one product
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[...] = 0

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import geonewton as gn
 from geonewton import calculus
 from geonewton.calculus import REFINED_GRADIENT_STEP_FACTOR, derivatives_cs
-from geonewton.manifolds import frame_sums, row_dots
-from geonewton.newton import _REFINE_THRESHOLD, _STALL_STEP
+from geonewton.manifolds import frame_sums, row_dots, scaled_norms
+from geonewton.newton import _REFINE_THRESHOLD, _RESIDUAL_TOL, _STALL_STEP
 from oracles import riemannian_hessian
 
 
@@ -129,6 +131,98 @@ def test_solve_rejects_other_base(sphere3):
     g = gn.TangentVector(sphere3.point([0, 1, 0]), [1, 0, 0])
     with pytest.raises(gn.ContractError):
         gn.solve_tangent_system(op, g)
+
+
+def _reference_solve(operator, gradient, cond_cap=1e12):
+    """solve_tangent_system written out as it was before it ran under one
+    error state: the svd, the solve, the residual guard through scaled_norms
+    and the frame map, each under its own error state or none."""
+    if not cond_cap > 1:
+        raise gn.ContractError("cond_cap must exceed 1")
+    base = operator.base
+    if gradient.base is not base and not np.array_equal(gradient.base.coords, base.coords):
+        raise gn.ContractError("tangent vector is based at a different point")
+    rhs = -row_dots(base.frame, gradient.coords)
+    matrix = operator.matrix
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(singular[0] / singular[-1])
+    cond = math.inf if math.isnan(cond) else cond
+    if not math.isfinite(cond) or cond > cond_cap:
+        raise gn.SingularHessianError(f"condition estimate {cond:.3e} exceeds cap {cond_cap:.3e}")
+    try:
+        coeffs = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise gn.SingularHessianError("tangent-space solve failed") from exc
+    gap = matrix @ coeffs - rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, rhs_norm, s = scaled_norms(gap, rhs)
+        coords = frame_sums(coeffs, base.frame)
+    if residual > _RESIDUAL_TOL * (s + rhs_norm):
+        raise gn.SingularHessianError(f"solve residual {residual / s:.3e} too large")
+    if not np.isfinite(coords).all():
+        raise gn.ContractError("tangent vector from these coefficients is not finite")
+    return gn.TangentVector(base, coords)
+
+
+def _solve_outcome(solve, operator, gradient, cond_cap):
+    """The step's coordinate bytes, or the type and message of what the solve raised."""
+    try:
+        return solve(operator, gradient, cond_cap).coords.tobytes()
+    except (gn.ContractError, gn.SingularHessianError) as exc:
+        return type(exc), str(exc)
+
+
+def _solve_cases():
+    """(label, operator, gradient, cond_cap): seeded complex-step Hessians and
+    gradients on sphere:2, 3, 10, 20 and so3 with J scaled by 1e-300, 2^-600,
+    1, 2^600 and 1e300, then matrices at each of the solve's guards."""
+    cases = [(gn.Sphere(n), gn.seeded_instance(n, "rayleigh", n=n), (EXP, PROJ, PERT)) for n in (2, 3, 10, 20)]
+    cases.append((gn.Rotations3(), gn.seeded_instance(3, "procrustes"), (EXP, CAY)))
+    for manifold, objective, families in cases:
+        for seed, spec in enumerate(families):
+            p = gn.random_point(manifold, gn.rng_for(70 + seed))
+            grad, hess = derivatives_cs(objective, spec, p)
+            for c in (1e-300, 2.0 ** -600, 1.0, 2.0 ** 600, 1e300):
+                yield (f"{manifold!r} {spec.family} x{c:g}", gn.SymmetricOperator(p, c * hess.matrix),
+                       gn.TangentVector(p, c * grad.coords), 1e12)
+    p = gn.random_point(gn.Sphere(3), gn.rng_for(80))
+    g, big = in_frame(p, [0.7, -0.2]), in_frame(p, [1e10, -3e9])
+    for label, matrix, gradient, cap in (
+        ("zero", np.zeros((2, 2)), g, 1e12),
+        ("singular diagonal", np.diag([1.0, 0.0]), g, 1e12),
+        ("singular ones", np.ones((2, 2)), g, 1e12),
+        ("singular ones, cap 1e300", np.ones((2, 2)), g, 1e300),
+        ("step past the float range", np.diag([1e-300, 2e-300]), big, 1e12),
+    ):
+        yield label, gn.SymmetricOperator(p, matrix), gradient, cap
+    p = gn.random_point(gn.Sphere(10), gn.rng_for(81))
+    g = in_frame(p, gn.rng_for(82).standard_normal(9))
+    for size in (6, 7, 9):  # Hilbert matrices, padded: condition about 1.5e7, 4.8e8 and 4.9e11
+        matrix = np.eye(9)
+        matrix[:size, :size] = 1.0 / (np.arange(size)[:, None] + np.arange(size) + 1.0)
+        cond = float(np.linalg.cond(matrix))
+        for side in (0.0, math.inf):
+            yield (f"hilbert {size}, cap next to {cond:.3e} toward {side}", gn.SymmetricOperator(p, matrix), g,
+                   float(np.nextafter(cond, side)))
+        for c in (1.0, 2.0 ** 600):  # the residual guard with its squares in range and past it
+            yield (f"hilbert {size} x{c:g}", gn.SymmetricOperator(p, c * matrix),
+                   gn.TangentVector(p, 1e-3 * c * g.coords), 1e12)
+
+
+def test_solve_matches_the_written_out_reference_byte_for_byte():
+    # Step bytes, exception types and messages all match the reference.  The
+    # reference warns (matmul's invalid value) on a step past the float range,
+    # so it runs with numpy's warnings off, while the solve under test runs
+    # under the suite's error::RuntimeWarning.
+    reached = set()
+    for label, operator, gradient, cap in _solve_cases():
+        with np.errstate(all="ignore"):
+            expected = _solve_outcome(_reference_solve, operator, gradient, cap)
+        assert _solve_outcome(gn.solve_tangent_system, operator, gradient, cap) == expected, label
+        reached.add("step" if isinstance(expected, bytes) else expected[1][:12])
+    # a step, and each guard: condition, solve failure, residual, finite step
+    assert reached == {"step", "condition es", "tangent-spac", "solve residu", "tangent vect"}
 
 
 # ---- single steps
