@@ -16,23 +16,23 @@ checked point p, that ``_retract_rows`` maps to the manifold unchecked (a
 retraction not defined on p's manifold raises before any probe), and the
 objective's ``values(p, points)`` evaluates, one call each.  Every objective
 needs ``values`` (one without it raises ``ContractError``): there is no
-row-by-row ``value`` path
-(:mod:`geonewton.objectives` shows the two-line adapter for an objective
-that has only ``value``).  The batched kernels
+row-by-row ``value`` path (:mod:`geonewton.objectives` shows the two-line
+adapter for an objective that has only ``value``).  The batched kernels
 round as the single-probe path (``retract`` then a one-row ``values``)
 does, so every probe value and every extracted derivative is the same bit
 for bit.
-Each Hessian probe is the sum of two rows of [hE; -hE; 0] (E the frame)
-from an index plan cached per dimension.  The two mixed probes of a
-diagonal entry both sit at R_p(0), read once, so a Hessian costs 2 d^2 + 1
-probes; R_p(0) is the plan's last probe, the zero row taken twice, and the
-plan's four (d x d) gathers assemble the matrix from the stencil's values.
-One assembly serves one point and many: its arrays may carry leading stack
-axes (one entry per point) that :func:`gradient_fd` and :func:`hessian_fd`
-leave out and :func:`derivatives_fd` uses to probe k points in one batch
-(one per group of points at large dimension): the stencil is retracted over
-a :class:`PointRows` stack, and ``values`` gets the first point as its p,
-so an objective is only ever handed a :class:`ManifoldPoint`.
+Every Hessian stencil comes from one index plan over the upper triangle
+i <= j, cached per dimension: probe r is row first[r] of a step column times
+the frame E, and a Hessian probe adds a second row in place.  An FD probe
+sums two rows of [hE; -hE]; both mixed probes of a diagonal entry sit at
+the last probe, R_p(0) = h e_0 + (-h e_0), exactly +0, read once, so a
+Hessian costs 2 d^2 + 1 probes, whose d(d+1)/2 entries four triangle
+gathers give and one mirror gather writes into H.  The arrays may carry
+leading stack axes (one entry per point) that :func:`gradient_fd` and
+:func:`hessian_fd` leave out and :func:`derivatives_fd` uses to probe k
+points in one batch (one per group at large dimension) over a
+:class:`PointRows` stack; ``values`` gets the first point as its p, so an
+objective only ever sees a :class:`ManifoldPoint`.
 
 Step sizes balance truncation against rounding: eps^(1/3) for first
 differences, eps^(1/4) for second differences.  The steps are deliberately
@@ -43,8 +43,8 @@ probes R_p(i h e_i) subtract nothing, so it has no rounding floor.
 :func:`derivatives_cs` reads it with the Hessian in one batch of d^2 + 2d
 complex probes, each Hessian entry a difference of two complex-step
 gradient components at +-delta e_j: about 1e-10 relative where the FD
-Hessian reaches about 1e-7, and exactly c-homogeneous too.  A plan cached
-per dimension gathers its rows from (i h, delta, -delta) E and H's triangles.
+Hessian reaches about 1e-7, and exactly c-homogeneous too, from the same
+plan over the steps (i h, delta, -delta).
 """
 
 from __future__ import annotations
@@ -63,8 +63,12 @@ _EPS = float(np.finfo(float).eps)
 GRADIENT_STEP_FACTOR = _EPS ** (1.0 / 3.0)  # ~6.1e-6
 HESSIAN_STEP_FACTOR = _EPS ** 0.25  # ~1.2e-4
 COMPLEX_STEP = 1e-30  # gradient_cs's h: h^2 vanishes against 1 in every real part
+# Step columns s of the stencils' rows [s_0 E; s_1 E; ...] (E a frame): derivatives_cs's
+# [i h E; delta E; -delta E] and derivatives_fd's [gE; -gE; hE; -hE] (hessian_fd's: the last two)
 _COMPLEX_STEPS = np.array([1j * COMPLEX_STEP, GRADIENT_STEP_FACTOR, -GRADIENT_STEP_FACTOR])[:, None, None]
-_COMPLEX_STEPS.setflags(write=False)  # times a frame E, derivatives_cs's rows [i h E; delta E; -delta E]
+_FD_STEPS = np.multiply.outer([GRADIENT_STEP_FACTOR, HESSIAN_STEP_FACTOR], [1.0, -1.0]).reshape(-1, 1, 1)
+_COMPLEX_STEPS.setflags(write=False)
+_FD_STEPS.setflags(write=False)
 
 # Central differences quantize to ulp(J)/(2h); the wider step trades truncation
 # for resolution and is what the Newton driver switches to near critical points,
@@ -126,18 +130,38 @@ def _evaluate(objective, p: ManifoldPoint, points: np.ndarray, dtype=float) -> n
     return out
 
 
-def _central_rows(frames: np.ndarray, h: float) -> np.ndarray:
-    """[hE; -hE] for each (d x ambient) frame E."""
-    return h * np.concatenate([frames, -frames], axis=-2)
+@functools.cache
+def _plan(dim: int) -> tuple:
+    """Read-only index plan of the Hessian stencils in dimension ``dim`` over
+    the upper triangle i <= j in row order: :func:`_stencil`'s (first, second)
+    for [i h E; delta E; -delta E] and for [gE; -gE; hE; -hE] (Hessian probes
+    counted from the end, so they index [hE; -hE] too), the FD ``gathers`` of
+    each entry's pp, pm, mp and mm probes, and ``mirror``: H_ij's entry."""
+    rows, cols = np.triu_indices(dim)
+    mirror = np.empty((dim, dim), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
+    complex_rows = (np.concatenate([np.arange(dim), rows, rows]), np.concatenate([cols + dim, cols + 2 * dim]))
+    off = rows < cols  # the pairs i < j; m of them
+    m = np.count_nonzero(off)
+    i, j, diag = rows[off] - 2 * dim, cols[off] - 2 * dim, np.arange(dim) - 2 * dim  # rows of hE, from the end
+    fd_first = np.concatenate([np.arange(2 * dim), i, i, i + dim, i + dim, diag, diag + dim, [-2 * dim]])
+    fd_second = np.concatenate([j, j + dim, j, j + dim, diag, diag + dim, [-dim]])
+    gathers = np.full((4, len(rows)), 4 * m + 2 * dim)  # a diagonal's pm and mp: the centre, the last probe
+    gathers[:, off] = m * np.arange(4)[:, None] + np.arange(m)
+    gathers[0, ~off], gathers[3, ~off] = 4 * m + np.arange(dim), 4 * m + dim + np.arange(dim)
+    for index in (*complex_rows, fd_first, fd_second, gathers, mirror):
+        index.setflags(write=False)
+    return complex_rows, (fd_first, fd_second), gathers, mirror
 
 
-def _hessian_rows(frames: np.ndarray) -> np.ndarray:
-    """Each frame's Hessian stencil, centre last: the plan's sums of two rows
-    of [hE; -hE; 0]."""
-    first, second = _stencil_plan(frames.shape[-2])[:2]
-    zero = np.zeros(frames.shape[:-2] + (1, frames.shape[-1]))
-    signed = np.concatenate([_central_rows(frames, HESSIAN_STEP_FACTOR), zero], axis=-2)
-    return signed.take(first, axis=-2) + signed.take(second, axis=-2)
+def _stencil(steps: np.ndarray, frames: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Probe rows over each (d x ambient) frame E: probe r is row ``first[r]`` of
+    [s_0 E; s_1 E; ...] (s = ``steps``), and the last ``len(second)`` probes add
+    the rows ``second`` in place, rounding as the written-out sums, signed zeros included."""
+    signed = (steps * frames[..., None, :, :]).reshape(frames.shape[:-2] + (-1, frames.shape[-1]))
+    stencil = signed.take(first, axis=-2)
+    stencil[..., len(first) - len(second):, :] += signed.take(second, axis=-2)
+    return stencil
 
 
 def _gradients(values: np.ndarray, frames: np.ndarray, h: float) -> np.ndarray:
@@ -146,13 +170,12 @@ def _gradients(values: np.ndarray, frames: np.ndarray, h: float) -> np.ndarray:
 
 
 def _hessians(values: np.ndarray, dim: int) -> np.ndarray:
-    """Hessian matrices from Hessian-stencil values, exactly symmetric: H_ij
-    and H_ji gather the same four values."""
-    _, _, pp, pm, mp, mm = _stencil_plan(dim)
-    h = HESSIAN_STEP_FACTOR
+    """Hessian matrices from FD Hessian-stencil values, exactly symmetric:
+    H_ij and H_ji are one triangle entry (pp - pm - mp + mm) / (4 h^2)."""
+    _, _, gathers, mirror = _plan(dim)
+    pp, pm, mp, mm = (values.take(index, axis=-1) for index in gathers)
     # take() returns C-ordered stacks: a matmul over them rounds by memory layout
-    pp, pm, mp, mm = (values.take(index, axis=-1) for index in (pp, pm, mp, mm))
-    return (pp - pm - mp + mm) / (4.0 * h * h)
+    return ((pp - pm - mp + mm) / (4.0 * HESSIAN_STEP_FACTOR * HESSIAN_STEP_FACTOR)).take(mirror, axis=-1)
 
 
 def gradient_fd(
@@ -163,7 +186,7 @@ def gradient_fd(
     Component i is [J(R_p(h e_i)) - J(R_p(-h e_i))] / (2h) over the rows e_i
     of ``p.frame``; the result is assembled as an ambient tangent vector.
     """
-    values = _evaluate(objective, p, _retract_rows(spec, p, _central_rows(p.frame, step_factor)))
+    values = _evaluate(objective, p, _retract_rows(spec, p, step_factor * np.concatenate([p.frame, -p.frame])))
     return unchecked(TangentVector, p, _gradients(values, p.frame, step_factor))
 
 
@@ -183,13 +206,13 @@ def derivatives_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> tuple[T
     The first d rows are gradient_cs's i h e_i, so the gradient is its bit
     for bit.  For i <= j the rows i h e_i +- delta e_j (delta the default FD
     gradient step) give H_ij = Im[J(R(i h e_i + delta e_j)) - J(R(i h e_i -
-    delta e_j))] / (2 h delta), with error O(delta^2); H_ji is the same
-    value, so the matrix is exactly symmetric.  The matrix is in ``p.frame``.
-    Its rows come from one product [i h E; delta E; -delta E]: one gather, then
-    each Hessian row adds its +-delta e_j in place, byte for byte as written."""
+    delta e_j))] / (2 h delta), with error O(delta^2), and H_ji the same
+    value: the matrix, in ``p.frame``, is exactly symmetric.  Its rows are
+    :func:`_stencil`'s over ``_plan``, written out for one frame: the call
+    would cost a measurable share of a d = 2 read."""
     frame = p.frame
     dim = len(frame)
-    first, second, mirror = _complex_plan(dim)
+    (first, second), _, _, mirror = _plan(dim)
     signed = (_COMPLEX_STEPS * frame).reshape(-1, frame.shape[1])
     stencil = signed.take(first, axis=0)
     stencil[dim:] += signed.take(second, axis=0)
@@ -200,46 +223,6 @@ def derivatives_cs(objective, spec: RetractionSpec, p: ManifoldPoint) -> tuple[T
     return gradient, unchecked(SymmetricOperator, p, hessian)
 
 
-@functools.cache
-def _complex_plan(dim: int) -> tuple[np.ndarray, ...]:
-    """Read-only index plan of the complex stencil in dimension ``dim``: probe r
-    is row ``first[r]`` of [i h E; delta E; -delta E], plus row ``second[r - dim]``
-    for a Hessian probe (r >= dim), and ``mirror`` gives H_ij and H_ji one
-    upper-triangle entry."""
-    rows, cols = np.triu_indices(dim)
-    first = np.concatenate([np.arange(dim), rows, rows])
-    second = np.concatenate([cols + dim, cols + 2 * dim])
-    mirror = np.empty((dim, dim), dtype=np.intp)
-    mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
-    plan = (first, second, mirror)
-    for index in plan:
-        index.setflags(write=False)
-    return plan
-
-
-@functools.cache
-def _stencil_plan(dim: int) -> tuple[np.ndarray, ...]:
-    """Read-only index plan of the Hessian stencil in dimension ``dim``:
-    ``first`` and ``second`` pick each probe's two rows of [hE; -hE; 0],
-    the last probe R_p(0) as row 2d twice, and four (d x d) gathers pick the
-    probes of each H_ij = (pp - pm - mp + mm) / (4 h^2); for i = j the middle
-    two are that centre probe."""
-    rows, cols = np.triu_indices(dim, k=1)
-    diag = np.arange(dim)
-    first = np.concatenate([rows, rows, rows + dim, rows + dim, diag, diag + dim, [2 * dim]])
-    second = np.concatenate([cols, cols + dim, cols, cols + dim, diag, diag + dim, [2 * dim]])
-    n = len(rows)
-    gathers = np.empty((4, dim, dim), dtype=np.intp)
-    for k in range(4):  # pp, pm, mp, mm of each pair, in both triangles
-        gathers[k, rows, cols] = gathers[k, cols, rows] = k * n + np.arange(n)
-    gathers[0, diag, diag], gathers[3, diag, diag] = 4 * n + diag, 4 * n + dim + diag
-    gathers[1:3, diag, diag] = 2 * dim * dim
-    plan = (first, second, *gathers)
-    for index in plan:
-        index.setflags(write=False)
-    return plan
-
-
 def hessian_fd(objective, spec: RetractionSpec, p: ManifoldPoint) -> SymmetricOperator:
     """Four-point-stencil Hessian of J o R_p at 0, exactly symmetric: one array
     holds H_ij and H_ji.
@@ -248,36 +231,38 @@ def hessian_fd(objective, spec: RetractionSpec, p: ManifoldPoint) -> SymmetricOp
             - J(R(-h e_i + h e_j)) + J(R(-h e_i - h e_j))] / (4 h^2)
 
     For i = j both middle probes are J(R_p(0)), read once, so a Hessian
-    costs 2 d^2 + 1 probes in dimension d.  Each probe is the sum of two rows
-    of [hE; -hE; 0] (E the frame) picked by ``_stencil_plan``: adding a
-    negated row rounds as subtracting it does, down to signed zeros.  R_p(0)
-    is the last probe, the zero row twice, retracted with the others and
-    read in the stencil's one ``values`` call.  The matrix is in ``p.frame``.
-    """
+    costs 2 d^2 + 1 probes in dimension d, each a sum of two rows of [hE; -hE]
+    (E the frame) from ``_plan``: pp, pm, mp and mm of the pairs i < j in
+    turn, the doubled diagonals, and last R_p(0) = h e_0 + (-h e_0), exactly
+    +0 in IEEE addition.  Four triangle gathers and one mirror gather
+    assemble the matrix, in ``p.frame``."""
     frame = p.frame
-    values = _evaluate(objective, p, _retract_rows(spec, p, _hessian_rows(frame)))
-    return unchecked(SymmetricOperator, p, _hessians(values, len(frame)))
+    dim = len(frame)
+    first, second = _plan(dim)[1]
+    values = _evaluate(objective, p, _retract_rows(spec, p, _stencil(_FD_STEPS[2:], frame, first[2 * dim:], second)))
+    return unchecked(SymmetricOperator, p, _hessians(values, dim))
 
 
 def derivatives_fd(objective, spec: RetractionSpec, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`gradient_fd` (default step) and :func:`hessian_fd` at k points in
     their cached frames: the (k x ambient) gradients, (k x d x d) Hessians and
-    (k x d x ambient) frames.  The points are probed in one batch, or in one
-    batch per group of points whose stencils fit ``_BATCH_FLOATS``."""
+    (k x d x ambient) frames, from ``_plan``'s rows of [gE; -gE; hE; -hE] at
+    each point, probed in one batch or in one per group of points whose
+    stencils fit ``_BATCH_FLOATS``."""
     if len(points) == 0:
         raise ContractError("derivatives_fd needs at least one point")
     dim, ambient = points[0].frame.shape
-    group = max(1, _BATCH_FLOATS // ((2 * dim * dim + 2 * dim + 1) * ambient))
+    first, second = _plan(dim)[1]
+    group = max(1, _BATCH_FLOATS // (len(first) * ambient))
     if len(points) > group:
         parts = [derivatives_fd(objective, spec, points[i: i + group]) for i in range(0, len(points), group)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     frames = np.array([pt.frame for pt in points])
     k = len(points)
-    stencil = np.concatenate([_central_rows(frames, GRADIENT_STEP_FACTOR), _hessian_rows(frames)], axis=1)
-    bases = PointRows.of(points, stencil.shape[1]) if k > 1 else points[0]
+    stencil = _stencil(_FD_STEPS, frames, first, second)
+    bases = PointRows.of(points, len(first)) if k > 1 else points[0]
     values = _evaluate(objective, points[0], _retract_rows(spec, bases, stencil.reshape(-1, ambient))).reshape(k, -1)
-    hessians = _hessians(values[:, 2 * dim:], dim)
-    return _gradients(values[:, : 2 * dim], frames, GRADIENT_STEP_FACTOR), hessians, frames
+    return _gradients(values[:, :2 * dim], frames, GRADIENT_STEP_FACTOR), _hessians(values[:, 2 * dim:], dim), frames
 
 
 def taylor_remainder(objective, spec: RetractionSpec, p: ManifoldPoint, v: TangentVector) -> float:

@@ -214,49 +214,55 @@ def test_hessian_centre_is_the_last_row_of_its_one_retract_many(monkeypatch, man
 def test_stencil_plan_sums_match_written_out_rows_with_extreme_entries():
     # The plan's exactness is a property of IEEE addition, not of orthonormal
     # frames: check it on arrays with signed zeros and entries near overflow.
-    # The last probe is the centre, row 2d (+0.0) twice.
+    # The last probe is the centre h e_0 + (-h e_0), +0.0 in every entry; in
+    # derivatives_fd's stacked rows the gradient's +-g e_i come first.
     rng = gn.rng_for(90)
     for dim in (1, 2, 3, 6):
-        first, second = calculus._stencil_plan(dim)[:2]
+        first, second = calculus._plan(dim)[1]
         for _ in range(100):
-            frame = rng.choice([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 3.7e-310], size=(dim, 4))
-            frame = frame * rng.uniform(0.5, 2.0, size=frame.shape)
-            signed = np.concatenate([HESSIAN_STEP_FACTOR * np.concatenate([frame, -frame]), np.zeros((1, 4))])
-            expected = np.concatenate([_four_point_rows(frame, HESSIAN_STEP_FACTOR), np.zeros((1, 4))])
-            assert (signed[first] + signed[second]).tobytes() == expected.tobytes()
+            frames = rng.choice([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 3.7e-310], size=(2, dim, 4))
+            frames = frames * rng.uniform(0.5, 2.0, size=frames.shape)
+            expected = [np.concatenate([_four_point_rows(frame, HESSIAN_STEP_FACTOR), np.zeros((1, 4))])
+                        for frame in frames]
+            stencil = calculus._stencil(calculus._FD_STEPS[2:], frames[0], first[2 * dim:], second)
+            assert stencil.tobytes() == expected[0].tobytes()
+            stacked = calculus._stencil(calculus._FD_STEPS, frames, first, second)
+            assert stacked.tobytes() == np.array([
+                np.concatenate([GRADIENT_STEP_FACTOR * frame, -GRADIENT_STEP_FACTOR * frame, rows])
+                for frame, rows in zip(frames, expected)]).tobytes()
 
 
 @pytest.mark.parametrize("dim", (1, 2, 9, 19))
 def test_stencil_plan_is_cached_and_read_only(dim):
-    plan = calculus._stencil_plan(dim)
-    assert calculus._stencil_plan(dim) is plan
-    first, second, *gathers = plan
-    assert len(first) == len(second) == 2 * dim * dim + 1
-    assert len(gathers) == 4 and all(index.shape == (dim, dim) for index in gathers)
-    for index in plan:
+    plan = calculus._plan(dim)
+    assert calculus._plan(dim) is plan
+    _, (first, second), gathers, mirror = plan
+    assert len(second) == 2 * dim * dim + 1 and len(first) == 2 * dim + len(second)  # the gradient's rows first
+    assert gathers.shape == (4, dim * (dim + 1) // 2) and mirror.shape == (dim, dim)
+    for index in (first, second, gathers, mirror, calculus._FD_STEPS):  # and the step column of the rows
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[...] = 0
 
 
 def test_stencil_plan_gathers_pick_each_entrys_four_probes():
-    # H_ij and H_ji gather the same four probes: pp, pm, mp, mm of the pair
-    # (first form i, second j), and for i = j the doubled diagonal rows around
-    # the centre probe twice.
+    # H_ij and H_ji are one triangle entry, whose four gathers pick pp, pm, mp
+    # and mm of the pair (first row +-e_i, second +-e_j), and for i = j the
+    # doubled diagonal rows around the centre probe h e_0 + (-h e_0) twice.
+    # The Hessian probes index the rows [hE; -hE] from the end.
     for dim in (1, 2, 3, 6):
-        first, second, *gathers = calculus._stencil_plan(dim)
-        signs = {(0, 0): "pp", (0, 1): "pm", (1, 0): "mp", (1, 1): "mm"}
+        _, (first, second), gathers, mirror = calculus._plan(dim)
+        first = first[2 * dim:]
+        assert sorted(mirror[np.triu_indices(dim)]) == list(range(gathers.shape[1]))
         for i in range(dim):
             for j in range(dim):
-                picked = [(first[g[i, j]], second[g[i, j]]) for g in gathers]
-                assert picked == [(first[g[j, i]], second[g[j, i]]) for g in gathers]
+                assert mirror[i, j] == mirror[j, i]
+                picked = [(first[g] + 2 * dim, second[g] + 2 * dim) for g in gathers[:, mirror[i, j]]]
                 if i == j:
-                    assert picked == [(i, i), (2 * dim, 2 * dim), (2 * dim, 2 * dim), (i + dim, i + dim)]
+                    assert picked == [(i, i), (0, dim), (0, dim), (i + dim, i + dim)]
                     continue
                 a, b = min(i, j), max(i, j)
-                for name, (r, c) in zip(("pp", "pm", "mp", "mm"), picked):
-                    assert (r % dim, c % dim) == (a, b)
-                    assert signs[(r // dim, c // dim)] == name
+                assert picked == [(a, b), (a, b + dim), (a + dim, b), (a + dim, b + dim)]
 
 
 @pytest.mark.parametrize("manifold,family,objective", CASES)

@@ -4,7 +4,7 @@ import pytest
 import geonewton as gn
 from geonewton import calculus
 from geonewton.calculus import apply_many, derivatives_cs
-from geonewton.manifolds import row_dots
+from geonewton.manifolds import PointRows, row_dots
 from oracles import riemannian_hessian
 
 
@@ -375,15 +375,63 @@ def test_derivatives_cs_plan_reproduces_the_written_out_stencil(manifold, spec, 
 
 @pytest.mark.parametrize("dim", (1, 2, 9, 14))
 def test_complex_plan_is_cached_and_read_only(dim):
-    plan = calculus._complex_plan(dim)
-    assert calculus._complex_plan(dim) is plan
-    first, second, mirror = plan
+    plan = calculus._plan(dim)
+    assert calculus._plan(dim) is plan
+    (first, second), _, _, mirror = plan
     assert len(first) == dim * dim + 2 * dim and len(second) == dim * dim + dim  # the Hessian rows' second gather
     assert mirror.shape == (dim, dim) and np.array_equal(mirror, mirror.T)
-    for index in (*plan, calculus._COMPLEX_STEPS):  # and the step column of the rows' one product
+    for index in (first, second, mirror, calculus._COMPLEX_STEPS):  # and the step column of the rows' one product
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[...] = 0
+
+
+def test_shared_row_builder_writes_the_complex_stencil_too():
+    # derivatives_cs writes the builder's two steps out for one frame; the
+    # builder itself gives the same rows, signed zeros included
+    for manifold in (gn.Sphere(2), gn.Sphere(5), gn.Sphere(10), gn.Rotations3()):
+        points = [gn.random_point(manifold, gn.rng_for(1980 + seed)) for seed in range(3)]
+        if manifold == gn.Sphere(5):
+            points.append(manifold.point([1.0, 0.0, 0.0, 0.0, 0.0]))  # its frame holds -0.0 entries
+        for p in points:
+            first, second = calculus._plan(len(p.frame))[0]
+            rows = calculus._stencil(calculus._COMPLEX_STEPS, p.frame, first, second)
+            assert rows.tobytes() == _reference_stencil(p.frame).tobytes()
+
+
+@pytest.mark.parametrize("manifold,spec", _every_manifold_and_family((2, 3, 10)),
+                         ids=lambda x: getattr(x, "family", repr(x)))
+def test_complex_stencil_values_do_not_depend_on_the_rows_around_them(manifold, spec, monkeypatch):
+    # The invariant a stacked complex read rests on: each derivatives_cs
+    # stencil's values are the same bytes evaluated alone, as its first d rows
+    # alone (the batch gradient_cs reads), and stacked after another point's
+    # stencil over a PointRows base.
+    stencils = []
+    retract_rows = calculus._retract_rows
+    monkeypatch.setattr(calculus, "_retract_rows", lambda *args: stencils.append(args[2]) or retract_rows(*args))
+    for seed in range(4):
+        p, q = (gn.random_point(manifold, gn.rng_for(2100 + 2 * seed + k)) for k in (0, 1))
+        if isinstance(manifold, gn.Rotations3):
+            objectives = [gn.seeded_instance(seed, "procrustes")]
+        else:
+            rayleigh = gn.seeded_instance(seed, "rayleigh", manifold.ambient_dim)
+            tilt = gn.rng_for(2200 + seed).uniform(-1.0, 1.0, manifold.ambient_dim)
+            objectives = [rayleigh, gn.TiltedRayleigh(rayleigh.matrix, tilt)]
+        for objective in objectives:
+            stencils.clear()
+            derivatives_cs(objective, spec, p)
+            derivatives_cs(objective, spec, q)
+            rows_p, rows_q = stencils
+            dim = len(p.frame)
+
+            def values(base, points, rows):
+                return calculus._evaluate(objective, base, retract_rows(spec, points, rows), complex)
+
+            alone = values(p, p, rows_p)
+            assert values(p, p, rows_p[:dim]).tobytes() == alone[:dim].tobytes()
+            stacked = values(q, PointRows.of([q, p], len(rows_p)), np.concatenate([rows_q, rows_p]))
+            assert stacked[len(rows_q):].tobytes() == alone.tobytes()
+            assert stacked[:len(rows_q)].tobytes() == values(q, q, rows_q).tobytes()
 
 
 class _NaNAtRow:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geonewton as gn
@@ -194,6 +195,23 @@ def test_summary_matches_refit_of_rows(tmp_path):
     refit = gn.fit_loglog(xs, ys, floor=1e-13)
     assert abs(refit.slope - report.summary["slope"]) <= 1e-12
     assert abs(refit.intercept - report.summary["intercept"]) <= 1e-12
+
+
+def test_taylor_without_an_anchor_point_fails_in_seconds(tmp_path):
+    # On the circle a Rayleigh gradient norm never exceeds the eigenvalue gap,
+    # which is at most 0.1 at seed 56, so no draw can anchor the sweep: the
+    # command must end (exit 1, "measurement failed", no report), not redraw
+    # forever.  A subprocess with a timeout turns a hang into a failure.
+    matrix = gn.seeded_instance(56, "rayleigh", 2).matrix
+    assert np.ptp(np.linalg.eigvalsh(matrix)) <= 0.1
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["taylor", "--manifold", "sphere:2", "--seed", "56", "--output", "t.csv"]
+    proc = subprocess.run([sys.executable, "-m", "geonewton", *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("measurement failed: no point with gradient norm above 0.1")
+    assert not (tmp_path / "t.csv").exists()
+    assert run(["taylor", "--manifold", "sphere:2", "--seed", "57", "--output", "t.csv"], tmp_path) == 0
 
 
 def test_lemma_commands_self_consistent(tmp_path):
